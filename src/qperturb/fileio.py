@@ -23,11 +23,16 @@ def format_real(value: float) -> str:
     return "%.17g" % float(value)
 
 
+def _pair(z: complex) -> str:
+    """Always the ``(re,im)`` token, even for a real value."""
+    return f"({format_real(z.real)},{format_real(z.imag)})"
+
+
 def format_complex(value: complex) -> str:
     z = complex(value)
     if z.imag == 0.0:
         return format_real(z.real)
-    return f"({format_real(z.real)},{format_real(z.imag)})"
+    return _pair(z)
 
 
 def _tokens_with_lines(text: str) -> list[tuple[int, str]]:

@@ -32,7 +32,7 @@ from .errors import (
     NotNormalized,
     ZeroVector,
 )
-from .numkernel import HermitianMatrix, add_scaled, inner_product, matrix_element, matvec
+from .numkernel import HermitianMatrix, add_scaled, matvec
 
 # Unit-norm tolerance for StateVector coefficients.
 NORMALIZATION_ATOL = 1e-10
@@ -118,11 +118,8 @@ def level_shifts(perturbation: HermitianMatrix, decomp: SpectralDecomposition) -
         raise DimensionMismatch(
             f"perturbation dim {perturbation.dim} vs basis dim {decomp.dim}"
         )
-    shifts = np.empty(decomp.dim, dtype=np.float64)
-    for n in range(decomp.dim):
-        phi = decomp.eigenvector(n)
-        shifts[n] = matrix_element(phi, perturbation, phi).real
-    return shifts
+    phi = decomp.eigenvectors
+    return np.einsum("ij,ij->j", phi.conj(), perturbation.array @ phi).real
 
 
 def total_energy(
@@ -152,30 +149,27 @@ def correction_coefficients(
     psi = sum_j b_j phi_j.  Denominators with
     |E - E_m| <= tol_degen * (E_max - E_min + 1) are treated as removable
     0/0 (a_m = 0) when |nu_m| <= tol_num * ||H'||_F, and rejected with
-    :class:`DegenerateDenominator` otherwise.
+    :class:`DegenerateDenominator` otherwise; when several levels qualify,
+    the lowest offending index m is the one reported.
     """
     if not (perturbation.dim == decomp.dim == state.dim):
         raise DimensionMismatch(
             f"dims disagree: perturbation {perturbation.dim}, basis {decomp.dim}, "
             f"state {state.dim}"
         )
-    psi = decomp.synthesize(state.coefficients)
-    hp_psi = matvec(perturbation, psi)
+    b = state.coefficients
+    hp_psi = matvec(perturbation, decomp.synthesize(b))
+    numerators = decomp.eigenvectors.conj().T @ hp_psi - first_order_total * b
+    denominators = energy - decomp.eigenvalues
     spread = float(decomp.eigenvalues[-1] - decomp.eigenvalues[0]) + 1.0
     hp_scale = float(np.linalg.norm(perturbation.array))
+    small = np.abs(denominators) <= tol_degen * spread
+    offenders = np.flatnonzero(small & (np.abs(numerators) > tol_num * hp_scale))
+    if offenders.size:
+        m = int(offenders[0])
+        raise DegenerateDenominator(m, abs(denominators[m]), abs(numerators[m]))
     corrections = np.zeros(decomp.dim, dtype=np.complex128)
-    for m in range(decomp.dim):
-        numerator = (
-            inner_product(decomp.eigenvector(m), hp_psi)
-            - first_order_total * state.coefficients[m]
-        )
-        denominator = energy - float(decomp.eigenvalues[m])
-        if abs(denominator) > tol_degen * spread:
-            corrections[m] = numerator / denominator
-        elif abs(numerator) <= tol_num * hp_scale:
-            corrections[m] = 0.0
-        else:
-            raise DegenerateDenominator(m, abs(denominator), abs(numerator))
+    np.divide(numerators, denominators, out=corrections, where=~small)
     return corrections
 
 

@@ -182,8 +182,12 @@ def random_nondegenerate_pair(
     spectral spread.  ``perturbation_scale`` (default: ``scale``) sets the
     entry magnitude of H'; choosing it small relative to the gaps keeps the
     whole default x-grid inside the perturbative regime.  Deterministic for
-    a given seed.
+    a given seed.  Raises ``ValueError`` up front when
+    ``(dim - 1) * min_gap_fraction > 1``: the dim - 1 gaps sum to the
+    spread, so no H can meet the gap criterion.
     """
+    if dim > 1 and (dim - 1) * min_gap_fraction > 1:
+        raise ValueError(f"min_gap_fraction {min_gap_fraction} is infeasible for dim {dim}")
     rng = np.random.default_rng(seed)
     if perturbation_scale is None:
         perturbation_scale = scale

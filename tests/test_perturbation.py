@@ -11,8 +11,10 @@ from qperturb.errors import (
     ZeroVector,
 )
 from qperturb.models import BoxModelSpec, box_hamiltonian, box_potential_matrix, random_hermitian
-from qperturb.numkernel import HermitianMatrix, identity, matrix_element
+from qperturb.numkernel import HermitianMatrix, identity, inner_product, matrix_element
 from qperturb.perturbation import (
+    DEFAULT_TOL_DEGEN,
+    DEFAULT_TOL_NUM,
     FirstOrderResult,
     StateVector,
     correction_coefficients,
@@ -34,6 +36,32 @@ HP_2x2 = HermitianMatrix([[0, 1], [1, 0]])
 @pytest.fixture(scope="module")
 def dec_2x2():
     return jacobi_eigendecompose(H_2x2)
+
+
+def loop_level_shifts(perturbation, decomp):
+    """Reference: one <phi_n|H'|phi_n> per level."""
+    return np.array(
+        [
+            matrix_element(decomp.eigenvector(n), perturbation, decomp.eigenvector(n)).real
+            for n in range(decomp.dim)
+        ]
+    )
+
+
+def loop_correction_coefficients(perturbation, decomp, state, energy, eprime):
+    """Reference: a_m = nu_m / (E - E_m) one level at a time, same degeneracy guard."""
+    hp_psi = perturbation.array @ decomp.synthesize(state.coefficients)
+    spread = float(decomp.eigenvalues[-1] - decomp.eigenvalues[0]) + 1.0
+    hp_scale = float(np.linalg.norm(perturbation.array))
+    out = np.zeros(decomp.dim, dtype=np.complex128)
+    for m in range(decomp.dim):
+        numerator = inner_product(decomp.eigenvector(m), hp_psi) - eprime * state.coefficients[m]
+        denominator = energy - float(decomp.eigenvalues[m])
+        if abs(denominator) > DEFAULT_TOL_DEGEN * spread:
+            out[m] = numerator / denominator
+        elif abs(numerator) > DEFAULT_TOL_NUM * hp_scale:
+            raise DegenerateDenominator(m, abs(denominator), abs(numerator))
+    return out
 
 
 class TestStateVector:
@@ -165,6 +193,32 @@ class TestCorrectionCoefficients:
         with pytest.raises(DegenerateDenominator) as exc:
             correction_coefficients(HP_2x2, dec, b, 1.0, 0.0)
         assert exc.value.level == 1
+
+    def test_lowest_degenerate_offender_reported(self):
+        # level 0 couples to both degenerate partners 1 and 2
+        dec = jacobi_eigendecompose(HermitianMatrix(np.diag([1.0, 1.0, 1.0])))
+        hp = HermitianMatrix([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        b = StateVector.basis_state(3, 0)
+        with pytest.raises(DegenerateDenominator) as exc:
+            correction_coefficients(hp, dec, b, 1.0, 0.0)
+        assert exc.value.level == 1
+
+    def test_matches_per_level_loop(self):
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            h, hp = random_nondegenerate_pair(200 + seed, 7, perturbation_scale=0.3)
+            dec = jacobi_eigendecompose(h)
+            shifts = level_shifts(hp, dec)
+            np.testing.assert_allclose(shifts, loop_level_shifts(hp, dec), rtol=0, atol=1e-13)
+            b = StateVector.from_unnormalized(rng.normal(size=7) + 1j * rng.normal(size=7))
+            energy = expected_energy(b, dec)
+            eprime, _ = total_energy(energy, shifts, b, 0.05)
+            np.testing.assert_allclose(
+                correction_coefficients(hp, dec, b, energy, eprime),
+                loop_correction_coefficients(hp, dec, b, energy, eprime),
+                rtol=0,
+                atol=1e-13,
+            )
 
     def test_degenerate_with_negligible_numerator_is_gauge_zero(self):
         # diagonal perturbation on degenerate levels: every numerator vanishes

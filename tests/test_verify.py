@@ -186,6 +186,11 @@ class TestRandomNondegeneratePair:
         _, hp = random_nondegenerate_pair(2, 6, perturbation_scale=0.1)
         assert np.abs(hp.array).max() <= 0.1
 
+    def test_infeasible_gap_fraction_fails_fast(self):
+        # 11 gaps that sum to the spread cannot each be >= 0.1 of it
+        with pytest.raises(ValueError, match="infeasible"):
+            random_nondegenerate_pair(0, 12)
+
 
 def test_order_fit_is_dataclass_with_expected_fields():
     fit = OrderFit(slope=2.0, intercept=-1.0, n_points=5, floored=False)
