@@ -7,6 +7,7 @@ H + x H' with quantitative convergence-order fits.
 """
 
 from .errors import (
+    AttemptsExhausted,
     DegenerateDenominator,
     DimensionMismatch,
     InsufficientData,
@@ -71,6 +72,7 @@ from .fileio import format_matrix, format_vector, parse_matrix, parse_vector
 __version__ = "0.1.0"
 
 __all__ = [
+    "AttemptsExhausted",
     "BoxModelSpec",
     "DEFAULT_TOL_DEGEN",
     "DEFAULT_TOL_NUM",

@@ -1,15 +1,16 @@
-"""Full spectral decomposition of Hermitian matrices via cyclic Jacobi rotations.
+"""Full spectral decomposition of Hermitian matrices via parallel-order Jacobi rotations.
 
-No external eigensolver is used: sweeps of 2x2 complex Jacobi rotations
-annihilate off-diagonal entries one at a time until the off-diagonal
-Frobenius norm falls below ``OFFDIAG_RTOL * ||A||_F``.  Eigenvalues are
-returned ascending, eigenvector columns permuted in lockstep, and each
-column's phase is fixed so results are deterministic and comparable.
+No external eigensolver is used: sweeps of 2x2 complex Jacobi rotations in
+the round-robin ordering of Brent & Luk (1985) annihilate off-diagonal
+entries, each step rotating up to N/2 disjoint index pairs at once, until
+the off-diagonal Frobenius norm falls below ``OFFDIAG_RTOL * ||A||_F``.
+Eigenvalues are returned ascending, eigenvector columns permuted in
+lockstep, and each column's phase is fixed so results are deterministic and
+comparable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +64,19 @@ class SpectralDecomposition:
 def fix_phase(column) -> np.ndarray:
     """Multiply a vector by the unit scalar that makes its largest-magnitude
     entry real and strictly positive (magnitude ties broken by lowest index)."""
-    v = np.array(column, dtype=np.complex128)
-    mags = np.abs(v)
-    k = int(np.argmax(mags))
-    if mags[k] == 0.0:
+    return _fix_phases(np.array(column, dtype=np.complex128)[:, None])[:, 0]
+
+
+def _fix_phases(columns: np.ndarray) -> np.ndarray:
+    """:func:`fix_phase` applied to every column of a 2-D array at once."""
+    mags = np.abs(columns)
+    rows = np.argmax(mags, axis=0)  # lowest index on magnitude ties
+    cols = np.arange(columns.shape[1])
+    pivot_mags = mags[rows, cols]
+    if not pivot_mags.all():
         raise ZeroVector("cannot fix the phase of a zero vector")
-    out = v * np.conj(v[k] / mags[k])
-    out[k] = mags[k]  # exact: kill the pivot's roundoff imaginary part
+    out = columns * np.conj(columns[rows, cols] / pivot_mags)
+    out[rows, cols] = pivot_mags  # exact: kill the pivots' roundoff imaginary parts
     return out
 
 
@@ -77,58 +84,82 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - np.diag(np.diag(a))))
 
 
+def _round_robin_steps(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep of the round-robin ordering of Brent & Luk (1985) as steps
+    ``(p, q)`` of disjoint index pairs with ``p < q``.
+
+    Index 0 stays put while the others rotate one place per step, so the
+    N - 1 steps (N with a dummy index for odd N, its pairs left out) visit
+    every pair exactly once.
+    """
+    m = n + n % 2
+    players = np.arange(m)
+    steps = []
+    for _ in range(m - 1):
+        ends = np.stack([players[: m // 2], players[: m // 2 - 1 : -1]])
+        p, q = ends.min(axis=0), ends.max(axis=0)
+        real = q < n
+        if real.any():
+            steps.append((p[real], q[real]))
+        players[1:] = np.roll(players[1:], 1)
+    return steps
+
+
 def jacobi_eigendecompose(
     a: HermitianMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic-by-row complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix by round-robin complex Jacobi rotations.
 
     Each rotation annihilates one off-diagonal entry A[p,q] with the unitary
-    that diagonalizes the (p,q) 2x2 block; a full sweep visits the strict
-    upper triangle in row order.  Raises :class:`NoConvergence` if the
-    off-diagonal norm is still above ``OFFDIAG_RTOL * ||A||_F`` after
-    ``max_sweeps`` sweeps.  Deterministic: identical input gives bit-identical
-    output.
+    that diagonalizes the (p,q) 2x2 block.  A sweep is the round-robin
+    ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985): N - 1
+    steps (N for odd N), each applying up to N/2 rotations on disjoint index
+    pairs at once, which equals applying them one after another because no
+    rotation touches another's 2x2 block.  Raises :class:`NoConvergence` if
+    the off-diagonal norm is still above ``OFFDIAG_RTOL * ||A||_F`` after
+    ``max_sweeps`` sweeps.  Deterministic: identical input gives
+    bit-identical output.
     """
     n = a.dim
     work = np.array(a.array, dtype=np.complex128)
     vecs = np.eye(n, dtype=np.complex128)
     tol = OFFDIAG_RTOL * float(np.linalg.norm(work))  # ||A||_F is rotation-invariant
+    steps = _round_robin_steps(n)
 
     sweeps = 0
-    while _offdiag_norm(work) > tol:
+    while (off_norm := _offdiag_norm(work)) > tol:
         if sweeps >= max_sweeps:
-            raise NoConvergence(sweeps, _offdiag_norm(work))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                tau = (work[q, q].real - work[p, p].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # Unitary on the (p,q) plane: [[c, s], [-s*conj(phase), c*conj(phase)]].
-                col_p, col_q = work[:, p].copy(), work[:, q].copy()
-                work[:, p] = c * col_p - s * np.conj(phase) * col_q
-                work[:, q] = s * col_p + c * np.conj(phase) * col_q
-                row_p, row_q = work[p, :].copy(), work[q, :].copy()
-                work[p, :] = c * row_p - s * phase * row_q
-                work[q, :] = s * row_p + c * phase * row_q
-                # Exact post-conditions of the rotation.
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                vec_p, vec_q = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * np.conj(phase) * vec_q
-                vecs[:, q] = s * vec_p + c * np.conj(phase) * vec_q
+            raise NoConvergence(sweeps, off_norm)
+        for p, q in steps:
+            apq = work[p, q]
+            r = np.abs(apq)
+            zero = r == 0.0  # already annihilated: identity rotation
+            r[zero] = 1.0
+            phase = np.where(zero, 1.0, apq / r)
+            tau = (work[q, q].real - work[p, p].real) / (2.0 * r)
+            t = np.where(zero, 0.0, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau)))
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            conj_phase = np.conj(phase)
+            # Unitaries on the (p,q) planes: [[c, s], [-s*conj(phase), c*conj(phase)]].
+            # Fancy indexing copies, so the old columns and rows stay available.
+            col_p, col_q = work[:, p], work[:, q]
+            work[:, p] = c * col_p - s * conj_phase * col_q
+            work[:, q] = s * col_p + c * conj_phase * col_q
+            row_p, row_q = work[p, :], work[q, :]
+            work[p, :] = c[:, None] * row_p - (s * phase)[:, None] * row_q
+            work[q, :] = s[:, None] * row_p + (c * phase)[:, None] * row_q
+            # Exact post-conditions of the rotations.
+            work[p, q] = 0.0
+            work[q, p] = 0.0
+            work[p, p] = work[p, p].real
+            work[q, q] = work[q, q].real
+            vec_p, vec_q = vecs[:, p], vecs[:, q]
+            vecs[:, p] = c * vec_p - s * conj_phase * vec_q
+            vecs[:, q] = s * vec_p + c * conj_phase * vec_q
         sweeps += 1
 
     eigenvalues = np.real(np.diag(work)).copy()
     order = np.argsort(eigenvalues, kind="stable")
-    vecs = vecs[:, order]
-    for m in range(n):
-        vecs[:, m] = fix_phase(vecs[:, m])
+    vecs = _fix_phases(vecs[:, order])
     return SpectralDecomposition(eigenvalues=eigenvalues[order], eigenvectors=vecs)

@@ -27,6 +27,17 @@ class NoConvergence(QPerturbError):
         super().__init__(msg)
 
 
+class AttemptsExhausted(QPerturbError, RuntimeError):
+    """Seeded rejection sampling used up its attempts without a nondegenerate draw.
+
+    Also a ``RuntimeError``, so callers that caught the untyped error still do.
+    """
+
+    def __init__(self, attempts: int):
+        self.attempts = attempts
+        super().__init__(f"no nondegenerate instance found in {attempts} attempts")
+
+
 class DegenerateDenominator(QPerturbError):
     """A level denominator vanished with a non-negligible numerator.
 

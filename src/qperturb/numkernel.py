@@ -32,6 +32,14 @@ def _as_vector(v) -> np.ndarray:
     return u
 
 
+def _hermiticity_violation(a: np.ndarray) -> float | None:
+    """``max |A[i,j] - conj(A[j,i])|`` of a finite square array when it exceeds
+    ``HERMITICITY_RTOL * max|A[i,j]|``, else None."""
+    scale = float(np.abs(a).max())
+    violation = float(np.abs(a - a.conj().T).max())
+    return None if violation <= HERMITICITY_RTOL * scale else violation
+
+
 def check_hermitian(entries) -> bool:
     """Whether a raw square array is Hermitian within tolerance.
 
@@ -39,11 +47,7 @@ def check_hermitian(entries) -> bool:
     ``max |A[i,j] - conj(A[j,i])| <= HERMITICITY_RTOL * max|A[i,j]|``.
     """
     a = _as_square(entries)
-    if not np.isfinite(a).all():
-        return False
-    scale = float(np.abs(a).max())
-    violation = float(np.abs(a - a.conj().T).max())
-    return violation <= HERMITICITY_RTOL * scale
+    return bool(np.isfinite(a).all()) and _hermiticity_violation(a) is None
 
 
 class HermitianMatrix:
@@ -61,8 +65,9 @@ class HermitianMatrix:
         a = _as_square(entries)
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        if not check_hermitian(a):
-            raise NonHermitianInput(float(np.abs(a - a.conj().T).max()))
+        violation = _hermiticity_violation(a)
+        if violation is not None:
+            raise NonHermitianInput(violation)
         # halves first: (a + a^dagger) could overflow for entries near float max
         sym = a / 2.0 + a.conj().T / 2.0
         sym.setflags(write=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import jacobi_eigendecompose
-from .errors import DimensionMismatch, InsufficientData
+from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
 from .numkernel import HermitianMatrix, add_scaled
 from .perturbation import StateVector, expected_energy, level_shifts, total_energy
@@ -184,7 +184,8 @@ def random_nondegenerate_pair(
     whole default x-grid inside the perturbative regime.  Deterministic for
     a given seed.  Raises ``ValueError`` up front when
     ``(dim - 1) * min_gap_fraction > 1``: the dim - 1 gaps sum to the
-    spread, so no H can meet the gap criterion.
+    spread, so no H can meet the gap criterion; raises
+    :class:`AttemptsExhausted` when ``max_attempts`` draws all fail it.
     """
     if dim > 1 and (dim - 1) * min_gap_fraction > 1:
         raise ValueError(f"min_gap_fraction {min_gap_fraction} is infeasible for dim {dim}")
@@ -200,4 +201,4 @@ def random_nondegenerate_pair(
             return hamiltonian, perturbation
         if spread > 0 and float(np.diff(values).min()) >= min_gap_fraction * spread:
             return hamiltonian, perturbation
-    raise RuntimeError(f"no nondegenerate instance found in {max_attempts} attempts")
+    raise AttemptsExhausted(max_attempts)

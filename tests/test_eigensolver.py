@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qperturb.eigensolver import SpectralDecomposition, fix_phase, jacobi_eigendecompose
+from qperturb.eigensolver import (
+    SpectralDecomposition,
+    _round_robin_steps,
+    fix_phase,
+    jacobi_eigendecompose,
+)
 from qperturb.errors import NoConvergence, ZeroVector
 from qperturb.models import random_hermitian
 from qperturb.numkernel import HermitianMatrix, add_scaled, identity
@@ -113,6 +118,53 @@ class TestJacobi:
     def test_zero_matrix(self):
         dec = jacobi_eigendecompose(HermitianMatrix(np.zeros((3, 3))))
         np.testing.assert_array_equal(dec.eigenvalues, np.zeros(3))
+
+    @pytest.mark.parametrize("n", [16, 33, 64])
+    def test_large_dense_against_numpy(self, n):
+        matrix = random_hermitian(300 + n, n)
+        dec = jacobi_eigendecompose(matrix)
+        lam, v = dec.eigenvalues, dec.eigenvectors
+        h_norm = np.linalg.norm(matrix.array)
+        spectral_norm = np.linalg.norm(matrix.array, 2)
+        np.testing.assert_allclose(
+            lam, np.linalg.eigvalsh(matrix.array), rtol=0, atol=1e-12 * max(1.0, spectral_norm)
+        )
+        assert np.linalg.norm(matrix.array @ v - v * lam) <= 1e-10 * h_norm
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-10
+        again = jacobi_eigendecompose(matrix)
+        assert np.array_equal(again.eigenvalues, lam)
+        assert np.array_equal(again.eigenvectors, v)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # tridiagonal: most pairs of every step start at exactly 0
+            np.diag(np.arange(20.0)) + np.diag(np.full(19, 0.5 + 0.25j), 1)
+            + np.diag(np.full(19, 0.5 - 0.25j), -1),
+            # block diagonal: pairs across the blocks stay exactly 0
+            np.kron(np.eye(5), [[1.0, 2.0 - 1j, 0.5], [2.0 + 1j, -1.0, 0.3j], [0.5, -0.3j, 4.0]])
+            + np.diag(np.arange(15.0) / 10),
+        ],
+        ids=["tridiagonal", "block-diagonal"],
+    )
+    def test_sparse_against_numpy(self, entries):
+        matrix = HermitianMatrix(entries)
+        dec = jacobi_eigendecompose(matrix)
+        lam, v = dec.eigenvalues, dec.eigenvectors
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(matrix.array), rtol=0, atol=1e-12)
+        assert np.linalg.norm(matrix.array @ v - v * lam) <= 1e-10 * np.linalg.norm(entries)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_round_robin_schedule(self, n):
+        steps = _round_robin_steps(n)
+        assert len(steps) == (n - 1 + n % 2 if n > 1 else 0)
+        seen = []
+        for p, q in steps:
+            assert np.all(p < q)
+            step = np.concatenate([p, q])
+            assert len(set(step.tolist())) == step.size  # disjoint within the step
+            seen += zip(p.tolist(), q.tolist())
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 class TestFixPhase:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qperturb.eigensolver import jacobi_eigendecompose
-from qperturb.errors import DimensionMismatch, InsufficientData
+from qperturb.errors import AttemptsExhausted, DimensionMismatch, InsufficientData, QPerturbError
 from qperturb.models import random_hermitian
 from qperturb.numkernel import HermitianMatrix, identity
 from qperturb.perturbation import StateVector
@@ -190,6 +190,14 @@ class TestRandomNondegeneratePair:
         # 11 gaps that sum to the spread cannot each be >= 0.1 of it
         with pytest.raises(ValueError, match="infeasible"):
             random_nondegenerate_pair(0, 12)
+
+    def test_exhausted_attempts_typed(self):
+        # feasible (5 * 0.19 < 1) but the single draw of seed 0 misses the gap criterion
+        with pytest.raises(AttemptsExhausted) as exc:
+            random_nondegenerate_pair(0, 6, min_gap_fraction=0.19, max_attempts=1)
+        assert exc.value.attempts == 1
+        assert isinstance(exc.value, QPerturbError)
+        assert isinstance(exc.value, RuntimeError)
 
 
 def test_order_fit_is_dataclass_with_expected_fields():
