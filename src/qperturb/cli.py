@@ -3,8 +3,11 @@
 Reports are line-oriented ``key = value`` text (vectors as comma-joined
 ``(re,im)`` tokens) so tests and scripts can grep exact keys; sweeps emit
 CSV with the header ``x,level,perturbative,exact,abs_error`` followed by
-``# order level=<n> slope=<s>`` comment lines.  Any package error maps to a
-single ``error: <Name>: <detail>`` line on stderr and exit code 1.
+``# order level=<n> slope=<s>`` comment lines.  Each command returns its text
+and ``main`` writes it to stdout, exit code 0.  Any package error, ``OSError``
+(such as a missing file) or ``ValueError`` (such as ``--x nan``) maps to a
+single ``error: <Name>: <detail>`` line on stderr and exit code 1; argparse
+usage errors print a usage message on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .perturbation import (
 )
 from .verify import (
     DEFAULT_X_GRID,
-    SUPERPOSITION_LEVEL,
     convergence_order,
     level_sweep,
     records_for_level,
@@ -55,8 +57,12 @@ def _load_matrices(args):
     return hamiltonian, perturbation
 
 
-def spectrum_report(path: str) -> str:
-    matrix = _load_matrix(path)
+def _load_state(path: str) -> StateVector:
+    return parse_vector(Path(path).read_text())
+
+
+def spectrum_report(args) -> str:
+    matrix = _load_matrix(args.hamiltonian)
     decomp = jacobi_eigendecompose(matrix)
     lines = [f"dim = {decomp.dim}"]
     for m in range(decomp.dim):
@@ -66,15 +72,12 @@ def spectrum_report(path: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_state(args, dim: int) -> tuple[str, StateVector]:
-    if args.level is not None:
-        return "level", StateVector.basis_state(dim, args.level)
-    return "state", parse_vector(Path(args.state).read_text())
-
-
 def solve_report(args) -> str:
     hamiltonian, perturbation = _load_matrices(args)
-    mode, state = _resolve_state(args, hamiltonian.dim)
+    if args.level is not None:
+        mode, state = "level", StateVector.basis_state(hamiltonian.dim, args.level)
+    else:
+        mode, state = "state", _load_state(args.state)
     decomp = jacobi_eigendecompose(hamiltonian)
     result = first_order(
         decomp, perturbation, state, args.x, args.tol_degen, args.tol_num
@@ -123,20 +126,17 @@ def sweep_csv(args) -> str:
     hamiltonian, perturbation = _load_matrices(args)
     xs = _sweep_grid(args)
     if args.state is not None:
-        state = parse_vector(Path(args.state).read_text())
-        records = superposition_sweep(hamiltonian, perturbation, state, xs)
-        fit_levels = [SUPERPOSITION_LEVEL]
+        records = superposition_sweep(hamiltonian, perturbation, _load_state(args.state), xs)
     else:
         levels = None if args.level is None else [args.level]
         records = level_sweep(hamiltonian, perturbation, xs, levels)
-        fit_levels = sorted({r.level for r in records})
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
             f"{format_real(r.x)},{r.level},{format_real(r.perturbative)},"
             f"{format_real(r.exact)},{format_real(r.abs_error)}"
         )
-    for level in fit_levels:
+    for level in sorted({r.level for r in records}):
         fit = convergence_order(records_for_level(records, level))
         slope = "floored" if fit.floored else format_real(fit.slope)
         lines.append(f"# order level={level} slope={slope}")
@@ -154,41 +154,18 @@ def _parse_potential(spec: str) -> tuple[str, float]:
     return kind, value
 
 
-def run_model(args) -> list[str]:
-    written = []
-    if args.family == "box":
-        kind, value = _parse_potential(args.potential)
-        spec = BoxModelSpec(args.levels, args.width, kind, value)
-        Path(args.out_h).write_text(format_matrix(box_hamiltonian(spec)))
-        written.append(args.out_h)
-        Path(args.out_hp).write_text(format_matrix(box_potential_matrix(spec)))
-        written.append(args.out_hp)
-    else:
-        matrix = random_hermitian(args.seed, args.dim, args.scale)
-        Path(args.out_h).write_text(format_matrix(matrix))
-        written.append(args.out_h)
-    return written
+def _write_matrix(path: str, matrix) -> str:
+    Path(path).write_text(format_matrix(matrix))
+    return f"{path}\n"
 
 
-def _cmd_spectrum(args) -> int:
-    sys.stdout.write(spectrum_report(args.hamiltonian))
-    return 0
-
-
-def _cmd_perturb(args) -> int:
-    sys.stdout.write(solve_report(args))
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    sys.stdout.write(sweep_csv(args))
-    return 0
-
-
-def _cmd_model(args) -> int:
-    for path in run_model(args):
-        print(path)
-    return 0
+def run_model(args) -> str:
+    if args.family != "box":
+        return _write_matrix(args.out_h, random_hermitian(args.seed, args.dim, args.scale))
+    kind, value = _parse_potential(args.potential)
+    spec = BoxModelSpec(args.levels, args.width, kind, value)
+    written = _write_matrix(args.out_h, box_hamiltonian(spec))
+    return written + _write_matrix(args.out_hp, box_potential_matrix(spec))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues and eigenvectors of H")
     p_spec.add_argument("hamiltonian", help="matrix file for H")
-    p_spec.set_defaults(func=_cmd_spectrum)
+    p_spec.set_defaults(func=spectrum_report)
 
     p_solve = sub.add_parser("perturb", help="first-order result at one strength")
     p_solve.add_argument("hamiltonian", help="matrix file for H")
@@ -212,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_mode.add_argument("--state", help="superposition mode: vector file with b_j")
     p_solve.add_argument("--tol-degen", type=float, default=DEFAULT_TOL_DEGEN)
     p_solve.add_argument("--tol-num", type=float, default=DEFAULT_TOL_NUM)
-    p_solve.set_defaults(func=_cmd_perturb)
+    p_solve.set_defaults(func=solve_report)
 
     p_sweep = sub.add_parser("sweep", help="strength sweep vs the exact oracle (CSV)")
     p_sweep.add_argument("hamiltonian", help="matrix file for H")
@@ -223,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_mode = p_sweep.add_mutually_exclusive_group()
     sweep_mode.add_argument("--level", type=int, help="restrict to one level")
     sweep_mode.add_argument("--state", help="superposition mode: vector file with b_j")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=sweep_csv)
 
     p_model = sub.add_parser("model", help="write generated matrix files")
     model_sub = p_model.add_subparsers(dest="family", required=True)
@@ -234,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_box.add_argument("--potential", required=True, help="const:v | linear:l | quadratic:k")
     p_box.add_argument("--out-h", default="H.txt")
     p_box.add_argument("--out-hp", default="Hp.txt")
-    p_box.set_defaults(func=_cmd_model)
+    p_box.set_defaults(func=run_model)
 
     p_rand = model_sub.add_parser("random", help="seeded random Hermitian matrix")
     p_rand.add_argument("--seed", type=int, required=True)
     p_rand.add_argument("--dim", type=int, required=True)
     p_rand.add_argument("--scale", type=float, default=1.0)
     p_rand.add_argument("--out-h", default="H.txt")
-    p_rand.set_defaults(func=_cmd_model)
+    p_rand.set_defaults(func=run_model)
 
     return parser
 
@@ -249,10 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        sys.stdout.write(args.func(args))
     except (QPerturbError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -64,7 +64,9 @@ def _parse_token(token: str, lineno: int) -> complex:
     return complex(_parse_number(token, lineno), 0.0)
 
 
-def _parse_header(tokens: list[tuple[int, str]], what: str) -> int:
+def _parse_entries(text: str, what: str, rank: int) -> np.ndarray:
+    """The header N, then exactly N**rank tokens, returned shaped ``(N,) * rank``."""
+    tokens = _tokens_with_lines(text)
     if not tokens:
         raise ParseError(f"empty {what} input")
     lineno, token = tokens[0]
@@ -74,21 +76,17 @@ def _parse_header(tokens: list[tuple[int, str]], what: str) -> int:
         raise ParseError(f"dimension header must be an integer, got {token!r}", lineno) from None
     if dim < 1:
         raise ParseError(f"dimension must be >= 1, got {dim}", lineno)
-    return dim
+    body = tokens[1:]
+    if len(body) != dim**rank:
+        lineno = body[-1][0] if body else lineno
+        raise ParseError(f"expected {dim**rank} entries for dim {dim}, got {len(body)}", lineno)
+    entries = [_parse_token(tok, lineno) for lineno, tok in body]
+    return np.array(entries, dtype=np.complex128).reshape((dim,) * rank)
 
 
 def parse_matrix(text: str) -> HermitianMatrix:
     """Parse, validate hermiticity and symmetrize a matrix file."""
-    tokens = _tokens_with_lines(text)
-    dim = _parse_header(tokens, "matrix")
-    body = tokens[1:]
-    if len(body) != dim * dim:
-        lineno = body[-1][0] if body else tokens[0][0]
-        raise ParseError(f"expected {dim * dim} entries for dim {dim}, got {len(body)}", lineno)
-    entries = np.array(
-        [_parse_token(tok, lineno) for lineno, tok in body], dtype=np.complex128
-    ).reshape(dim, dim)
-    return HermitianMatrix(entries)
+    return HermitianMatrix(_parse_entries(text, "matrix", 2))
 
 
 def format_matrix(matrix: HermitianMatrix) -> str:
@@ -100,13 +98,7 @@ def format_matrix(matrix: HermitianMatrix) -> str:
 
 def parse_vector(text: str) -> StateVector:
     """Parse a state-coefficient file; renormalize if close to unit norm."""
-    tokens = _tokens_with_lines(text)
-    dim = _parse_header(tokens, "vector")
-    body = tokens[1:]
-    if len(body) != dim:
-        lineno = body[-1][0] if body else tokens[0][0]
-        raise ParseError(f"expected {dim} entries for dim {dim}, got {len(body)}", lineno)
-    coeffs = np.array([_parse_token(tok, lineno) for lineno, tok in body], dtype=np.complex128)
+    coeffs = _parse_entries(text, "vector", 1)
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > VECTOR_NORM_ATOL:
         raise NotNormalized(norm)

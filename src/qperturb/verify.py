@@ -10,6 +10,7 @@ separates a correct first-order implementation from a broken one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +69,10 @@ class OrderFit:
 
 
 def exact_levels(
-    hamiltonian: HermitianMatrix,
-    perturbation: HermitianMatrix,
-    x: float,
-    max_sweeps: int = 100,
+    hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, x: float
 ) -> np.ndarray:
     """Ascending eigenvalues of H + x H', diagonalized exactly at finite x."""
-    return jacobi_eigendecompose(
-        add_scaled(hamiltonian, perturbation, x), max_sweeps
-    ).eigenvalues
+    return jacobi_eigendecompose(add_scaled(hamiltonian, perturbation, x)).eigenvalues
 
 
 def pair_and_errors(perturbative, exact, x: float) -> list[SweepRecord]:
@@ -91,8 +87,8 @@ def pair_and_errors(perturbative, exact, x: float) -> list[SweepRecord]:
     ]
 
 
-def fit_order(xs, errors, floor: float = ERROR_FLOOR) -> OrderFit:
-    """Fit log10(error) vs log10(x), ignoring points at or below the floor."""
+def fit_order(xs, errors) -> OrderFit:
+    """Fit log10(error) vs log10(x), ignoring points at or below ``ERROR_FLOOR``."""
     x_arr = np.asarray(xs, dtype=np.float64)
     e_arr = np.asarray(errors, dtype=np.float64)
     if x_arr.shape != e_arr.shape or x_arr.ndim != 1:
@@ -101,21 +97,30 @@ def fit_order(xs, errors, floor: float = ERROR_FLOOR) -> OrderFit:
         raise InsufficientData("all strengths must be positive and finite")
     if np.unique(x_arr).shape[0] < 2:
         raise InsufficientData("need at least 2 distinct strengths to fit a slope")
-    keep = e_arr > floor
+    keep = e_arr > ERROR_FLOOR
     if int(keep.sum()) < 2:
         return OrderFit(math.nan, math.nan, int(keep.sum()), True)
     slope, intercept = np.polyfit(np.log10(x_arr[keep]), np.log10(e_arr[keep]), 1)
     return OrderFit(float(slope), float(intercept), int(keep.sum()), False)
 
 
-def convergence_order(records, floor: float = ERROR_FLOOR) -> OrderFit:
+def convergence_order(records) -> OrderFit:
     """Order fit for one level's sweep records."""
     recs = list(records)
-    return fit_order([r.x for r in recs], [r.abs_error for r in recs], floor)
+    return fit_order([r.x for r in recs], [r.abs_error for r in recs])
 
 
 def records_for_level(records, level: int) -> list[SweepRecord]:
     return [r for r in records if r.level == level]
+
+
+def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
+    """H's decomposition, its first-order shifts and ``(x, oracle spectrum)``
+    for each strength: the one place where the sweeps diagonalize."""
+    decomp = jacobi_eigendecompose(hamiltonian)
+    shifts = level_shifts(perturbation, decomp)
+    exact = [(float(x), exact_levels(hamiltonian, perturbation, float(x))) for x in xs]
+    return decomp, shifts, exact
 
 
 def level_sweep(
@@ -126,20 +131,23 @@ def level_sweep(
 ) -> list[SweepRecord]:
     """Sweep the strength grid comparing every E1_n = E_n + x E'_n to the oracle.
 
-    ``levels`` restricts the emitted records (default: all levels).  Records
-    are ordered by the given grid order, then by level.
+    ``levels`` restricts the emitted records (default: all levels); they are
+    checked before any diagonalization.  Records are ordered by the given
+    grid order, then by level.
     """
-    decomp = jacobi_eigendecompose(hamiltonian)
-    shifts = level_shifts(perturbation, decomp)
-    selected = range(decomp.dim) if levels is None else list(levels)
+    dim = hamiltonian.dim
+    selected = range(dim) if levels is None else list(levels)
     for level in selected:
-        if not 0 <= level < decomp.dim:
-            raise DimensionMismatch(f"level {level} out of range for dim {decomp.dim}")
+        try:
+            operator.index(level)
+        except TypeError:
+            raise DimensionMismatch(f"level {level!r} is not an integer") from None
+        if not 0 <= level < dim:
+            raise DimensionMismatch(f"level {level} out of range for dim {dim}")
+    decomp, shifts, exact = _sweep(hamiltonian, perturbation, xs)
     records: list[SweepRecord] = []
-    for x in xs:
-        perturbed = decomp.eigenvalues + float(x) * shifts
-        exact = exact_levels(hamiltonian, perturbation, float(x))
-        by_level = pair_and_errors(perturbed, exact, float(x))
+    for x, spectrum in exact:
+        by_level = pair_and_errors(decomp.eigenvalues + x * shifts, spectrum, x)
         records.extend(by_level[level] for level in selected)
     return records
 
@@ -153,17 +161,18 @@ def superposition_sweep(
     """Sweep comparing the weighted total E1 to the |b_n|^2-weighted exact spectrum.
 
     Records carry ``level = SUPERPOSITION_LEVEL`` (-1), marking the aggregate
-    comparison rather than a single level.
+    comparison rather than a single level.  The state's dimension is checked
+    before any diagonalization.
     """
-    decomp = jacobi_eigendecompose(hamiltonian)
+    if state.dim != hamiltonian.dim:
+        raise DimensionMismatch(f"state dim {state.dim} vs basis dim {hamiltonian.dim}")
+    decomp, shifts, exact = _sweep(hamiltonian, perturbation, xs)
     energy = expected_energy(state, decomp)
-    shifts = level_shifts(perturbation, decomp)
     weights = np.abs(state.coefficients) ** 2
     records = []
-    for x in xs:
-        _, e1 = total_energy(energy, shifts, state, float(x))
-        weighted_exact = float(weights @ exact_levels(hamiltonian, perturbation, float(x)))
-        records.append(SweepRecord.measure(float(x), SUPERPOSITION_LEVEL, e1, weighted_exact))
+    for x, spectrum in exact:
+        _, e1 = total_energy(energy, shifts, state, x)
+        records.append(SweepRecord.measure(x, SUPERPOSITION_LEVEL, e1, float(weights @ spectrum)))
     return records
 
 

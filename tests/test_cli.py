@@ -88,6 +88,28 @@ class TestPerturbCommand:
         assert code == 1
         assert "DegenerateDenominator" in err
 
+    @pytest.mark.parametrize(
+        "h_text, flags, code, a",
+        [
+            # H = 1 (default: test_degenerate_exit_code): every denominator is 0,
+            # and the numerator 1 passes as noise up to tol_num * ||H'||_F = sqrt(2).
+            ("2\n1 0\n0 1\n", ["--tol-num", "1"], 0, "(0,0), (0,0)"),
+            ("2\n1 0\n0 1.000001\n", [], 0, None),
+            ("2\n1 0\n0 1.000001\n", ["--tol-degen", "1e-3"], 1, None),
+        ],
+    )
+    def test_tolerance_flags(self, capsys, tmp_path, h_text, flags, code, a):
+        h = tmp_path / "H.txt"
+        h.write_text(h_text)
+        hp = tmp_path / "Hp.txt"
+        hp.write_text(HP_TEXT)
+        args = ["perturb", str(h), str(hp), "--x", "0.1", "--level", "0", *flags]
+        got, out, err = run_cli(capsys, *args)
+        assert got == code
+        assert ("DegenerateDenominator" in err) == (code == 1)
+        if a is not None:
+            assert report_value(out, "a") == a
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "perturb", str(tmp_path / "no.txt"), str(tmp_path / "no.txt"),
@@ -200,7 +222,7 @@ class TestModelCommand:
             "--potential", "const:1", "--out-h", str(out_h), "--out-hp", str(out_hp),
         )
         assert code == 0
-        assert str(out_h) in out and str(out_hp) in out
+        assert out == f"{out_h}\n{out_hp}\n"
         h = parse_matrix(out_h.read_text())
         np.testing.assert_allclose(h.array, np.diag([0.5, 2.0, 4.5]), atol=1e-12)
         hp = parse_matrix(out_hp.read_text())

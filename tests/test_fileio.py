@@ -50,10 +50,12 @@ class TestParseMatrix:
             parse_matrix("2\n(0,0) (0,1,2)\n(0,-1) (0,0)\n")
 
     def test_wrong_entry_count(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_matrix("2\n0 1 1 0 5\n")
-        with pytest.raises(ParseError):
+        assert (exc.value.reason, exc.value.line) == ("expected 4 entries for dim 2, got 5", 2)
+        with pytest.raises(ParseError) as exc:
             parse_matrix("3\n0 1\n1 0\n")
+        assert (exc.value.reason, exc.value.line) == ("expected 9 entries for dim 3, got 4", 3)
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -111,8 +113,12 @@ class TestParseVector:
         np.testing.assert_array_equal(v.coefficients, [1j, 0.0])
 
     def test_wrong_count(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_vector("3\n1 0\n")
+        assert str(exc.value) == "line 2: expected 3 entries for dim 3, got 2"
+        with pytest.raises(ParseError) as exc:
+            parse_vector("% header only\n2\n")
+        assert (exc.value.reason, exc.value.line) == ("expected 2 entries for dim 2, got 0", 2)
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)

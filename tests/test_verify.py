@@ -8,6 +8,7 @@ from qperturb.errors import AttemptsExhausted, DimensionMismatch, InsufficientDa
 from qperturb.models import random_hermitian
 from qperturb.numkernel import HermitianMatrix, identity
 from qperturb.perturbation import StateVector
+from qperturb import verify
 from qperturb.verify import (
     DEFAULT_X_GRID,
     SUPERPOSITION_LEVEL,
@@ -151,6 +152,15 @@ class TestLevelSweep:
         with pytest.raises(DimensionMismatch):
             level_sweep(H_2x2, HP_2x2, levels=[5])
 
+    @pytest.mark.parametrize("level", [1.5, 2])
+    def test_bad_level_rejected_before_any_solve(self, monkeypatch, level):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("diagonalized before the levels were checked")
+
+        monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        with pytest.raises(DimensionMismatch):
+            level_sweep(H_2x2, HP_2x2, levels=[level])
+
 
 class TestSuperpositionSweep:
     def test_asymmetric_state_quadratic(self):
@@ -166,6 +176,14 @@ class TestSuperpositionSweep:
         recs = superposition_sweep(H_2x2, HP_2x2, b)
         assert all(r.abs_error <= 1e-12 for r in recs)
         assert convergence_order(recs).floored
+
+    def test_state_dim_checked_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("diagonalized before the state was checked")
+
+        monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        with pytest.raises(DimensionMismatch):
+            superposition_sweep(H_2x2, HP_2x2, StateVector.basis_state(3, 0))
 
 
 class TestRandomNondegeneratePair:
