@@ -162,6 +162,8 @@ def _write_matrix(path: str, matrix) -> str:
 def run_model(args) -> str:
     if args.family != "box":
         return _write_matrix(args.out_h, random_hermitian(args.seed, args.dim, args.scale))
+    if Path(args.out_h).resolve() == Path(args.out_hp).resolve():
+        raise ParseError(f"--out-h and --out-hp name the same file {args.out_h!r}")
     kind, value = _parse_potential(args.potential)
     spec = BoxModelSpec(args.levels, args.width, kind, value)
     written = _write_matrix(args.out_h, box_hamiltonian(spec))

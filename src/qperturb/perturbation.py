@@ -119,7 +119,12 @@ def level_shifts(perturbation: HermitianMatrix, decomp: SpectralDecomposition) -
             f"perturbation dim {perturbation.dim} vs basis dim {decomp.dim}"
         )
     phi = decomp.eigenvectors
-    return np.einsum("ij,ij->j", phi.conj(), perturbation.array @ phi).real
+    # Re(conj(phi) H'phi) == Re(phi conj(H'phi)) bit for bit; conjugating the
+    # product in place keeps one N x N temporary alive instead of two, so
+    # repeated calls at large N do not grow and trim the heap every time.
+    hp_phi = perturbation.array @ phi
+    np.conjugate(hp_phi, out=hp_phi)
+    return np.einsum("ij,ij->j", phi, hp_phi).real
 
 
 def total_energy(

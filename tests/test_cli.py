@@ -249,6 +249,18 @@ class TestModelCommand:
         assert code == 1
         assert "ParseError" in err
 
+    @pytest.mark.parametrize("out_hp", ["M.txt", "./M.txt"])
+    def test_same_output_file_rejected(self, capsys, tmp_path, monkeypatch, out_hp):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "model", "box", "--levels", "2", "--width", "1.0",
+            "--potential", "const:1", "--out-h", "M.txt", "--out-hp", out_hp,
+        )
+        assert code == 1
+        assert out == ""
+        assert "ParseError: --out-h and --out-hp name the same file" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_model_files_feed_perturb(self, capsys, tmp_path):
         out_h = tmp_path / "H.txt"
         out_hp = tmp_path / "Hp.txt"

@@ -8,6 +8,7 @@ from qperturb.eigensolver import (
     _round_robin_steps,
     fix_phase,
     jacobi_eigendecompose,
+    jacobi_eigenvalues,
 )
 from qperturb.errors import NoConvergence, ZeroVector
 from qperturb.models import random_hermitian
@@ -153,6 +154,18 @@ class TestJacobi:
         lam, v = dec.eigenvalues, dec.eigenvectors
         np.testing.assert_allclose(lam, np.linalg.eigvalsh(matrix.array), rtol=0, atol=1e-12)
         assert np.linalg.norm(matrix.array @ v - v * lam) <= 1e-10 * np.linalg.norm(entries)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+    def test_eigenvalues_only_bit_identical(self, n):
+        for matrix in (random_hermitian(500 + n, n), HermitianMatrix(np.diag(np.arange(n, 0, -1.0)))):
+            assert np.array_equal(
+                jacobi_eigenvalues(matrix), jacobi_eigendecompose(matrix).eigenvalues
+            )
+
+    def test_eigenvalues_only_no_convergence_error(self):
+        with pytest.raises(NoConvergence) as exc:
+            jacobi_eigenvalues(HermitianMatrix([[0, 1], [1, 0]]), max_sweeps=0)
+        assert exc.value.sweeps == 0
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_round_robin_schedule(self, n):

@@ -125,6 +125,14 @@ class TestLevelShifts:
         shifts = level_shifts(box_potential_matrix(spec), dec)
         np.testing.assert_allclose(shifts, np.full(4, math.pi / 2), atol=1e-8)
 
+    @pytest.mark.parametrize("n", [1, 5, 24, 128])
+    def test_bitwise_equal_to_conjugated_eigenvector_form(self, n):
+        dec = jacobi_eigendecompose(random_hermitian(70 + n, n))
+        hp = random_hermitian(80 + n, n, 0.05)
+        phi = dec.eigenvectors
+        expected = np.einsum("ij,ij->j", phi.conj(), hp.array @ phi).real
+        assert np.array_equal(level_shifts(hp, dec), expected)
+
 
 class TestTotalEnergy:
     def test_zero_shifts(self):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qperturb import eigensolver
 from qperturb.eigensolver import jacobi_eigendecompose
 from qperturb.errors import AttemptsExhausted, DimensionMismatch, InsufficientData, QPerturbError
-from qperturb.models import random_hermitian
-from qperturb.numkernel import HermitianMatrix, identity
+from qperturb.models import BoxModelSpec, box_hamiltonian, box_potential_matrix, random_hermitian
+from qperturb.numkernel import HermitianMatrix, add_scaled, identity
 from qperturb.perturbation import StateVector
 from qperturb import verify
 from qperturb.verify import (
@@ -45,6 +46,83 @@ class TestExactLevels:
         h = random_hermitian(12, 4)
         base = jacobi_eigendecompose(h).eigenvalues
         np.testing.assert_allclose(exact_levels(h, identity(4), 0.7), base + 0.7, atol=1e-10)
+
+
+def _degenerate_pair():
+    """Diagonal H with an exactly degenerate pair, dense H'."""
+    h = HermitianMatrix(np.diag([-1.0, 0.5, 0.5, 2.0, 3.0, 4.5]))
+    return h, random_hermitian(41, 6, 0.05)
+
+
+def _box_pair():
+    spec = BoxModelSpec(12, math.pi, "linear", 1.0)
+    return box_hamiltonian(spec), box_potential_matrix(spec)
+
+
+ORACLE_PAIRS = {
+    "dense-6": lambda: (random_hermitian(31, 6), random_hermitian(32, 6, 0.05)),
+    "dense-24": lambda: (random_hermitian(33, 24), random_hermitian(34, 24, 0.05)),
+    "dense-64": lambda: (random_hermitian(35, 64), random_hermitian(36, 64, 0.05)),
+    "degenerate-6": _degenerate_pair,
+    "box-12": _box_pair,
+}
+
+
+def _eigvalsh_and_tol(h, hp, x):
+    m = h.array + x * hp.array
+    return np.linalg.eigvalsh(m), 1e-12 * max(1.0, float(np.linalg.norm(m, 2)))
+
+
+class TestWarmStartedOracle:
+    """The sweeps' oracle, warm-started in H's eigenbasis, against numpy."""
+
+    @pytest.mark.parametrize("name", ORACLE_PAIRS)
+    def test_level_sweep_exact_against_eigvalsh(self, name):
+        h, hp = ORACLE_PAIRS[name]()
+        records = level_sweep(h, hp)
+        for k, x in enumerate(DEFAULT_X_GRID):
+            ref, tol = _eigvalsh_and_tol(h, hp, x)
+            block = records[k * h.dim : (k + 1) * h.dim]
+            assert [r.x for r in block] == [x] * h.dim
+            assert np.abs(np.array([r.exact for r in block]) - ref).max() <= tol
+
+    @pytest.mark.parametrize("name", ORACLE_PAIRS)
+    def test_superposition_sweep_exact_against_eigvalsh(self, name):
+        h, hp = ORACLE_PAIRS[name]()
+        rng = np.random.default_rng(h.dim)
+        state = StateVector.from_unnormalized(rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim))
+        weights = np.abs(state.coefficients) ** 2
+        records = superposition_sweep(h, hp, state)
+        assert [r.x for r in records] == list(DEFAULT_X_GRID)
+        for r in records:
+            ref, tol = _eigvalsh_and_tol(h, hp, r.x)
+            assert abs(r.exact - weights @ ref) <= tol
+
+    @pytest.mark.parametrize("name", ORACLE_PAIRS)
+    def test_exact_levels_matches_full_decomposition_bitwise(self, name):
+        h, hp = ORACLE_PAIRS[name]()
+        for x in DEFAULT_X_GRID:
+            full = jacobi_eigendecompose(add_scaled(h, hp, x)).eigenvalues
+            assert np.array_equal(exact_levels(h, hp, x), full)
+
+    def test_warm_start_needs_few_sweeps(self, monkeypatch):
+        h, hp = ORACLE_PAIRS["dense-24"]()
+        diagonalize = eigensolver._diagonalize
+        oracle_sweeps = []
+
+        def counting(work, vecs, max_sweeps):
+            sweeps = diagonalize(work, vecs, max_sweeps)
+            if vecs is None:
+                oracle_sweeps.append(sweeps)
+            return sweeps
+
+        monkeypatch.setattr(eigensolver, "_diagonalize", counting)
+        level_sweep(h, hp)
+        assert len(oracle_sweeps) == len(DEFAULT_X_GRID)
+        assert max(oracle_sweeps) <= 3
+        for x in DEFAULT_X_GRID:
+            cold = np.array(add_scaled(h, hp, x).array)
+            assert diagonalize(cold, None, eigensolver.DEFAULT_MAX_SWEEPS) >= 6
 
 
 class TestSweepRecord:
@@ -158,6 +236,7 @@ class TestLevelSweep:
             raise AssertionError("diagonalized before the levels were checked")
 
         monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
         with pytest.raises(DimensionMismatch):
             level_sweep(H_2x2, HP_2x2, levels=[level])
 
@@ -182,6 +261,7 @@ class TestSuperpositionSweep:
             raise AssertionError("diagonalized before the state was checked")
 
         monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
         with pytest.raises(DimensionMismatch):
             superposition_sweep(H_2x2, HP_2x2, StateVector.basis_state(3, 0))
 
