@@ -179,7 +179,7 @@ def jacobi_eigendecompose(
     return SpectralDecomposition(eigenvalues=eigenvalues[order], eigenvectors=vecs)
 
 
-def jacobi_eigenvalues(a: HermitianMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
+def jacobi_eigenvalues(a: HermitianMatrix) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
     The same rotations as :func:`jacobi_eigendecompose`, so the result is
@@ -188,5 +188,5 @@ def jacobi_eigenvalues(a: HermitianMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS)
     an operator written in the eigenbasis of a nearby matrix.
     """
     work = np.array(a.array, dtype=np.complex128)
-    _diagonalize(work, None, max_sweeps)
+    _diagonalize(work, None, DEFAULT_MAX_SWEEPS)
     return np.sort(np.real(np.diag(work)), kind="stable")
