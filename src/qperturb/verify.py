@@ -127,9 +127,20 @@ def _in_eigenbasis(matrix: HermitianMatrix, eigenvectors: np.ndarray) -> Hermiti
     return HermitianMatrix((w + w.conj().T) / 2.0)
 
 
+# The last completed sweep pass: (H, H', grid, (decomp, shifts, exact)).
+# Holding H and H' keeps their ids from being reused, and both are frozen, so
+# an identity match means the same inputs.  Replaced in one assignment.
+_last_sweep = None
+
+
 def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
     """H's decomposition, its first-order shifts and ``(x, oracle spectrum)``
     for each strength: the one place where the sweeps diagonalize.
+
+    The grid is checked first: every strength must be positive and finite.
+    One pass is shared: a call with the same H and H' objects and an equal
+    grid as the last completed pass returns that pass, so a level sweep and a
+    superposition sweep of one pair diagonalize once between them.
 
     The oracle is warm-started in H's eigenbasis Phi: at each x it takes the
     eigenvalues of ``Phi^dagger (H + x H') Phi = A0 + x V``, with
@@ -138,11 +149,20 @@ def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
     to H + x H' up to the roundoff of Phi and already nearly diagonal, so
     Jacobi needs two or three sweeps instead of a cold solve's six to eight.
     """
+    global _last_sweep
+    grid = tuple(float(x) for x in xs)
+    for x in grid:
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError(f"sweep strength must be positive and finite, got {x}")
+    last = _last_sweep
+    if last is not None and last[0] is hamiltonian and last[1] is perturbation and last[2] == grid:
+        return last[3]
     decomp = jacobi_eigendecompose(hamiltonian)
     shifts = level_shifts(perturbation, decomp)
     base = _in_eigenbasis(hamiltonian, decomp.eigenvectors)
     coupling = _in_eigenbasis(perturbation, decomp.eigenvectors)
-    exact = [(float(x), exact_levels(base, coupling, float(x))) for x in xs]
+    exact = tuple((x, exact_levels(base, coupling, x)) for x in grid)
+    _last_sweep = (hamiltonian, perturbation, grid, (decomp, shifts, exact))
     return decomp, shifts, exact
 
 
@@ -154,9 +174,11 @@ def level_sweep(
 ) -> list[SweepRecord]:
     """Sweep the strength grid comparing every E1_n = E_n + x E'_n to the oracle.
 
-    ``levels`` restricts the emitted records (default: all levels); they are
-    checked before any diagonalization.  Records are ordered by the given
-    grid order, then by level.
+    ``levels`` restricts the emitted records (default: all levels); they and
+    the strengths are checked before any diagonalization.  Records are
+    ordered by the given grid order, then by level.  The diagonalization pass
+    is shared with a following :func:`superposition_sweep` or level sweep on
+    the same H and H' objects and an equal grid.
     """
     dim = hamiltonian.dim
     selected = range(dim) if levels is None else list(levels)
@@ -184,8 +206,10 @@ def superposition_sweep(
     """Sweep comparing the weighted total E1 to the |b_n|^2-weighted exact spectrum.
 
     Records carry ``level = SUPERPOSITION_LEVEL`` (-1), marking the aggregate
-    comparison rather than a single level.  The state's dimension is checked
-    before any diagonalization.
+    comparison rather than a single level.  The state's dimension and the
+    strengths are checked before any diagonalization.  The diagonalization
+    pass is shared with a preceding :func:`level_sweep` or superposition
+    sweep on the same H and H' objects and an equal grid.
     """
     if state.dim != hamiltonian.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs basis dim {hamiltonian.dim}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qperturb.eigensolver import SpectralDecomposition, fix_phase, jacobi_eigendecompose
 from qperturb.errors import (
@@ -371,3 +373,66 @@ class TestFirstOrderResult:
     def test_nonfinite_strength_rejected(self, dec_2x2):
         with pytest.raises(ValueError):
             first_order(dec_2x2, HP_2x2, StateVector.basis_state(2, 0), math.nan)
+
+
+@st.composite
+def gapped_instances(draw):
+    """(decomposition, H', state, x) for a dense pair with N <= 8.
+
+    H is ``U diag(E) U^dagger`` with U the QR factor of a seeded complex
+    Gaussian matrix and every gap E_{n+1} - E_n at least 0.25, so no draw is
+    degenerate; H' has entries of order 0.1.
+    """
+    dim = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.25, 2.0), min_size=dim - 1, max_size=dim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    energies = np.concatenate([[0.0], np.cumsum(gaps)]) - draw(st.floats(-3.0, 3.0))
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    h = HermitianMatrix((u * energies) @ u.conj().T)
+    hp = random_hermitian(int(rng.integers(2**63)), dim, 0.1)
+    state = StateVector.from_unnormalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return jacobi_eigendecompose(h), hp, state, draw(st.floats(1e-3, 1e-1))
+
+
+def _off_resonance(dec, state):
+    """True when E = sum |b_m|^2 E_m keeps clear of every level E_m."""
+    energy = expected_energy(state, dec)
+    spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
+    return float(np.abs(energy - dec.eigenvalues).min()) >= 1e-3 * spread
+
+
+class TestFirstOrderProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(gapped_instances())
+    def test_total_is_weighted_sum_of_levels(self, instance):
+        dec, hp, state, x = instance
+        assume(_off_resonance(dec, state))
+        res = first_order(dec, hp, state, x)
+        weights = np.abs(state.coefficients) ** 2
+        scale = max(1.0, float(weights @ np.abs(res.perturbed_levels)))
+        assert abs(res.total_energy - float(weights @ res.perturbed_levels)) <= 1e-12 * scale
+
+    @settings(max_examples=50, deadline=None)
+    @given(gapped_instances(), st.data())
+    def test_basis_state_has_no_own_correction(self, instance, data):
+        dec, hp, _, x = instance
+        level = data.draw(st.integers(0, dec.dim - 1))
+        res = first_order(dec, hp, StateVector.basis_state(dec.dim, level), x)
+        assert res.corrections[level] == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(gapped_instances(), st.floats(-math.pi, math.pi))
+    def test_global_phase(self, instance, theta):
+        dec, hp, state, x = instance
+        assume(_off_resonance(dec, state))
+        phase = np.exp(1j * theta)
+        res = first_order(dec, hp, state, x)
+        turned = first_order(dec, hp, StateVector(phase * state.coefficients), x)
+        scale = max(1.0, float(np.abs(dec.eigenvalues).max()))
+        assert abs(turned.expected_energy - res.expected_energy) <= 1e-13 * scale
+        assert abs(turned.total_first_order - res.total_first_order) <= 1e-13 * scale
+        assert abs(turned.total_energy - res.total_energy) <= 1e-13 * scale
+        a_scale = max(1.0, float(np.abs(res.corrections).max()))
+        np.testing.assert_allclose(
+            turned.corrections, phase * res.corrections, rtol=0, atol=1e-10 * a_scale
+        )

@@ -1,11 +1,18 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from qperturb import eigensolver
 from qperturb.eigensolver import jacobi_eigendecompose
-from qperturb.errors import AttemptsExhausted, DimensionMismatch, InsufficientData, QPerturbError
+from qperturb.errors import (
+    AttemptsExhausted,
+    DimensionMismatch,
+    InsufficientData,
+    NoConvergence,
+    QPerturbError,
+)
 from qperturb.models import BoxModelSpec, box_hamiltonian, box_potential_matrix, random_hermitian
 from qperturb.numkernel import HermitianMatrix, add_scaled, identity
 from qperturb.perturbation import StateVector
@@ -124,6 +131,83 @@ class TestWarmStartedOracle:
             assert diagonalize(cold, None, eigensolver.DEFAULT_MAX_SWEEPS) >= 6
 
 
+def _counting_diagonalize(monkeypatch):
+    """Record ``"vectors"`` or ``"values"`` for every Jacobi solve that runs."""
+    diagonalize = eigensolver._diagonalize
+    calls = []
+
+    def counting(work, vecs, max_sweeps):
+        calls.append("values" if vecs is None else "vectors")
+        return diagonalize(work, vecs, max_sweeps)
+
+    monkeypatch.setattr(eigensolver, "_diagonalize", counting)
+    return calls
+
+
+class TestSharedPass:
+    """Sweeps on the same H and H' objects and an equal grid share one pass."""
+
+    def test_three_sweeps_one_pass(self, monkeypatch):
+        monkeypatch.setattr(verify, "_last_sweep", None)
+        h, hp = ORACLE_PAIRS["dense-24"]()
+        calls = _counting_diagonalize(monkeypatch)
+        level_sweep(h, hp)
+        superposition_sweep(h, hp, StateVector.basis_state(h.dim, 3))
+        level_sweep(h, hp, list(DEFAULT_X_GRID), levels=[0])
+        assert calls.count("vectors") == 1
+        assert calls.count("values") == len(DEFAULT_X_GRID)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda h, hp, xs: (HermitianMatrix(h.array), hp, xs),
+            lambda h, hp, xs: (h, HermitianMatrix(hp.array), xs),
+            lambda h, hp, xs: (h, hp, xs[:-1]),
+        ],
+        ids=["equal-h-copy", "other-hp-object", "other-grid"],
+    )
+    def test_fresh_pass_for_other_inputs(self, monkeypatch, change):
+        monkeypatch.setattr(verify, "_last_sweep", None)
+        h, hp = ORACLE_PAIRS["dense-6"]()
+        level_sweep(h, hp)
+        calls = _counting_diagonalize(monkeypatch)
+        h2, hp2, xs = change(h, hp, DEFAULT_X_GRID)
+        level_sweep(h2, hp2, xs)
+        assert calls.count("vectors") == 1
+        assert calls.count("values") == len(xs)
+
+    @pytest.mark.parametrize("name", ["dense-6", "dense-24", "box-12"])
+    def test_shared_records_bit_identical_to_fresh(self, monkeypatch, name):
+        h, hp = ORACLE_PAIRS[name]()
+        state = StateVector.from_unnormalized(np.arange(1, h.dim + 1) * (1 - 0.5j))
+        monkeypatch.setattr(verify, "_last_sweep", None)
+        fresh_levels = pickle.dumps(level_sweep(h, hp))
+        monkeypatch.setattr(verify, "_last_sweep", None)
+        fresh_sup = pickle.dumps(superposition_sweep(h, hp, state))
+        monkeypatch.setattr(verify, "_last_sweep", None)
+        shared_levels = pickle.dumps(level_sweep(h, hp))
+        shared_sup = pickle.dumps(superposition_sweep(h, hp, state))
+        assert shared_levels == fresh_levels
+        assert shared_sup == fresh_sup
+
+    def test_failed_pass_leaves_memo_unchanged(self, monkeypatch):
+        monkeypatch.setattr(verify, "_last_sweep", None)
+        level_sweep(H_2x2, HP_2x2)
+        kept = verify._last_sweep
+        diagonalize = eigensolver._diagonalize
+
+        def oracle_fails(work, vecs, max_sweeps):
+            if vecs is None:
+                raise NoConvergence(max_sweeps)
+            return diagonalize(work, vecs, max_sweeps)
+
+        monkeypatch.setattr(eigensolver, "_diagonalize", oracle_fails)
+        h, hp = ORACLE_PAIRS["dense-6"]()
+        with pytest.raises(NoConvergence):
+            level_sweep(h, hp)
+        assert verify._last_sweep is kept
+
+
 class TestSweepRecord:
     def test_measure_fills_error(self):
         r = SweepRecord.measure(0.1, 0, 2.0, 2.005)
@@ -238,6 +322,17 @@ class TestLevelSweep:
         monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
         with pytest.raises(DimensionMismatch):
             level_sweep(H_2x2, HP_2x2, levels=[level])
+
+
+    @pytest.mark.parametrize("bad", [-0.01, 0.0, math.nan, math.inf])
+    def test_bad_strength_rejected_before_any_solve(self, monkeypatch, bad):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("diagonalized before the strengths were checked")
+
+        monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
+        with pytest.raises(ValueError, match="sweep strength must be positive and finite"):
+            level_sweep(H_2x2, HP_2x2, [0.1, bad])
 
 
 class TestSuperpositionSweep:
