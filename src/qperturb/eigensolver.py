@@ -9,7 +9,9 @@ lockstep, and each column's phase is fixed so results are deterministic and
 comparable.  :func:`jacobi_eigenvalues` runs the same sweeps without
 accumulating eigenvectors; on a nearly diagonal matrix (an operator written
 in the eigenbasis of a nearby one) cyclic Jacobi converges quadratically, so
-it needs only two or three sweeps there.
+it needs only two or three sweeps there.  The sweep loop also takes an
+``(N, N, B)`` stack of B matrices, so that each numpy call of a step serves
+all B members; every member ends bit-identical to a solve of its own.
 """
 
 from __future__ import annotations
@@ -108,51 +110,75 @@ def _round_robin_steps(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return steps
 
 
-def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int) -> int:
-    """Run round-robin Jacobi sweeps on ``work`` in place until its
-    off-diagonal norm is at most ``OFFDIAG_RTOL`` times its Frobenius norm;
-    return the number of sweeps.
+def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
+    """Run round-robin Jacobi sweeps in place on one ``(N, N)`` matrix or an
+    ``(N, N, B)`` stack of B matrices until each one's off-diagonal norm is
+    at most ``OFFDIAG_RTOL`` times its own Frobenius norm; return the number
+    of sweeps (an int for one matrix, one per member for a stack).
 
-    The rotations are also applied to the columns of ``vecs`` unless it is
-    None.  They never depend on ``vecs``, so ``work`` ends bit-identical
-    either way.  Raises :class:`NoConvergence` after ``max_sweeps`` sweeps.
+    The rotations are also applied to the columns of ``vecs`` (shaped like
+    ``work``) unless it is None.  They never depend on ``vecs``, so ``work``
+    ends bit-identical either way.  The stack axis is last, so a step's
+    indexing and broadcasting read the same for one matrix and for a stack,
+    and each numpy call of a step serves all members at once.  A member is
+    rotated only in the sweeps it would run alone: once some members have
+    converged, the others are gathered for the sweep and scattered back, so
+    every member ends bit-identical to a solve of that matrix on its own.
+    Raises :class:`NoConvergence` for the first member still above its
+    tolerance after ``max_sweeps`` sweeps.
     """
-    tol = OFFDIAG_RTOL * float(np.linalg.norm(work))  # ||A||_F is rotation-invariant
+    members = work[..., None] if work.ndim == 2 else work  # a view: one member for one matrix
+    count = members.shape[-1]
+    # ||A||_F is rotation-invariant.
+    tol = OFFDIAG_RTOL * np.array([np.linalg.norm(members[..., b]) for b in range(count)])
     steps = _round_robin_steps(work.shape[0])
-    sweeps = 0
-    while (off_norm := _offdiag_norm(work)) > tol:
-        if sweeps >= max_sweeps:
-            raise NoConvergence(sweeps, off_norm)
+    sweeps = np.zeros(count, dtype=int)
+    while True:
+        off_norms = np.array([_offdiag_norm(members[..., b]) for b in range(count)])
+        active = np.flatnonzero(off_norms > tol)
+        if active.size == 0:
+            break
+        first = active[0]
+        if sweeps[first] >= max_sweeps:
+            raise NoConvergence(int(sweeps[first]), float(off_norms[first]))
+        # Only a stack can have converged members; gathering copies the others.
+        whole = active.size == count
+        a = work if whole else work[..., active]
+        v = vecs if whole or vecs is None else vecs[..., active]
         for p, q in steps:
-            apq = work[p, q]
+            apq = a[p, q]
             r = np.abs(apq)
             zero = r == 0.0  # already annihilated: identity rotation
             r[zero] = 1.0
             phase = np.where(zero, 1.0, apq / r)
-            tau = (work[q, q].real - work[p, p].real) / (2.0 * r)
+            tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
             t = np.where(zero, 0.0, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau)))
             c = 1.0 / np.hypot(1.0, t)
             s = t * c
             conj_phase = np.conj(phase)
             # Unitaries on the (p,q) planes: [[c, s], [-s*conj(phase), c*conj(phase)]].
             # Fancy indexing copies, so the old columns and rows stay available.
-            col_p, col_q = work[:, p], work[:, q]
-            work[:, p] = c * col_p - s * conj_phase * col_q
-            work[:, q] = s * col_p + c * conj_phase * col_q
-            row_p, row_q = work[p, :], work[q, :]
-            work[p, :] = c[:, None] * row_p - (s * phase)[:, None] * row_q
-            work[q, :] = s[:, None] * row_p + (c * phase)[:, None] * row_q
+            col_p, col_q = a[:, p], a[:, q]
+            a[:, p] = c * col_p - s * conj_phase * col_q
+            a[:, q] = s * col_p + c * conj_phase * col_q
+            row_p, row_q = a[p, :], a[q, :]
+            a[p, :] = c[:, None] * row_p - (s * phase)[:, None] * row_q
+            a[q, :] = s[:, None] * row_p + (c * phase)[:, None] * row_q
             # Exact post-conditions of the rotations.
-            work[p, q] = 0.0
-            work[q, p] = 0.0
-            work[p, p] = work[p, p].real
-            work[q, q] = work[q, q].real
-            if vecs is not None:
-                vec_p, vec_q = vecs[:, p], vecs[:, q]
-                vecs[:, p] = c * vec_p - s * conj_phase * vec_q
-                vecs[:, q] = s * vec_p + c * conj_phase * vec_q
-        sweeps += 1
-    return sweeps
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            a[p, p] = a[p, p].real
+            a[q, q] = a[q, q].real
+            if v is not None:
+                vec_p, vec_q = v[:, p], v[:, q]
+                v[:, p] = c * vec_p - s * conj_phase * vec_q
+                v[:, q] = s * vec_p + c * conj_phase * vec_q
+        if not whole:
+            work[..., active] = a
+            if v is not None:
+                vecs[..., active] = v
+        sweeps[active] += 1
+    return sweeps if work.ndim == 3 else int(sweeps[0])
 
 
 def jacobi_eigendecompose(

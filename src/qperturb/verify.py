@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import eigensolver
 from .eigensolver import jacobi_eigendecompose, jacobi_eigenvalues
 from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
@@ -74,9 +75,9 @@ def exact_levels(
     """Ascending eigenvalues of H + x H', diagonalized exactly at finite x.
 
     Eigenvalues only: no eigenvector is accumulated.  Bit-identical to
-    ``jacobi_eigendecompose(add_scaled(H, H', x)).eigenvalues``.  Cheapest
-    when H is nearly diagonal, as in the sweeps, which pass H and H' written
-    in H's eigenbasis.
+    ``jacobi_eigendecompose(add_scaled(H, H', x)).eigenvalues``, and to the
+    member for x of the sweeps' stacked oracle when H and H' are written in
+    the eigenbasis of the swept H.  Cheapest when H is nearly diagonal.
     """
     return jacobi_eigenvalues(add_scaled(hamiltonian, perturbation, x))
 
@@ -137,10 +138,11 @@ def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
     """H's decomposition, its first-order shifts and ``(x, oracle spectrum)``
     for each strength: the one place where the sweeps diagonalize.
 
-    The grid is checked first: every strength must be positive and finite.
-    One pass is shared: a call with the same H and H' objects and an equal
-    grid as the last completed pass returns that pass, so a level sweep and a
-    superposition sweep of one pair diagonalize once between them.
+    The grid is checked first: it must not be empty (:class:`InsufficientData`)
+    and every strength must be positive and finite.  One pass is shared: a
+    call with the same H and H' objects and an equal grid as the last
+    completed pass returns that pass, so a level sweep and a superposition
+    sweep of one pair diagonalize once between them.
 
     The oracle is warm-started in H's eigenbasis Phi: at each x it takes the
     eigenvalues of ``Phi^dagger (H + x H') Phi = A0 + x V``, with
@@ -148,9 +150,14 @@ def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
     is kept) and ``V = Phi^dagger H' Phi``.  That matrix is unitarily similar
     to H + x H' up to the roundoff of Phi and already nearly diagonal, so
     Jacobi needs two or three sweeps instead of a cold solve's six to eight.
+    The matrices of the whole grid are diagonalized as one stack, so each
+    numpy call of a Jacobi step serves every strength; each spectrum is
+    bit-identical to :func:`exact_levels` ``(A0, V, x)``.
     """
     global _last_sweep
     grid = tuple(float(x) for x in xs)
+    if not grid:
+        raise InsufficientData("need at least one strength to sweep")
     for x in grid:
         if not (math.isfinite(x) and x > 0):
             raise ValueError(f"sweep strength must be positive and finite, got {x}")
@@ -161,7 +168,12 @@ def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
     shifts = level_shifts(perturbation, decomp)
     base = _in_eigenbasis(hamiltonian, decomp.eigenvectors)
     coupling = _in_eigenbasis(perturbation, decomp.eigenvectors)
-    exact = tuple((x, exact_levels(base, coupling, x)) for x in grid)
+    stack = np.stack([add_scaled(base, coupling, x).array for x in grid], axis=-1)
+    eigensolver._diagonalize(stack, None, eigensolver.DEFAULT_MAX_SWEEPS)
+    # One C-ordered row per x: a strided row would change the rounding of dot products.
+    spectra = np.diagonal(stack).real.copy()
+    spectra.sort(axis=1, kind="stable")
+    exact = tuple(zip(grid, spectra))
     _last_sweep = (hamiltonian, perturbation, grid, (decomp, shifts, exact))
     return decomp, shifts, exact
 

@@ -181,6 +181,85 @@ class TestJacobi:
         assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
+def _solo(matrix, with_vectors, max_sweeps=100):
+    """``_diagonalize`` on one matrix: (work, vectors or None, sweeps)."""
+    work = np.array(matrix, dtype=np.complex128)
+    vecs = np.eye(work.shape[0], dtype=np.complex128) if with_vectors else None
+    return work, vecs, _diagonalize(work, vecs, max_sweeps)
+
+
+def _stack(matrices):
+    """An (N, N, B) stack, member b at ``[..., b]``."""
+    return np.stack([np.asarray(m, dtype=np.complex128) for m in matrices], axis=-1)
+
+
+class TestStackedJacobi:
+    """``_diagonalize`` on an (N, N, B) stack against one solve per member."""
+
+    # Sweep counts of the single-matrix solve at N = 1, 2, 3, 16, 33 before it
+    # learned stacks; the single-matrix path must keep them.
+    SOLO_SWEEPS = {1: 0, 2: 1, 3: 3, 16: 6, 33: 7}
+
+    @pytest.mark.parametrize("n", sorted(SOLO_SWEEPS))
+    @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
+    def test_single_matrix_unchanged(self, n, with_vectors):
+        matrix = random_hermitian(500 + n, n).array
+        work, vecs, sweeps = _solo(matrix, with_vectors)
+        assert type(sweeps) is int and sweeps == self.SOLO_SWEEPS[n]
+        # the same matrix as the middle member of a stack ends bit-identical
+        stack = _stack([random_hermitian(600 + n, n).array, matrix, np.diag(np.arange(n, 0, -1.0))])
+        stack_vecs = _stack([np.eye(n)] * 3) if with_vectors else None
+        stack_sweeps = _diagonalize(stack, stack_vecs, 100)
+        assert stack_sweeps[1] == sweeps
+        assert np.array_equal(stack[..., 1], work)
+        if with_vectors:
+            assert np.array_equal(stack_vecs[..., 1], vecs)
+
+    @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
+    def test_members_with_different_sweep_counts(self, with_vectors):
+        # A diagonal member, a nearly diagonal one and dense ones of very
+        # different norms: members drop out after different sweeps, so the
+        # others are gathered, and each keeps its own tolerance.
+        n = 12
+        near = np.diag(np.arange(n, dtype=float)) + 1e-3 * random_hermitian(71, n).array
+        matrices = [random_hermitian(70, n).array, np.diag(np.arange(n, 0, -1.0)), near,
+                    random_hermitian(72, n, 0.05).array, random_hermitian(73, n, 1e6).array]
+        stack = _stack(matrices)
+        stack_vecs = _stack([np.eye(n)] * len(matrices)) if with_vectors else None
+        sweeps = _diagonalize(stack, stack_vecs, 100)
+        assert sweeps.shape == (len(matrices),)
+        assert sweeps[1] == 0
+        assert len(set(sweeps.tolist())) >= 3
+        for b, matrix in enumerate(matrices):
+            work, vecs, solo_sweeps = _solo(matrix, with_vectors)
+            assert sweeps[b] == solo_sweeps
+            assert np.array_equal(stack[..., b], work)
+            if with_vectors:
+                assert np.array_equal(stack_vecs[..., b], vecs)
+
+    def test_diagonal_member_takes_no_sweep(self):
+        diagonal = np.diag([2.0, -1.0, 0.5 + 0j])
+        stack = _stack([diagonal, random_hermitian(80, 3).array])
+        sweeps = _diagonalize(stack, None, 100)
+        assert sweeps[0] == 0 and sweeps[1] > 0
+        assert np.array_equal(stack[..., 0], diagonal)
+
+    def test_all_diagonal_stack_takes_no_sweep(self):
+        stack = _stack([np.diag([1.0, 2.0]), np.diag([3.0, -3.0])])
+        assert _diagonalize(stack, None, 0).tolist() == [0, 0]
+
+    def test_member_that_cannot_converge(self):
+        dense = random_hermitian(90, 8).array
+        with pytest.raises(NoConvergence) as solo:
+            _solo(dense, False, max_sweeps=2)
+        stack = _stack([np.diag(np.arange(8.0)), dense, dense[::-1, ::-1]])
+        with pytest.raises(NoConvergence) as stacked:
+            _diagonalize(stack, None, 2)
+        # the first member above its tolerance, with its own off-diagonal norm
+        assert stacked.value.sweeps == solo.value.sweeps == 2
+        assert stacked.value.off_norm == solo.value.off_norm
+
+
 class TestFixPhase:
     def test_sign_flip(self):
         np.testing.assert_array_equal(fix_phase([-1, 0]), [1, 0])

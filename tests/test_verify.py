@@ -114,34 +114,55 @@ class TestWarmStartedOracle:
     def test_warm_start_needs_few_sweeps(self, monkeypatch):
         h, hp = ORACLE_PAIRS["dense-24"]()
         diagonalize = eigensolver._diagonalize
-        oracle_sweeps = []
-
-        def counting(work, vecs, max_sweeps):
-            sweeps = diagonalize(work, vecs, max_sweeps)
-            if vecs is None:
-                oracle_sweeps.append(sweeps)
-            return sweeps
-
-        monkeypatch.setattr(eigensolver, "_diagonalize", counting)
+        solves = _counting_diagonalize(monkeypatch)
         level_sweep(h, hp)
+        assert [kind for kind, _ in solves] == ["vectors", "values"]
+        oracle_sweeps = solves[1][1]
         assert len(oracle_sweeps) == len(DEFAULT_X_GRID)
         assert max(oracle_sweeps) <= 3
         for x in DEFAULT_X_GRID:
             cold = np.array(add_scaled(h, hp, x).array)
             assert diagonalize(cold, None, eigensolver.DEFAULT_MAX_SWEEPS) >= 6
 
+    @pytest.mark.parametrize("name", ORACLE_PAIRS)
+    @pytest.mark.parametrize(
+        "grid", [DEFAULT_X_GRID, (0.5, 0.1, 1e-4, 1e-7)], ids=["default", "wide"]
+    )
+    def test_stack_members_bit_identical_to_solo(self, monkeypatch, name, grid):
+        monkeypatch.setattr(verify, "_last_sweep", None)
+        h, hp = ORACLE_PAIRS[name]()
+        solves = _counting_diagonalize(monkeypatch)
+        decomp, _, exact = verify._sweep(h, hp, grid)
+        stack_sweeps = solves[1][1]
+        base = verify._in_eigenbasis(h, decomp.eigenvectors)
+        coupling = verify._in_eigenbasis(hp, decomp.eigenvectors)
+        for (x, spectrum), sweeps in zip(exact, stack_sweeps):
+            assert np.array_equal(spectrum, exact_levels(base, coupling, x))
+            assert solves[-1] == ("values", [sweeps])  # the solo solve's count
+        if name.startswith("dense") and grid != DEFAULT_X_GRID:
+            # members converge after different sweeps: the gather path ran
+            assert len(set(stack_sweeps)) > 1
+        # the weighted totals too: a strided spectrum row would round differently
+        state = StateVector.from_unnormalized(np.arange(1, h.dim + 1) * (1 - 0.5j))
+        weights = np.abs(state.coefficients) ** 2
+        for record, (x, _) in zip(superposition_sweep(h, hp, state, grid), exact):
+            assert record.exact == float(weights @ exact_levels(base, coupling, x))
+
 
 def _counting_diagonalize(monkeypatch):
-    """Record ``"vectors"`` or ``"values"`` for every Jacobi solve that runs."""
+    """Record every Jacobi solve that runs as ``(kind, sweeps)``: kind
+    ``"vectors"`` or ``"values"``, and one sweep count per member (a list of
+    one for a single matrix)."""
     diagonalize = eigensolver._diagonalize
-    calls = []
+    solves = []
 
     def counting(work, vecs, max_sweeps):
-        calls.append("values" if vecs is None else "vectors")
-        return diagonalize(work, vecs, max_sweeps)
+        sweeps = diagonalize(work, vecs, max_sweeps)
+        solves.append(("values" if vecs is None else "vectors", np.atleast_1d(sweeps).tolist()))
+        return sweeps
 
     monkeypatch.setattr(eigensolver, "_diagonalize", counting)
-    return calls
+    return solves
 
 
 class TestSharedPass:
@@ -150,12 +171,15 @@ class TestSharedPass:
     def test_three_sweeps_one_pass(self, monkeypatch):
         monkeypatch.setattr(verify, "_last_sweep", None)
         h, hp = ORACLE_PAIRS["dense-24"]()
-        calls = _counting_diagonalize(monkeypatch)
+        solves = _counting_diagonalize(monkeypatch)
         level_sweep(h, hp)
         superposition_sweep(h, hp, StateVector.basis_state(h.dim, 3))
         level_sweep(h, hp, list(DEFAULT_X_GRID), levels=[0])
-        assert calls.count("vectors") == 1
-        assert calls.count("values") == len(DEFAULT_X_GRID)
+        # one solve with vectors, then the oracle: one stack, a member per strength
+        assert [(kind, len(sweeps)) for kind, sweeps in solves] == [
+            ("vectors", 1),
+            ("values", len(DEFAULT_X_GRID)),
+        ]
 
     @pytest.mark.parametrize(
         "change",
@@ -170,11 +194,13 @@ class TestSharedPass:
         monkeypatch.setattr(verify, "_last_sweep", None)
         h, hp = ORACLE_PAIRS["dense-6"]()
         level_sweep(h, hp)
-        calls = _counting_diagonalize(monkeypatch)
+        solves = _counting_diagonalize(monkeypatch)
         h2, hp2, xs = change(h, hp, DEFAULT_X_GRID)
         level_sweep(h2, hp2, xs)
-        assert calls.count("vectors") == 1
-        assert calls.count("values") == len(xs)
+        assert [(kind, len(sweeps)) for kind, sweeps in solves] == [
+            ("vectors", 1),
+            ("values", len(xs)),
+        ]
 
     @pytest.mark.parametrize("name", ["dense-6", "dense-24", "box-12"])
     def test_shared_records_bit_identical_to_fresh(self, monkeypatch, name):
@@ -333,6 +359,21 @@ class TestLevelSweep:
         monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
         with pytest.raises(ValueError, match="sweep strength must be positive and finite"):
             level_sweep(H_2x2, HP_2x2, [0.1, bad])
+
+    @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
+    def test_empty_grid_rejected_before_any_solve(self, monkeypatch, superposition):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("diagonalized before the grid was checked")
+
+        monkeypatch.setattr(verify, "_last_sweep", None)
+        monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
+        monkeypatch.setattr(eigensolver, "_diagonalize", no_solve)
+        with pytest.raises(InsufficientData, match="at least one strength"):
+            if superposition:
+                superposition_sweep(H_2x2, HP_2x2, StateVector.basis_state(2, 0), [])
+            else:
+                level_sweep(H_2x2, HP_2x2, [])
 
 
 class TestSuperpositionSweep:
