@@ -12,10 +12,18 @@ in the eigenbasis of a nearby one) cyclic Jacobi converges quadratically, so
 it needs only two or three sweeps there.  The sweep loop also takes an
 ``(N, N, B)`` stack of B matrices, so that each numpy call of a step serves
 all B members; every member ends bit-identical to a solve of its own.
+
+A sweep runs on one C-contiguous copy ``[A^T, Phi^T]`` of the matrix and its
+eigenvectors.  Transposed, the column updates ``A <- AJ`` and
+``Phi <- Phi J`` of a step are one contiguous row update of both, and
+``A <- J^H A`` is a column update of ``A^T``; a step reads and resets its
+pivots and diagonal entries through precomputed flat indices, and works in
+buffers allocated once per sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,25 +97,107 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - np.diag(np.diag(a))))
 
 
-def _round_robin_steps(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One sweep of the round-robin ordering of Brent & Luk (1985) as steps
-    ``(p, q)`` of disjoint index pairs with ``p < q``.
+def _round_robin_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep of the round-robin ordering of Brent & Luk (1985): arrays
+    ``p`` and ``q`` shaped ``(steps, N // 2)``, row ``i`` holding step ``i``'s
+    disjoint index pairs ``(p, q)`` with ``p < q``.
 
     Index 0 stays put while the others rotate one place per step, so the
     N - 1 steps (N with a dummy index for odd N, its pairs left out) visit
     every pair exactly once.
     """
     m = n + n % 2
-    players = np.arange(m)
-    steps = []
-    for _ in range(m - 1):
-        ends = np.stack([players[: m // 2], players[: m // 2 - 1 : -1]])
-        p, q = ends.min(axis=0), ends.max(axis=0)
-        real = q < n
-        if real.any():
-            steps.append((p[real], q[real]))
-        players[1:] = np.roll(players[1:], 1)
-    return steps
+    steps = m - 1 if n > 1 else 0
+    players = np.zeros((steps, m), dtype=np.intp)
+    players[:, 1:] = (np.arange(m - 1) - np.arange(steps)[:, None]) % (m - 1) + 1
+    ends = players[:, : m // 2], players[:, : m // 2 - 1 : -1]
+    p, q = np.minimum(*ends), np.maximum(*ends)
+    real = q < n
+    return p[real].reshape(steps, n // 2), q[real].reshape(steps, n // 2)
+
+
+def _step_indices(n: int, slabs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices :func:`_sweep` needs, one array per kind with the steps
+    on axis 0.  Per step:
+
+    - ``rows``: rows p and q of every slab of ``x``, as rows of ``x``
+      reshaped to ``(slabs * N, N)``, shaped ``(2, slabs, N // 2)``; its
+      first slab's rows are p and q themselves;
+    - ``entries``: ``A[p,p], A[q,q], A[p,q], A[q,p]`` as flat indices into
+      ``A^T``, concatenated.
+    """
+    p, q = _round_robin_steps(n)
+    rows = np.stack([p, q], axis=1)[:, :, None, :] + n * np.arange(slabs)[:, None]
+    entries = np.concatenate([p * (n + 1), q * (n + 1), q * n + p, p * n + q], axis=1)
+    return rows, entries
+
+
+def _rotate(old: np.ndarray, new: np.ndarray, tmp: np.ndarray, cs, sc) -> None:
+    """``new = [c*P - s*w*Q, s*P + c*w*Q]`` for ``old = [P, Q]``, with
+    ``cs = [c, s]`` and ``sc = [s*w, c*w]``; ``tmp`` is scratch."""
+    np.multiply(cs, old[0], out=new)
+    np.multiply(sc, old[1], out=tmp)
+    np.subtract(new[0], tmp[0], out=new[0])
+    np.add(new[1], tmp[1], out=new[1])
+
+
+def _sweep(x: np.ndarray, steps) -> None:
+    """One round-robin sweep in place on ``x = [A^T, Phi^T]`` (``[A^T]``
+    without eigenvectors), a ``(2, N, N[, B])`` or ``(1, N, N[, B])`` array
+    that must be C-contiguous: its flat views below must not be copies.
+
+    Transposed, the column updates ``A <- AJ`` and ``Phi <- Phi J`` are one
+    row update of ``x[:, p]`` and ``x[:, q]``, and ``A <- J^H A`` is a
+    column update of ``x[0]``.  Each update gathers into, computes in and
+    scatters from buffers allocated once per sweep, so a step allocates no
+    matrix-sized temporary.  Every entry is computed with the same
+    operations on the same operands as in the untransposed layout.
+    """
+    slabs, n, tail = x.shape[0], x.shape[1], x.shape[3:]
+    k = n // 2
+    flat = x[0].reshape((n * n,) + tail)  # views, since x is C-contiguous
+    x_rows = x.reshape((slabs * n, n) + tail)
+    row_starts = np.repeat(n * np.arange(n)[:, None], k, axis=1)
+    cols_at = np.empty((2, n, k), dtype=np.intp)
+    # The row and the column update take turns on the same three buffers,
+    # _rotate's old, new and tmp.
+    buffers = np.empty((3, 2 * slabs * k * n * math.prod(tail)), dtype=x.dtype)
+    rows = [b.reshape((2, slabs, k, n) + tail) for b in buffers]
+    cols = [b[: 2 * n * k * math.prod(tail)].reshape((2, n, k) + tail) for b in buffers]
+    # [c, s] as complex numbers, so the updates' products need no casts;
+    # their imaginary parts stay 0.
+    cs = np.zeros((2, k) + tail, dtype=x.dtype)
+    c, s = cs.real
+    for rows_at, entries in zip(*steps):
+        got = flat[entries[: 3 * k]]
+        apq = got[2 * k :]
+        r = np.abs(apq)
+        zero = r == 0.0  # already annihilated: identity rotation
+        r[zero] = 1.0
+        phase = apq / r
+        phase[zero] = 1.0
+        tau = (got[k : 2 * k].real - got[:k].real) / (2.0 * r)
+        tau[zero] = np.inf  # so that t = 0
+        t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+        np.divide(1.0, np.hypot(1.0, t), out=c)
+        np.multiply(t, c, out=s)
+        # Unitaries on the (p,q) planes: [[c, s], [-s*conj(phase), c*conj(phase)]].
+        # sc_conj = [s*conj(phase), c*conj(phase)], sc = [s*phase, c*phase].
+        sc_conj = cs[::-1] * np.conj(phase)
+        sc = cs[::-1] * phase
+        # A <- AJ and Phi <- Phi J: rows p and q of x.
+        # mode="clip" lets take write straight into out; the indices are in range.
+        np.take(x_rows, rows_at, axis=0, out=rows[0], mode="clip")
+        _rotate(*rows, cs[:, None, :, None], sc_conj[:, None, :, None])
+        x_rows[rows_at] = rows[1]
+        # A <- J^H A: columns p and q of A^T.
+        np.add(row_starts, rows_at[:, :1], out=cols_at)
+        np.take(flat, cols_at, axis=0, out=cols[0], mode="clip")
+        _rotate(*cols, cs[:, None], sc[:, None])
+        flat[cols_at] = cols[1]
+        # Exact post-conditions of the rotations.
+        flat[entries[2 * k :]] = 0.0
+        flat.imag[entries[: 2 * k]] = 0.0
 
 
 def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
@@ -118,65 +208,46 @@ def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
 
     The rotations are also applied to the columns of ``vecs`` (shaped like
     ``work``) unless it is None.  They never depend on ``vecs``, so ``work``
-    ends bit-identical either way.  The stack axis is last, so a step's
-    indexing and broadcasting read the same for one matrix and for a stack,
-    and each numpy call of a step serves all members at once.  A member is
-    rotated only in the sweeps it would run alone: once some members have
-    converged, the others are gathered for the sweep and scattered back, so
-    every member ends bit-identical to a solve of that matrix on its own.
-    Raises :class:`NoConvergence` for the first member still above its
-    tolerance after ``max_sweeps`` sweeps.
+    ends bit-identical either way.  Each sweep copies ``work`` and ``vecs``
+    transposed into one new C-contiguous array ``x = [A^T, Phi^T]``
+    (``(2, N, N[, B])``, or ``(1, ...)`` without vectors), runs on it (see
+    :func:`_sweep`) and writes the result back, so any memory layout of the
+    caller's arrays gives the same bits.  The stack axis is last, so a
+    step's indexing and broadcasting read the same for one matrix and for a
+    stack, and each numpy call of a step serves all members at once.  A
+    member is rotated only in the sweeps it would run alone: once some
+    members have converged, only the others are copied for the sweep and
+    written back, so every member ends bit-identical to a solve of that
+    matrix on its own.  Raises :class:`NoConvergence` for the first member
+    still above its tolerance after ``max_sweeps`` sweeps.
     """
     members = work[..., None] if work.ndim == 2 else work  # a view: one member for one matrix
+
+    def member(b):  # C order, so the norms below round the same for any layout of work
+        return np.ascontiguousarray(members[..., b])
+
     count = members.shape[-1]
     # ||A||_F is rotation-invariant.
-    tol = OFFDIAG_RTOL * np.array([np.linalg.norm(members[..., b]) for b in range(count)])
-    steps = _round_robin_steps(work.shape[0])
+    tol = OFFDIAG_RTOL * np.array([np.linalg.norm(member(b)) for b in range(count)])
+    parts = [work] if vecs is None else [work, vecs]
+    steps = _step_indices(work.shape[0], len(parts))
     sweeps = np.zeros(count, dtype=int)
     while True:
-        off_norms = np.array([_offdiag_norm(members[..., b]) for b in range(count)])
+        off_norms = np.array([_offdiag_norm(member(b)) for b in range(count)])
         active = np.flatnonzero(off_norms > tol)
         if active.size == 0:
             break
         first = active[0]
         if sweeps[first] >= max_sweeps:
             raise NoConvergence(int(sweeps[first]), float(off_norms[first]))
-        # Only a stack can have converged members; gathering copies the others.
-        whole = active.size == count
-        a = work if whole else work[..., active]
-        v = vecs if whole or vecs is None else vecs[..., active]
-        for p, q in steps:
-            apq = a[p, q]
-            r = np.abs(apq)
-            zero = r == 0.0  # already annihilated: identity rotation
-            r[zero] = 1.0
-            phase = np.where(zero, 1.0, apq / r)
-            tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-            t = np.where(zero, 0.0, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau)))
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            conj_phase = np.conj(phase)
-            # Unitaries on the (p,q) planes: [[c, s], [-s*conj(phase), c*conj(phase)]].
-            # Fancy indexing copies, so the old columns and rows stay available.
-            col_p, col_q = a[:, p], a[:, q]
-            a[:, p] = c * col_p - s * conj_phase * col_q
-            a[:, q] = s * col_p + c * conj_phase * col_q
-            row_p, row_q = a[p, :], a[q, :]
-            a[p, :] = c[:, None] * row_p - (s * phase)[:, None] * row_q
-            a[q, :] = s[:, None] * row_p + (c * phase)[:, None] * row_q
-            # Exact post-conditions of the rotations.
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
-            if v is not None:
-                vec_p, vec_q = v[:, p], v[:, q]
-                v[:, p] = c * vec_p - s * conj_phase * vec_q
-                v[:, q] = s * vec_p + c * conj_phase * vec_q
-        if not whole:
-            work[..., active] = a
-            if v is not None:
-                vecs[..., active] = v
+        # Only a stack can have converged members; they are left out of the sweep.
+        sel = ... if active.size == count else (..., active)
+        x = np.empty((len(parts),) + work[sel].shape, dtype=np.complex128)
+        for m, m_t in zip(parts, x):
+            m_t[...] = m[sel].swapaxes(0, 1)
+        _sweep(x, steps)
+        for m, m_t in zip(parts, x):
+            m[sel] = m_t.swapaxes(0, 1)
         sweeps[active] += 1
     return sweeps if work.ndim == 3 else int(sweeps[0])
 

@@ -23,6 +23,20 @@ def two_by_two_eigenvalues(a, b, d):
     return mean - disc, mean + disc
 
 
+def _loop_round_robin_steps(n):
+    """Reference schedule: index 0 stays, the others rotate one place per step."""
+    m = n + n % 2
+    players = list(range(m))
+    steps = []
+    for _ in range(m - 1):
+        pairs = [tuple(sorted((players[i], players[m - 1 - i]))) for i in range(m // 2)]
+        real = [pair for pair in pairs if pair[1] < n]
+        if real:
+            steps.append(([p for p, _ in real], [q for _, q in real]))
+        players[1:] = players[-1:] + players[1:-1]
+    return steps
+
+
 class TestJacobi:
     def test_already_diagonal(self):
         dec = jacobi_eigendecompose(HermitianMatrix(np.diag([3.0, 1.0, 2.0])))
@@ -168,12 +182,15 @@ class TestJacobi:
             _diagonalize(np.array([[0, 1], [1, 0]], dtype=np.complex128), None, 0)
         assert exc.value.sweeps == 0
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", [*range(1, 10), 32, 33])
     def test_round_robin_schedule(self, n):
-        steps = _round_robin_steps(n)
-        assert len(steps) == (n - 1 + n % 2 if n > 1 else 0)
+        ps, qs = _round_robin_steps(n)
+        assert ps.shape == qs.shape == (n - 1 + n % 2 if n > 1 else 0, n // 2)
+        # the same steps, pairs in the same order, as one rotation per step in a loop
+        reference = _loop_round_robin_steps(n)
+        assert [(p.tolist(), q.tolist()) for p, q in zip(ps, qs)] == reference
         seen = []
-        for p, q in steps:
+        for p, q in zip(ps, qs):
             assert np.all(p < q)
             step = np.concatenate([p, q])
             assert len(set(step.tolist())) == step.size  # disjoint within the step
@@ -258,6 +275,66 @@ class TestStackedJacobi:
         # the first member above its tolerance, with its own off-diagonal norm
         assert stacked.value.sweeps == solo.value.sweeps == 2
         assert stacked.value.off_norm == solo.value.off_norm
+
+
+def _layout(kind, with_vectors):
+    """``work`` and ``vecs`` (or None) laid out as ``kind`` says, with the
+    array each one is a view of (itself when it is no view)."""
+    n = 9
+    if kind == "strided-stack":
+        base = _stack([random_hermitian(110 + b, n).array for b in range(5)])
+        base_vecs = _stack([np.eye(n)] * 5)
+        step = (..., slice(None, None, 2))  # members 0, 2 and 4
+        return base, base[step], base_vecs, base_vecs[step] if with_vectors else None
+    matrix = random_hermitian(110, n).array
+    eye = np.eye(n, dtype=np.complex128)
+    if kind == "fortran":
+        work, vecs = np.asfortranarray(matrix), np.asfortranarray(eye)
+        return work, work, vecs, vecs if with_vectors else None
+    work_t, vecs_t = np.ascontiguousarray(matrix.T), eye.T.copy()
+    return work_t, work_t.T, vecs_t, vecs_t.T if with_vectors else None
+
+
+class TestSweepLayout:
+    """``_diagonalize`` works on a transposed C-contiguous copy of its input,
+    so the caller's memory layout must not change a bit of the result."""
+
+    @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
+    @pytest.mark.parametrize("kind", ["fortran", "transposed", "strided-stack"])
+    def test_any_layout_bit_identical_to_c_order(self, kind, with_vectors):
+        base, work, base_vecs, vecs = _layout(kind, with_vectors)
+        assert not work.flags.c_contiguous
+        assert vecs is None or not vecs.flags.c_contiguous
+        untouched = base.copy(), base_vecs.copy()
+        c_work = np.array(work, order="C")
+        c_vecs = None if vecs is None else np.array(vecs, order="C")
+        c_sweeps = _diagonalize(c_work, c_vecs, 100)
+        sweeps = _diagonalize(work, vecs, 100)
+        assert np.all(np.asarray(sweeps) > 0)
+        assert np.array_equal(sweeps, c_sweeps)
+        # bit for bit (tobytes tells -0.0 from 0.0), and in the caller's arrays
+        assert np.ascontiguousarray(work).tobytes() == c_work.tobytes()
+        if vecs is not None:
+            assert np.ascontiguousarray(vecs).tobytes() == c_vecs.tobytes()
+        assert np.shares_memory(work, base) and (vecs is None or np.shares_memory(vecs, base_vecs))
+        if kind == "strided-stack":  # members left out of the view stay as they were
+            assert np.array_equal(base[..., 1::2], untouched[0][..., 1::2])
+            assert np.array_equal(base_vecs[..., 1::2], untouched[1][..., 1::2])
+
+    def test_vectors_accumulate_on_the_right(self):
+        n = 12
+        matrix = random_hermitian(120, n).array
+        work, phi, _ = _solo(matrix, True)
+        # phi diagonalizes the matrix, which an accumulation of J^T or J^H would not
+        residual = matrix @ phi - phi * np.diag(work).real
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(matrix)
+        # started from a unitary U, the rotations give U @ phi, not phi @ U
+        rng = np.random.default_rng(121)
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        started = u.copy()
+        _diagonalize(np.array(matrix), started, 100)
+        np.testing.assert_allclose(started, u @ phi, rtol=0, atol=1e-12)
+        assert np.linalg.norm(started - phi @ u) > 1e-3
 
 
 class TestFixPhase:
