@@ -183,7 +183,9 @@ def perturbed_state(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-order state ``psi1 = b + x a`` in eigenbasis coordinates.
 
-    Returned unnormalized together with its normalized companion.
+    Returned unnormalized together with its normalized companion.  Raises
+    :class:`ZeroVector` when psi1 vanishes and ``ValueError`` when its norm
+    is not finite (overflow), so no silent zero "normalized" state is made.
     """
     a = np.asarray(corrections, dtype=np.complex128)
     if a.shape != (state.dim,):
@@ -195,6 +197,8 @@ def perturbed_state(
             "x * corrections cancels the state exactly; strength is far outside "
             "the perturbative regime"
         )
+    if not math.isfinite(norm):
+        raise ValueError("norm of b + x * corrections is not finite (overflow)")
     return psi1, psi1 / norm
 
 
@@ -209,7 +213,8 @@ def residual_norm(
 
     ``psi1`` must be given in the computational basis (the one H is written
     in); use :meth:`SpectralDecomposition.synthesize` on eigenbasis
-    coordinates first.
+    coordinates first.  Raises ``ValueError`` when the norm of ``psi1`` is
+    not finite.
     """
     v = np.asarray(psi1, dtype=np.complex128)
     if v.ndim != 1 or v.shape[0] != hamiltonian.dim:
@@ -219,6 +224,8 @@ def residual_norm(
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ZeroVector("residual of the zero vector is undefined")
+    if not math.isfinite(norm):
+        raise ValueError("state norm is not finite; its residual is undefined")
     perturbed = add_scaled(hamiltonian, perturbation, x)
     residual = matvec(perturbed, v) - total_energy_value * v
     return float(np.linalg.norm(residual) / norm)

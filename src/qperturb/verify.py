@@ -9,6 +9,7 @@ separates a correct first-order implementation from a broken one.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .eigensolver import jacobi_eigendecompose, jacobi_eigenvalues
 from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
 from .numkernel import HermitianMatrix, add_scaled
-from .perturbation import StateVector, expected_energy, level_shifts, total_energy
+from .perturbation import StateVector, expected_energy, level_shifts
 
 # Two decades of strengths, inside the perturbative regime for O(1)-gap spectra.
 DEFAULT_X_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -59,8 +60,8 @@ class SweepRecord:
 class OrderFit:
     """Least-squares slope of log10(error) against log10(strength).
 
-    ``floored`` means fewer than two points rose above the noise floor, so
-    the slope is not applicable (reported as NaN).
+    ``floored`` means the points above the noise floor span fewer than two
+    distinct strengths, so the slope is not applicable (reported as NaN).
     """
 
     slope: float
@@ -75,9 +76,11 @@ def exact_levels(
     """Ascending eigenvalues of H + x H', diagonalized exactly at finite x.
 
     Eigenvalues only: no eigenvector is accumulated.  Bit-identical to
-    ``jacobi_eigendecompose(add_scaled(H, H', x)).eigenvalues``, and to the
-    member for x of the sweeps' stacked oracle when H and H' are written in
-    the eigenbasis of the swept H.  Cheapest when H is nearly diagonal.
+    ``jacobi_eigendecompose(add_scaled(H, H', x)).eigenvalues``, and, given
+    A0 and V (the swept pair written in the swept H's eigenbasis) as H and
+    H', to the member for x of the sweeps' broadcast stack ``A0 + V x``.
+    Not cached: only the sweeps' pass is.  Cheapest when H is nearly
+    diagonal.
     """
     return jacobi_eigenvalues(add_scaled(hamiltonian, perturbation, x))
 
@@ -105,7 +108,7 @@ def fit_order(xs, errors) -> OrderFit:
     if np.unique(x_arr).shape[0] < 2:
         raise InsufficientData("need at least 2 distinct strengths to fit a slope")
     keep = e_arr > ERROR_FLOOR
-    if int(keep.sum()) < 2:
+    if np.unique(x_arr[keep]).shape[0] < 2:
         return OrderFit(math.nan, math.nan, int(keep.sum()), True)
     slope, intercept = np.polyfit(np.log10(x_arr[keep]), np.log10(e_arr[keep]), 1)
     return OrderFit(float(slope), float(intercept), int(keep.sum()), False)
@@ -121,61 +124,61 @@ def records_for_level(records, level: int) -> list[SweepRecord]:
     return [r for r in records if r.level == level]
 
 
-def _in_eigenbasis(matrix: HermitianMatrix, eigenvectors: np.ndarray) -> HermitianMatrix:
-    """``Phi^dagger A Phi``, symmetrized as ``(W + W^dagger)/2`` so that the
-    roundoff of the products cannot fail the hermiticity check."""
-    w = eigenvectors.conj().T @ matrix.array @ eigenvectors
-    return HermitianMatrix((w + w.conj().T) / 2.0)
-
-
-# The last completed sweep pass: (H, H', grid, (decomp, shifts, exact)).
-# Holding H and H' keeps their ids from being reused, and both are frozen, so
-# an identity match means the same inputs.  Replaced in one assignment.
-_last_sweep = None
-
-
 def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
     """H's decomposition, its first-order shifts and ``(x, oracle spectrum)``
     for each strength: the one place where the sweeps diagonalize.
 
     The grid is checked first: it must not be empty (:class:`InsufficientData`)
-    and every strength must be positive and finite.  One pass is shared: a
-    call with the same H and H' objects and an equal grid as the last
-    completed pass returns that pass, so a level sweep and a superposition
-    sweep of one pair diagonalize once between them.
-
-    The oracle is warm-started in H's eigenbasis Phi: at each x it takes the
-    eigenvalues of ``Phi^dagger (H + x H') Phi = A0 + x V``, with
-    ``A0 = Phi^dagger H Phi`` (not ``diag(E)``, so the Jacobi remainder of H
-    is kept) and ``V = Phi^dagger H' Phi``.  That matrix is unitarily similar
-    to H + x H' up to the roundoff of Phi and already nearly diagonal, so
-    Jacobi needs two or three sweeps instead of a cold solve's six to eight.
-    The matrices of the whole grid are diagonalized as one stack, so each
-    numpy call of a Jacobi step serves every strength; each spectrum is
-    bit-identical to :func:`exact_levels` ``(A0, V, x)``.
+    and every strength must be positive and finite.  The pass itself is
+    :func:`_eigenbasis_pass`, cached for the last H, H' and grid.
     """
-    global _last_sweep
     grid = tuple(float(x) for x in xs)
     if not grid:
         raise InsufficientData("need at least one strength to sweep")
     for x in grid:
         if not (math.isfinite(x) and x > 0):
             raise ValueError(f"sweep strength must be positive and finite, got {x}")
-    last = _last_sweep
-    if last is not None and last[0] is hamiltonian and last[1] is perturbation and last[2] == grid:
-        return last[3]
+    return _eigenbasis_pass(hamiltonian, perturbation, grid)
+
+
+@functools.lru_cache(maxsize=1)
+def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, grid):
+    """One sweep pass over a checked grid, kept for the last completed call.
+
+    ``HermitianMatrix`` compares and hashes by identity, so the cache returns
+    the pass for the same H and H' objects and an equal grid: a level sweep
+    and a superposition sweep of one pair diagonalize once between them.  A
+    pass that raises is not kept.  Call it positionally: a keyword call is a
+    different cache key.
+
+    The oracle is warm-started in H's eigenbasis Phi: at each x it takes the
+    eigenvalues of ``Phi^dagger (H + x H') Phi = A0 + x V``, with
+    ``A0 = Phi^dagger H Phi`` (not ``diag(E)``, so the Jacobi remainder of H
+    is kept) and ``V = Phi^dagger H' Phi``, both symmetrized as
+    ``(W + W^dagger)/2`` so that the roundoff of the products cannot break
+    hermiticity.  That matrix is unitarily similar to H + x H' up to the
+    roundoff of Phi and already nearly diagonal, so Jacobi needs two or three
+    sweeps instead of a cold solve's six to eight.  The whole grid is one
+    ``(N, N, B)`` stack, ``A0 + V x`` broadcast over the strengths, and is
+    diagonalized as one, so each numpy call of a Jacobi step serves every
+    strength; each spectrum is bit-identical to :func:`exact_levels`
+    ``(A0, V, x)``.  A stack entry that is not finite (an overflowing H', or
+    a strength large enough to overflow ``x V``) raises ``ValueError`` before
+    the oracle runs.
+    """
     decomp = jacobi_eigendecompose(hamiltonian)
     shifts = level_shifts(perturbation, decomp)
-    base = _in_eigenbasis(hamiltonian, decomp.eigenvectors)
-    coupling = _in_eigenbasis(perturbation, decomp.eigenvectors)
-    stack = np.stack([add_scaled(base, coupling, x).array for x in grid], axis=-1)
+    phi = decomp.eigenvectors
+    products = [phi.conj().T @ m.array @ phi for m in (hamiltonian, perturbation)]
+    base, coupling = [(w + w.conj().T) / 2.0 for w in products]
+    stack = base[..., None] + coupling[..., None] * np.array(grid)
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
     eigensolver._diagonalize(stack, None, eigensolver.DEFAULT_MAX_SWEEPS)
     # One C-ordered row per x: a strided row would change the rounding of dot products.
     spectra = np.diagonal(stack).real.copy()
     spectra.sort(axis=1, kind="stable")
-    exact = tuple(zip(grid, spectra))
-    _last_sweep = (hamiltonian, perturbation, grid, (decomp, shifts, exact))
-    return decomp, shifts, exact
+    return decomp, shifts, tuple(zip(grid, spectra))
 
 
 def level_sweep(
@@ -202,11 +205,8 @@ def level_sweep(
         if not 0 <= level < dim:
             raise DimensionMismatch(f"level {level} out of range for dim {dim}")
     decomp, shifts, exact = _sweep(hamiltonian, perturbation, xs)
-    records: list[SweepRecord] = []
-    for x, spectrum in exact:
-        by_level = pair_and_errors(decomp.eigenvalues + x * shifts, spectrum, x)
-        records.extend(by_level[level] for level in selected)
-    return records
+    by_x = [pair_and_errors(decomp.eigenvalues + x * shifts, spectrum, x) for x, spectrum in exact]
+    return [by_level[level] for by_level in by_x for level in selected]
 
 
 def superposition_sweep(
@@ -228,11 +228,11 @@ def superposition_sweep(
     decomp, shifts, exact = _sweep(hamiltonian, perturbation, xs)
     energy = expected_energy(state, decomp)
     weights = np.abs(state.coefficients) ** 2
-    records = []
-    for x, spectrum in exact:
-        _, e1 = total_energy(energy, shifts, state, x)
-        records.append(SweepRecord.measure(x, SUPERPOSITION_LEVEL, e1, float(weights @ spectrum)))
-    return records
+    eprime = float(weights @ shifts)
+    return [
+        SweepRecord.measure(x, SUPERPOSITION_LEVEL, energy + x * eprime, float(weights @ spectrum))
+        for x, spectrum in exact
+    ]
 
 
 def random_nondegenerate_pair(

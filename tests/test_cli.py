@@ -88,6 +88,20 @@ class TestPerturbCommand:
         assert code == 1
         assert "DegenerateDenominator" in err
 
+    def test_overflowing_state_norm_exit_code(self, capsys, tmp_path):
+        # H' passes the Hermitian checks, but ||b + x a|| overflows: no zero psi1_normalized
+        h = tmp_path / "H.txt"
+        hp = tmp_path / "Hp.txt"
+        h.write_text("4\n1 0 0 0\n0 2 0 0\n0 0 3 0\n0 0 0 4\n")
+        tridiagonal = np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
+        hp.write_text(format_matrix(HermitianMatrix(1.5e308 * tridiagonal)))
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                capsys, "perturb", str(h), str(hp), "--x", "0.01", "--level", "0"
+            )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ValueError: norm of b + x * corrections is not finite")
+
     @pytest.mark.parametrize(
         "h_text, flags, code, a",
         [

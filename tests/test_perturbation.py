@@ -292,6 +292,12 @@ class TestPerturbedState:
         with pytest.raises(ZeroVector):
             perturbed_state(b, np.array([-10.0, 0.0]), 0.1)
 
+    def test_overflowing_norm_rejected(self):
+        # psi1 is finite, but its norm overflows; dividing by it would give zeros
+        b = StateVector.basis_state(4, 0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            perturbed_state(b, np.array([0.0, -1.5e308, 0.0, 0.0]), 0.01)
+
 
 class TestResidualNorm:
     def test_exact_eigenpair_is_zero(self):
@@ -327,6 +333,10 @@ class TestResidualNorm:
     def test_zero_state_rejected(self):
         with pytest.raises(ZeroVector):
             residual_norm(H_2x2, HP_2x2, 0.1, 0.0, np.zeros(2))
+
+    def test_overflowing_norm_rejected(self):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            residual_norm(H_2x2, HP_2x2, 0.1, 0.0, np.array([1.0, 1.5e306]))
 
 
 class TestFirstOrderResult:

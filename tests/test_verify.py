@@ -15,7 +15,7 @@ from qperturb.errors import (
 )
 from qperturb.models import BoxModelSpec, box_hamiltonian, box_potential_matrix, random_hermitian
 from qperturb.numkernel import HermitianMatrix, add_scaled, identity
-from qperturb.perturbation import StateVector
+from qperturb.perturbation import StateVector, first_order
 from qperturb import verify
 from qperturb.verify import (
     DEFAULT_X_GRID,
@@ -129,13 +129,13 @@ class TestWarmStartedOracle:
         "grid", [DEFAULT_X_GRID, (0.5, 0.1, 1e-4, 1e-7)], ids=["default", "wide"]
     )
     def test_stack_members_bit_identical_to_solo(self, monkeypatch, name, grid):
-        monkeypatch.setattr(verify, "_last_sweep", None)
+        verify._eigenbasis_pass.cache_clear()
         h, hp = ORACLE_PAIRS[name]()
         solves = _counting_diagonalize(monkeypatch)
         decomp, _, exact = verify._sweep(h, hp, grid)
         stack_sweeps = solves[1][1]
-        base = verify._in_eigenbasis(h, decomp.eigenvectors)
-        coupling = verify._in_eigenbasis(hp, decomp.eigenvectors)
+        base = _in_eigenbasis(h, decomp.eigenvectors)
+        coupling = _in_eigenbasis(hp, decomp.eigenvectors)
         for (x, spectrum), sweeps in zip(exact, stack_sweeps):
             assert np.array_equal(spectrum, exact_levels(base, coupling, x))
             assert solves[-1] == ("values", [sweeps])  # the solo solve's count
@@ -147,6 +147,12 @@ class TestWarmStartedOracle:
         weights = np.abs(state.coefficients) ** 2
         for record, (x, _) in zip(superposition_sweep(h, hp, state, grid), exact):
             assert record.exact == float(weights @ exact_levels(base, coupling, x))
+
+
+def _in_eigenbasis(matrix, eigenvectors):
+    """Reference ``Phi^dagger A Phi``, symmetrized as ``(W + W^dagger)/2``."""
+    w = eigenvectors.conj().T @ matrix.array @ eigenvectors
+    return HermitianMatrix((w + w.conj().T) / 2.0)
 
 
 def _counting_diagonalize(monkeypatch):
@@ -169,7 +175,7 @@ class TestSharedPass:
     """Sweeps on the same H and H' objects and an equal grid share one pass."""
 
     def test_three_sweeps_one_pass(self, monkeypatch):
-        monkeypatch.setattr(verify, "_last_sweep", None)
+        verify._eigenbasis_pass.cache_clear()
         h, hp = ORACLE_PAIRS["dense-24"]()
         solves = _counting_diagonalize(monkeypatch)
         level_sweep(h, hp)
@@ -191,7 +197,7 @@ class TestSharedPass:
         ids=["equal-h-copy", "other-hp-object", "other-grid"],
     )
     def test_fresh_pass_for_other_inputs(self, monkeypatch, change):
-        monkeypatch.setattr(verify, "_last_sweep", None)
+        verify._eigenbasis_pass.cache_clear()
         h, hp = ORACLE_PAIRS["dense-6"]()
         level_sweep(h, hp)
         solves = _counting_diagonalize(monkeypatch)
@@ -206,20 +212,19 @@ class TestSharedPass:
     def test_shared_records_bit_identical_to_fresh(self, monkeypatch, name):
         h, hp = ORACLE_PAIRS[name]()
         state = StateVector.from_unnormalized(np.arange(1, h.dim + 1) * (1 - 0.5j))
-        monkeypatch.setattr(verify, "_last_sweep", None)
+        verify._eigenbasis_pass.cache_clear()
         fresh_levels = pickle.dumps(level_sweep(h, hp))
-        monkeypatch.setattr(verify, "_last_sweep", None)
+        verify._eigenbasis_pass.cache_clear()
         fresh_sup = pickle.dumps(superposition_sweep(h, hp, state))
-        monkeypatch.setattr(verify, "_last_sweep", None)
+        verify._eigenbasis_pass.cache_clear()
         shared_levels = pickle.dumps(level_sweep(h, hp))
         shared_sup = pickle.dumps(superposition_sweep(h, hp, state))
         assert shared_levels == fresh_levels
         assert shared_sup == fresh_sup
 
     def test_failed_pass_leaves_memo_unchanged(self, monkeypatch):
-        monkeypatch.setattr(verify, "_last_sweep", None)
-        level_sweep(H_2x2, HP_2x2)
-        kept = verify._last_sweep
+        verify._eigenbasis_pass.cache_clear()
+        kept = pickle.dumps(level_sweep(H_2x2, HP_2x2))
         diagonalize = eigensolver._diagonalize
 
         def oracle_fails(work, vecs, max_sweeps):
@@ -231,7 +236,10 @@ class TestSharedPass:
         h, hp = ORACLE_PAIRS["dense-6"]()
         with pytest.raises(NoConvergence):
             level_sweep(h, hp)
-        assert verify._last_sweep is kept
+        # the earlier pass is still the cached one: repeating it solves nothing
+        solves = _counting_diagonalize(monkeypatch)
+        assert pickle.dumps(level_sweep(H_2x2, HP_2x2)) == kept
+        assert solves == []
 
 
 class TestSweepRecord:
@@ -301,6 +309,13 @@ class TestConvergenceOrder:
         assert fit.floored
         assert fit.n_points == 1
 
+    def test_survivors_at_one_strength_are_floored(self):
+        # two points survive the floor, but at one strength: no slope exists
+        fit = fit_order([0.1, 0.1, 1e-3], [1e-3, 1e-3, 1e-20])
+        assert fit.floored
+        assert math.isnan(fit.slope) and math.isnan(fit.intercept)
+        assert fit.n_points == 2
+
     def test_too_few_distinct_strengths(self):
         with pytest.raises(InsufficientData):
             fit_order([1e-1], [1e-3])
@@ -365,7 +380,7 @@ class TestLevelSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("diagonalized before the grid was checked")
 
-        monkeypatch.setattr(verify, "_last_sweep", None)
+        verify._eigenbasis_pass.cache_clear()
         monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
         monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
         monkeypatch.setattr(eigensolver, "_diagonalize", no_solve)
@@ -374,6 +389,32 @@ class TestLevelSweep:
                 superposition_sweep(H_2x2, HP_2x2, StateVector.basis_state(2, 0), [])
             else:
                 level_sweep(H_2x2, HP_2x2, [])
+
+    @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
+    def test_overflowing_perturbation_rejected_before_oracle(self, monkeypatch, superposition):
+        h = HermitianMatrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+        # passes HermitianMatrix's checks, but Phi^dagger H' Phi overflows
+        hp = HermitianMatrix(1.5e308 * (np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)))
+        solves = _counting_diagonalize(monkeypatch)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="matrix entries must be finite"
+        ):
+            if superposition:
+                superposition_sweep(h, hp, StateVector.basis_state(4, 0))
+            else:
+                level_sweep(h, hp)
+        assert [kind for kind, _ in solves] == ["vectors"]
+
+    @pytest.mark.parametrize("name", ["dense-24", "box-12"])
+    def test_perturbative_column_is_first_order_bitwise(self, name):
+        h, hp = ORACLE_PAIRS[name]()
+        records = level_sweep(h, hp)
+        decomp = jacobi_eigendecompose(h)
+        state = StateVector.basis_state(h.dim, 0)
+        for k, x in enumerate(DEFAULT_X_GRID):
+            swept = np.array([r.perturbative for r in records[k * h.dim : (k + 1) * h.dim]])
+            levels = np.sort(first_order(decomp, hp, state, x).perturbed_levels)
+            assert swept.tobytes() == levels.tobytes()
 
 
 class TestSuperpositionSweep:
