@@ -6,8 +6,9 @@ CSV with the header ``x,level,perturbative,exact,abs_error`` followed by
 ``# order level=<n> slope=<s>`` comment lines.  Each command returns its text
 and ``main`` writes it to stdout, exit code 0.  Any package error, ``OSError``
 (such as a missing file) or ``ValueError`` (such as ``--x nan``) maps to a
-single ``error: <Name>: <detail>`` line on stderr and exit code 1; argparse
-usage errors print a usage message on stderr and exit 2.
+single ``error: <Name>: <detail>`` line on stderr and exit code 1; warnings
+raised on the way to such an error are dropped, so that line is all of
+stderr.  argparse usage errors print a usage message on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,11 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        sys.stdout.write(args.func(args))
-    except (QPerturbError, OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    # Warnings (numpy's overflow warnings, say) are held back, and dropped when
+    # the command ends in an error: its one line says what went wrong.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            text = args.func(args)
+        except (QPerturbError, OSError, ValueError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    sys.stdout.write(text)
     return 0
 
 

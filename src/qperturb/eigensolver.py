@@ -116,29 +116,41 @@ def _round_robin_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
     return p[real].reshape(steps, n // 2), q[real].reshape(steps, n // 2)
 
 
-def _step_indices(n: int, slabs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The indices :func:`_sweep` needs, one array per kind with the steps
-    on axis 0.  Per step:
+def _step_indices(n: int, slabs: int) -> list[tuple[np.ndarray, ...]]:
+    """The indices :func:`_sweep` needs, one tuple per step, built once per
+    solve so that a step slices nothing.  For a step's pairs ``(p, q)``:
 
     - ``rows``: rows p and q of every slab of ``x``, as rows of ``x``
-      reshaped to ``(slabs * N, N)``, shaped ``(2, slabs, N // 2)``; its
-      first slab's rows are p and q themselves;
-    - ``entries``: ``A[p,p], A[q,q], A[p,q], A[q,p]`` as flat indices into
-      ``A^T``, concatenated.
+      reshaped to ``(slabs * N, N)``, shaped ``(2, slabs, N // 2)``;
+    - ``first``: ``rows[:, :1]``, the first slab's rows, p and q themselves;
+    - ``read``: ``A[p,p], A[q,q], A[p,q]`` as flat indices into ``A^T``;
+    - ``pivots``: ``A[p,q], A[q,p]``, and ``diagonals``: ``A[p,p], A[q,q]``,
+      the same way.
     """
     p, q = _round_robin_steps(n)
+    k = n // 2
     rows = np.stack([p, q], axis=1)[:, :, None, :] + n * np.arange(slabs)[:, None]
     entries = np.concatenate([p * (n + 1), q * (n + 1), q * n + p, p * n + q], axis=1)
-    return rows, entries
+    return [
+        (r, r[:, :1], e[: 3 * k], e[2 * k :], e[: 2 * k]) for r, e in zip(rows, entries)
+    ]
 
 
-def _rotate(old: np.ndarray, new: np.ndarray, tmp: np.ndarray, cs, sc) -> None:
+def _rotation_operands(old: np.ndarray, new: np.ndarray, tmp: np.ndarray) -> tuple:
+    """:func:`_rotate`'s buffers: ``old``'s halves, ``new`` and ``tmp`` whole
+    and in halves, as views made once per sweep."""
+    return old[0], old[1], new, new[0], new[1], tmp, tmp[0], tmp[1]
+
+
+def _rotate(operands: tuple, cs, sc) -> None:
     """``new = [c*P - s*w*Q, s*P + c*w*Q]`` for ``old = [P, Q]``, with
-    ``cs = [c, s]`` and ``sc = [s*w, c*w]``; ``tmp`` is scratch."""
-    np.multiply(cs, old[0], out=new)
-    np.multiply(sc, old[1], out=tmp)
-    np.subtract(new[0], tmp[0], out=new[0])
-    np.add(new[1], tmp[1], out=new[1])
+    ``cs = [c, s]`` and ``sc = [s*w, c*w]``; ``tmp`` is scratch, and
+    ``operands`` is :func:`_rotation_operands` ``(old, new, tmp)``."""
+    p, q, new, new_p, new_q, tmp, tmp_p, tmp_q = operands
+    np.multiply(cs, p, out=new)
+    np.multiply(sc, q, out=tmp)
+    np.subtract(new_p, tmp_p, out=new_p)
+    np.add(new_q, tmp_q, out=new_q)
 
 
 def _sweep(x: np.ndarray, steps) -> None:
@@ -150,12 +162,14 @@ def _sweep(x: np.ndarray, steps) -> None:
     row update of ``x[:, p]`` and ``x[:, q]``, and ``A <- J^H A`` is a
     column update of ``x[0]``.  Each update gathers into, computes in and
     scatters from buffers allocated once per sweep, so a step allocates no
-    matrix-sized temporary.  Every entry is computed with the same
-    operations on the same operands as in the untransposed layout.
+    matrix-sized temporary, and the views a step passes to numpy are made
+    once per sweep too.  Every entry is computed with the same operations on
+    the same operands as in the untransposed layout.
     """
     slabs, n, tail = x.shape[0], x.shape[1], x.shape[3:]
     k = n // 2
     flat = x[0].reshape((n * n,) + tail)  # views, since x is C-contiguous
+    flat_imag = flat.imag
     x_rows = x.reshape((slabs * n, n) + tail)
     row_starts = np.repeat(n * np.arange(n)[:, None], k, axis=1)
     cols_at = np.empty((2, n, k), dtype=np.intp)
@@ -165,39 +179,46 @@ def _sweep(x: np.ndarray, steps) -> None:
     rows = [b.reshape((2, slabs, k, n) + tail) for b in buffers]
     cols = [b[: 2 * n * k * math.prod(tail)].reshape((2, n, k) + tail) for b in buffers]
     # [c, s] as complex numbers, so the updates' products need no casts;
-    # their imaginary parts stay 0.
+    # their imaginary parts stay 0.  It is updated in place, so its views
+    # below stay valid for the whole sweep.
     cs = np.zeros((2, k) + tail, dtype=x.dtype)
     c, s = cs.real
-    for rows_at, entries in zip(*steps):
-        got = flat[entries[: 3 * k]]
-        apq = got[2 * k :]
+    sc_conj, sc = np.empty_like(cs), np.empty_like(cs)
+    reversed_cs = cs[::-1]
+    row_rotation = _rotation_operands(*rows), cs[:, None, :, None], sc_conj[:, None, :, None]
+    col_rotation = _rotation_operands(*cols), cs[:, None], sc[:, None]
+    # A step's A[p,p], A[q,q] and A[p,q].  mode="clip" lets take write
+    # straight into out, here and below; the indices are in range.
+    got = np.empty((3 * k,) + tail, dtype=x.dtype)
+    app, aqq, apq = got[:k].real, got[k : 2 * k].real, got[2 * k :]
+    for rows_at, first, read, pivots, diagonals in steps:
+        flat.take(read, axis=0, out=got, mode="clip")
         r = np.abs(apq)
         zero = r == 0.0  # already annihilated: identity rotation
         r[zero] = 1.0
         phase = apq / r
         phase[zero] = 1.0
-        tau = (got[k : 2 * k].real - got[:k].real) / (2.0 * r)
+        tau = (aqq - app) / (2.0 * r)
         tau[zero] = np.inf  # so that t = 0
         t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
         np.divide(1.0, np.hypot(1.0, t), out=c)
         np.multiply(t, c, out=s)
         # Unitaries on the (p,q) planes: [[c, s], [-s*conj(phase), c*conj(phase)]].
         # sc_conj = [s*conj(phase), c*conj(phase)], sc = [s*phase, c*phase].
-        sc_conj = cs[::-1] * np.conj(phase)
-        sc = cs[::-1] * phase
+        np.multiply(reversed_cs, np.conj(phase), out=sc_conj)
+        np.multiply(reversed_cs, phase, out=sc)
         # A <- AJ and Phi <- Phi J: rows p and q of x.
-        # mode="clip" lets take write straight into out; the indices are in range.
-        np.take(x_rows, rows_at, axis=0, out=rows[0], mode="clip")
-        _rotate(*rows, cs[:, None, :, None], sc_conj[:, None, :, None])
+        x_rows.take(rows_at, axis=0, out=rows[0], mode="clip")
+        _rotate(*row_rotation)
         x_rows[rows_at] = rows[1]
         # A <- J^H A: columns p and q of A^T.
-        np.add(row_starts, rows_at[:, :1], out=cols_at)
-        np.take(flat, cols_at, axis=0, out=cols[0], mode="clip")
-        _rotate(*cols, cs[:, None], sc[:, None])
+        np.add(row_starts, first, out=cols_at)
+        flat.take(cols_at, axis=0, out=cols[0], mode="clip")
+        _rotate(*col_rotation)
         flat[cols_at] = cols[1]
         # Exact post-conditions of the rotations.
-        flat[entries[2 * k :]] = 0.0
-        flat.imag[entries[: 2 * k]] = 0.0
+        flat[pivots] = 0.0
+        flat_imag[diagonals] = 0.0
 
 
 def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
@@ -219,7 +240,10 @@ def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
     members have converged, only the others are copied for the sweep and
     written back, so every member ends bit-identical to a solve of that
     matrix on its own.  Raises :class:`NoConvergence` for the first member
-    still above its tolerance after ``max_sweeps`` sweeps.
+    still above its tolerance after ``max_sweeps`` sweeps, and ``ValueError``
+    before any rotation when some member's Frobenius norm is not finite (its
+    entries are finite but too large): its tolerance would be infinite, and
+    it would pass as converged untouched.
     """
     members = work[..., None] if work.ndim == 2 else work  # a view: one member for one matrix
 
@@ -228,7 +252,11 @@ def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
 
     count = members.shape[-1]
     # ||A||_F is rotation-invariant.
-    tol = OFFDIAG_RTOL * np.array([np.linalg.norm(member(b)) for b in range(count)])
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(member(b)) for b in range(count)])
+    if not np.isfinite(norms).all():
+        raise ValueError("matrix norm overflows: entries too large to diagonalize")
+    tol = OFFDIAG_RTOL * norms
     parts = [work] if vecs is None else [work, vecs]
     steps = _step_indices(work.shape[0], len(parts))
     sweeps = np.zeros(count, dtype=int)
@@ -264,8 +292,8 @@ def jacobi_eigendecompose(
     pairs at once, which equals applying them one after another because no
     rotation touches another's 2x2 block.  Raises :class:`NoConvergence` if
     the off-diagonal norm is still above ``OFFDIAG_RTOL * ||A||_F`` after
-    ``max_sweeps`` sweeps.  Deterministic: identical input gives
-    bit-identical output.
+    ``max_sweeps`` sweeps, and ``ValueError`` if ``||A||_F`` overflows.
+    Deterministic: identical input gives bit-identical output.
     """
     work = np.array(a.array, dtype=np.complex128)
     vecs = np.eye(a.dim, dtype=np.complex128)

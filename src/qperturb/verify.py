@@ -97,6 +97,15 @@ def pair_and_errors(perturbative, exact, x: float) -> list[SweepRecord]:
     ]
 
 
+def _two_distinct(values: np.ndarray) -> bool:
+    """Whether a 1-D array of finite floats holds at least two distinct values.
+
+    Not ``np.unique``: in numpy 2.x its first call imports ``numpy.ma``, and
+    each later call costs about twice this minimum and maximum.
+    """
+    return bool(values.size) and bool(values.min() < values.max())
+
+
 def fit_order(xs, errors) -> OrderFit:
     """Fit log10(error) vs log10(x), ignoring points at or below ``ERROR_FLOOR``."""
     x_arr = np.asarray(xs, dtype=np.float64)
@@ -105,10 +114,10 @@ def fit_order(xs, errors) -> OrderFit:
         raise DimensionMismatch("xs and errors must be 1-D and equally long")
     if np.any(x_arr <= 0) or not np.isfinite(x_arr).all():
         raise InsufficientData("all strengths must be positive and finite")
-    if np.unique(x_arr).shape[0] < 2:
+    if not _two_distinct(x_arr):
         raise InsufficientData("need at least 2 distinct strengths to fit a slope")
     keep = e_arr > ERROR_FLOOR
-    if np.unique(x_arr[keep]).shape[0] < 2:
+    if not _two_distinct(x_arr[keep]):
         return OrderFit(math.nan, math.nan, int(keep.sum()), True)
     slope, intercept = np.polyfit(np.log10(x_arr[keep]), np.log10(e_arr[keep]), 1)
     return OrderFit(float(slope), float(intercept), int(keep.sum()), False)

@@ -7,7 +7,12 @@ import pytest
 
 from qperturb.cli import main
 from qperturb.fileio import format_matrix, format_vector, parse_matrix
-from qperturb.models import random_hermitian
+from qperturb.models import (
+    BoxModelSpec,
+    box_hamiltonian,
+    box_potential_matrix,
+    random_hermitian,
+)
 from qperturb.numkernel import HermitianMatrix
 
 H_TEXT = "2\n0 0\n0 2\n"
@@ -27,6 +32,11 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_module(*args):
+    """``python -m qperturb`` in a fresh interpreter, output captured."""
+    return subprocess.run([sys.executable, "-m", "qperturb", *args], capture_output=True)
 
 
 def report_value(out, key):
@@ -101,6 +111,21 @@ class TestPerturbCommand:
             )
         assert code == 1 and out == ""
         assert err.startswith("error: ValueError: norm of b + x * corrections is not finite")
+
+    @pytest.mark.parametrize("command", ["perturb", "sweep"])
+    def test_overflow_error_is_all_of_stderr(self, tmp_path, command):
+        # A fresh interpreter with the default warning filters, where numpy's
+        # overflow warnings would reach stderr; the error line must be all of it.
+        h = tmp_path / "H.txt"
+        hp = tmp_path / "Hp.txt"
+        h.write_text("4\n1 0 0 0\n0 2 0 0\n0 0 3 0\n0 0 0 4\n")
+        tridiagonal = np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
+        hp.write_text(format_matrix(HermitianMatrix(1.5e308 * tridiagonal)))
+        flags = ["--x", "0.01", "--level", "0"] if command == "perturb" else []
+        done = _run_module(command, str(h), str(hp), *flags)
+        assert done.returncode == 1 and done.stdout == b""
+        lines = done.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ValueError: ")
 
     @pytest.mark.parametrize(
         "h_text, flags, code, a",
@@ -204,6 +229,26 @@ class TestSweepCommand:
         order = [l for l in out.splitlines() if l.startswith("# order")]
         assert order and "level=-1" in order[0]
 
+    def test_numpy_ma_not_imported(self, tmp_path):
+        # A fresh interpreter: pytest or hypothesis may have imported numpy.ma here.
+        spec = BoxModelSpec(4, math.pi, "linear", 1.0)
+        h = tmp_path / "H.txt"
+        hp = tmp_path / "Hp.txt"
+        h.write_text(format_matrix(box_hamiltonian(spec)))
+        hp.write_text(format_matrix(box_potential_matrix(spec)))
+        script = (
+            "import sys\n"
+            "from qperturb import cli\n"
+            f"code = cli.main(['sweep', {str(h)!r}, {str(hp)!r}])\n"
+            "loaded = [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']]\n"
+            "sys.stderr.write(repr(sorted(loaded)))\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert done.returncode == 0
+        assert done.stdout.startswith(b"x,level,perturbative,exact,abs_error\n")
+        assert done.stderr == b"[]"
+
     def test_byte_identical_across_processes(self, tmp_path):
         h = tmp_path / "H.txt"
         hp = tmp_path / "Hp.txt"
@@ -217,6 +262,16 @@ class TestSweepCommand:
 
 
 class TestSpectrumCommand:
+    def test_overflowing_norm_exit_code(self, tmp_path):
+        # finite entries whose norm overflows: no silent eigenvalues -1 and 1
+        h = tmp_path / "H.txt"
+        h.write_text("2\n1 1e200\n1e200 -1\n")
+        done = _run_module("spectrum", str(h))
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr.decode().splitlines() == [
+            "error: ValueError: matrix norm overflows: entries too large to diagonalize"
+        ]
+
     def test_reports_levels_and_vectors(self, capsys, matrix_files):
         h, _ = matrix_files
         code, out, _ = run_cli(capsys, "spectrum", h)

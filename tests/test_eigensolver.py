@@ -131,6 +131,15 @@ class TestJacobi:
             jacobi_eigendecompose(HermitianMatrix([[0, 1], [1, 0]]), max_sweeps=0)
         assert exc.value.sweeps == 0
 
+    @pytest.mark.parametrize(
+        "solve", [jacobi_eigendecompose, jacobi_eigenvalues], ids=["vectors", "values"]
+    )
+    def test_overflowing_norm_rejected(self, solve):
+        # finite entries, but ||A||_F overflows: an infinite tolerance would
+        # return the diagonal (-1, 1) instead of about (-1e200, 1e200)
+        with pytest.raises(ValueError, match="matrix norm overflows"):
+            solve(HermitianMatrix([[1.0, 1e200], [1e200, -1.0]]))
+
     def test_zero_matrix(self):
         dec = jacobi_eigendecompose(HermitianMatrix(np.zeros((3, 3))))
         np.testing.assert_array_equal(dec.eigenvalues, np.zeros(3))
@@ -264,6 +273,14 @@ class TestStackedJacobi:
     def test_all_diagonal_stack_takes_no_sweep(self):
         stack = _stack([np.diag([1.0, 2.0]), np.diag([3.0, -3.0])])
         assert _diagonalize(stack, None, 0).tolist() == [0, 0]
+
+    def test_overflowing_member_rejected_before_any_rotation(self):
+        dense = random_hermitian(95, 6).array
+        stack = _stack([dense, 1e154 * dense])
+        before = stack.copy()
+        with pytest.raises(ValueError, match="matrix norm overflows"):
+            _diagonalize(stack, None, 100)
+        assert np.array_equal(stack, before)
 
     def test_member_that_cannot_converge(self):
         dense = random_hermitian(90, 8).array

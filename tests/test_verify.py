@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qperturb import eigensolver
 from qperturb.eigensolver import jacobi_eigendecompose
@@ -19,6 +21,7 @@ from qperturb.perturbation import StateVector, first_order
 from qperturb import verify
 from qperturb.verify import (
     DEFAULT_X_GRID,
+    ERROR_FLOOR,
     SUPERPOSITION_LEVEL,
     OrderFit,
     SweepRecord,
@@ -326,6 +329,34 @@ class TestConvergenceOrder:
         with pytest.raises(InsufficientData):
             fit_order([1e-1, -1e-2], [1e-3, 1e-4])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(DEFAULT_X_GRID),
+                st.sampled_from([0.0, 1e-20, ERROR_FLOOR, 2e-12, 1e-6, 1e-3]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example([(0.1, 1e-3), (0.1, 1e-3)])  # one strength repeated
+    @example([(0.1, ERROR_FLOOR), (0.01, 1e-20), (0.001, 0.0)])  # all at or below the floor
+    @example([(0.1, 1e-3), (0.01, ERROR_FLOOR), (0.001, 1e-20)])  # one survivor
+    @example([(0.1, 1e-3), (0.1, 1e-6), (0.001, 1e-20)])  # survivors at one strength
+    def test_distinct_strength_rule_matches_set_reference(self, points):
+        xs = [x for x, _ in points]
+        errors = [e for _, e in points]
+        survivors = [x for x, e in points if e > ERROR_FLOOR]
+        if len(set(xs)) < 2:
+            with pytest.raises(InsufficientData, match="2 distinct strengths"):
+                fit_order(xs, errors)
+            return
+        fit = fit_order(xs, errors)
+        assert fit.n_points == len(survivors)
+        assert fit.floored == (len(set(survivors)) < 2)
+        assert math.isnan(fit.slope) == fit.floored
+
     def test_intercept_from_known_line(self):
         # errors = 0.05 x^2 -> intercept = log10(0.05)
         fit = fit_order([1e-1, 1e-2, 1e-3], [0.05 * x**2 for x in (1e-1, 1e-2, 1e-3)])
@@ -404,6 +435,18 @@ class TestLevelSweep:
             else:
                 level_sweep(h, hp)
         assert [kind for kind, _ in solves] == ["vectors"]
+
+    @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
+    def test_overflowing_oracle_norm_rejected(self, superposition):
+        h = HermitianMatrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+        # the stack is finite, but the x = 0.1 member's Frobenius norm overflows
+        hp = HermitianMatrix(1e155 * (np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)))
+        verify._eigenbasis_pass.cache_clear()
+        with pytest.raises(ValueError, match="matrix norm overflows"):
+            if superposition:
+                superposition_sweep(h, hp, StateVector.basis_state(4, 0))
+            else:
+                level_sweep(h, hp)
 
     @pytest.mark.parametrize("name", ["dense-24", "box-12"])
     def test_perturbative_column_is_first_order_bitwise(self, name):
