@@ -62,7 +62,6 @@ from .verify import (
     exact_levels,
     fit_order,
     level_sweep,
-    pair_and_errors,
     random_nondegenerate_pair,
     records_for_level,
     superposition_sweep,
@@ -115,7 +114,6 @@ __all__ = [
     "level_sweep",
     "matrix_element",
     "matvec",
-    "pair_and_errors",
     "parse_matrix",
     "parse_vector",
     "perturbed_state",

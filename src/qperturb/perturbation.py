@@ -155,8 +155,11 @@ def correction_coefficients(
     |E - E_m| <= tol_degen * (E_max - E_min + 1) are treated as removable
     0/0 (a_m = 0) when |nu_m| <= tol_num * ||H'||_F, and rejected with
     :class:`DegenerateDenominator` otherwise; when several levels qualify,
-    the lowest offending index m is the one reported.
+    the lowest offending index m is the one reported.  Both tolerances must
+    be finite and non-negative (``ValueError`` otherwise).
     """
+    if not all(math.isfinite(tol) and tol >= 0 for tol in (tol_degen, tol_num)):
+        raise ValueError(f"tol_degen={tol_degen}, tol_num={tol_num}: both must be finite and >= 0")
     if not (perturbation.dim == decomp.dim == state.dim):
         raise DimensionMismatch(
             f"dims disagree: perturbation {perturbation.dim}, basis {decomp.dim}, "

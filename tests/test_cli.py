@@ -128,16 +128,25 @@ class TestPerturbCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ValueError: ")
 
     @pytest.mark.parametrize(
-        "h_text, flags, code, a",
+        "h_text, flags, code, expect",
         [
             # H = 1 (default: test_degenerate_exit_code): every denominator is 0,
             # and the numerator 1 passes as noise up to tol_num * ||H'||_F = sqrt(2).
             ("2\n1 0\n0 1\n", ["--tol-num", "1"], 0, "(0,0), (0,0)"),
             ("2\n1 0\n0 1.000001\n", [], 0, None),
             ("2\n1 0\n0 1.000001\n", ["--tol-degen", "1e-3"], 1, None),
+            # A tolerance that is NaN, infinite or negative is rejected up front.
+            ("2\n1 0\n0 1\n", ["--tol-num", "nan"], 1, "ValueError"),
+            ("2\n1 0\n0 1\n", ["--tol-num", "-1"], 1, "ValueError"),
+            ("2\n1 0\n0 1\n", ["--tol-num", "inf"], 1, "ValueError"),
+            ("2\n0 0\n0 1\n", ["--tol-degen", "nan"], 1, "ValueError"),
+            ("2\n0 0\n0 1\n", ["--tol-degen", "-1"], 1, "ValueError"),
+            ("2\n0 0\n0 1\n", ["--tol-degen", "inf"], 1, "ValueError"),
         ],
     )
-    def test_tolerance_flags(self, capsys, tmp_path, h_text, flags, code, a):
+    def test_tolerance_flags(self, capsys, tmp_path, h_text, flags, code, expect):
+        """``expect``: the report's ``a`` line on exit 0, the error name on exit 1
+        (``DegenerateDenominator`` when None)."""
         h = tmp_path / "H.txt"
         h.write_text(h_text)
         hp = tmp_path / "Hp.txt"
@@ -145,9 +154,14 @@ class TestPerturbCommand:
         args = ["perturb", str(h), str(hp), "--x", "0.1", "--level", "0", *flags]
         got, out, err = run_cli(capsys, *args)
         assert got == code
-        assert ("DegenerateDenominator" in err) == (code == 1)
-        if a is not None:
-            assert report_value(out, "a") == a
+        if code:
+            lines = err.splitlines()
+            assert out == "" and len(lines) == 1
+            assert lines[0].startswith(f"error: {expect or 'DegenerateDenominator'}: ")
+        else:
+            assert err == ""
+            if expect is not None:
+                assert report_value(out, "a") == expect
 
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(

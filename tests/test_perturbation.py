@@ -177,6 +177,23 @@ class TestCorrectionCoefficients:
         a = correction_coefficients(HP_2x2, dec_2x2, b, energy, eprime)
         np.testing.assert_allclose(a, [INV_SQRT2, -INV_SQRT2], atol=1e-15)
 
+    @pytest.mark.parametrize("name", ["tol_degen", "tol_num"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_invalid_tolerance_rejected(self, dec_2x2, name, value):
+        b = StateVector.basis_state(2, 0)
+        with pytest.raises(ValueError, match=f"{name}={value}"):
+            correction_coefficients(HP_2x2, dec_2x2, b, 0.0, 0.0, **{name: value})
+        with pytest.raises(ValueError, match=f"{name}={value}"):
+            first_order(dec_2x2, HP_2x2, b, 0.1, **{name: value})
+
+    @pytest.mark.parametrize("name", ["tol_degen", "tol_num"])
+    def test_zero_tolerance_accepted(self, dec_2x2, name):
+        b = StateVector.basis_state(2, 0)
+        a = correction_coefficients(HP_2x2, dec_2x2, b, 0.0, 0.0, **{name: 0.0})
+        np.testing.assert_allclose(a, [0.0, -0.5], atol=1e-15)
+        res = first_order(dec_2x2, HP_2x2, b, 0.1, **{name: 0.0})
+        np.testing.assert_allclose(res.corrections, [0.0, -0.5], atol=1e-15)
+
     def test_textbook_reduction_on_random_instances(self):
         # eigenstate mode must reproduce a_m = <phi_m|H'|phi_n>/(E_n - E_m), a_n = 0
         for seed in range(8):

@@ -29,7 +29,6 @@ from qperturb.verify import (
     exact_levels,
     fit_order,
     level_sweep,
-    pair_and_errors,
     random_nondegenerate_pair,
     records_for_level,
     superposition_sweep,
@@ -135,11 +134,11 @@ class TestWarmStartedOracle:
         verify._eigenbasis_pass.cache_clear()
         h, hp = ORACLE_PAIRS[name]()
         solves = _counting_diagonalize(monkeypatch)
-        decomp, _, exact = verify._sweep(h, hp, grid)
+        _, decomp, _, _, exact = verify._sweep(h, hp, grid)
         stack_sweeps = solves[1][1]
         base = _in_eigenbasis(h, decomp.eigenvectors)
         coupling = _in_eigenbasis(hp, decomp.eigenvectors)
-        for (x, spectrum), sweeps in zip(exact, stack_sweeps):
+        for x, spectrum, sweeps in zip(grid, exact, stack_sweeps):
             assert np.array_equal(spectrum, exact_levels(base, coupling, x))
             assert solves[-1] == ("values", [sweeps])  # the solo solve's count
         if name.startswith("dense") and grid != DEFAULT_X_GRID:
@@ -148,7 +147,7 @@ class TestWarmStartedOracle:
         # the weighted totals too: a strided spectrum row would round differently
         state = StateVector.from_unnormalized(np.arange(1, h.dim + 1) * (1 - 0.5j))
         weights = np.abs(state.coefficients) ** 2
-        for record, (x, _) in zip(superposition_sweep(h, hp, state, grid), exact):
+        for record, x in zip(superposition_sweep(h, hp, state, grid), grid):
             assert record.exact == float(weights @ exact_levels(base, coupling, x))
 
 
@@ -261,31 +260,6 @@ class TestSweepRecord:
             SweepRecord(0.1, 0, 1.0, 2.0, 0.5)
 
 
-class TestPairAndErrors:
-    def test_identical_inputs(self):
-        recs = pair_and_errors([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0.1)
-        assert [r.abs_error for r in recs] == [0.0, 0.0, 0.0]
-
-    def test_arithmetic_example(self):
-        recs = pair_and_errors([0.0, 2.0], [-0.005, 2.005], 0.1)
-        assert [r.level for r in recs] == [0, 1]
-        assert recs[0].abs_error == pytest.approx(0.005, abs=1e-15)
-        assert recs[1].abs_error == pytest.approx(0.005, abs=1e-15)
-
-    def test_single_level(self):
-        recs = pair_and_errors([1.5], [1.75], 0.2)
-        assert len(recs) == 1
-        assert recs[0].abs_error == pytest.approx(0.25, abs=1e-15)
-
-    def test_sorts_before_pairing(self):
-        recs = pair_and_errors([3.0, 1.0], [1.0, 3.0], 0.1)
-        assert all(r.abs_error == 0.0 for r in recs)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            pair_and_errors([1.0], [1.0, 2.0], 0.1)
-
-
 class TestConvergenceOrder:
     def test_exact_quadratic_data(self):
         recs = [
@@ -375,6 +349,17 @@ class TestLevelSweep:
         recs = level_sweep(H_2x2, HP_2x2, levels=[1])
         assert {r.level for r in recs} == {1}
         assert len(recs) == len(DEFAULT_X_GRID)
+        # A fresh restricted pass gives the full sweep's records for those
+        # levels, bit for bit and in the requested order.
+        for name in ("dense-24", "box-12"):
+            h, hp = ORACLE_PAIRS[name]()
+            levels = [h.dim - 1, 0]
+            verify._eigenbasis_pass.cache_clear()
+            full = {(r.x, r.level): r for r in level_sweep(h, hp)}
+            verify._eigenbasis_pass.cache_clear()
+            recs = level_sweep(h, hp, levels=levels)
+            want = [full[x, level] for x in DEFAULT_X_GRID for level in levels]
+            assert pickle.dumps(recs) == pickle.dumps(want)
 
     def test_identity_perturbation_floored(self):
         recs = level_sweep(H_2x2, identity(2))
