@@ -1,6 +1,7 @@
 """First-order perturbation of dense Hermitian matrices.
 
-Build H and H', diagonalize H with the built-in Jacobi eigensolver, expand
+Build H and H', diagonalize H with the built-in eigensolver (a Householder /
+multisection start basis that Jacobi rotations finish and certify), expand
 a state over the eigenbasis, and get first-order energies and the corrected
 eigenstate; every result can be checked against exact diagonalization of
 H + x H' with quantitative convergence-order fits.

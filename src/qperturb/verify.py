@@ -76,12 +76,9 @@ def exact_levels(
 ) -> np.ndarray:
     """Ascending eigenvalues of H + x H', diagonalized exactly at finite x.
 
-    Eigenvalues only: no eigenvector is accumulated.  Bit-identical to
-    ``jacobi_eigendecompose(add_scaled(H, H', x)).eigenvalues``, and, given
-    A0 and V (the swept pair written in the swept H's eigenbasis) as H and
-    H', to the member for x of the sweeps' broadcast stack ``A0 + V x``.
-    Not cached: only the sweeps' pass is.  Cheapest when H is nearly
-    diagonal.
+    Eigenvalues only: the finishing sweeps accumulate no eigenvector.
+    Bit-identical to ``jacobi_eigendecompose(add_scaled(H, H', x)).eigenvalues``.
+    Not cached: only the sweeps' pass is.
     """
     return jacobi_eigenvalues(add_scaled(hamiltonian, perturbation, x))
 
@@ -164,13 +161,13 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     ``(W + W^dagger)/2`` so that the roundoff of the products cannot break
     hermiticity.  That matrix is unitarily similar to H + x H' up to the
     roundoff of Phi and already nearly diagonal, so Jacobi needs two or three
-    sweeps instead of a cold solve's six to eight.  The whole grid is one
+    sweeps from the identity, with no start basis.  The whole grid is one
     ``(N, N, B)`` stack, ``A0 + V x`` broadcast over the strengths, and is
     diagonalized as one, so each numpy call of a Jacobi step serves every
-    strength; each spectrum is bit-identical to :func:`exact_levels`
-    ``(A0, V, x)``.  A stack entry that is not finite (an overflowing H', or
-    a strength large enough to overflow ``x V``) raises ``ValueError`` before
-    the oracle runs.
+    strength; each spectrum is bit-identical to a values-only Jacobi solve
+    of ``A0 + V x`` on its own.  A stack entry that is not finite (an
+    overflowing H', or a strength large enough to overflow ``x V``) raises
+    ``ValueError`` before the oracle runs.
     """
     decomp = jacobi_eigendecompose(hamiltonian)
     shifts = level_shifts(perturbation, decomp)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qperturb import eigensolver
 from qperturb.eigensolver import (
     SpectralDecomposition,
     _diagonalize,
@@ -128,7 +131,7 @@ class TestJacobi:
 
     def test_no_convergence_error(self):
         with pytest.raises(NoConvergence) as exc:
-            jacobi_eigendecompose(HermitianMatrix([[0, 1], [1, 0]]), max_sweeps=0)
+            _solo([[0, 1], [1, 0]], True, max_sweeps=0)
         assert exc.value.sweeps == 0
 
     @pytest.mark.parametrize(
@@ -139,6 +142,35 @@ class TestJacobi:
         # return the diagonal (-1, 1) instead of about (-1e200, 1e200)
         with pytest.raises(ValueError, match="matrix norm overflows"):
             solve(HermitianMatrix([[1.0, 1e200], [1e200, -1.0]]))
+
+    @pytest.mark.parametrize(
+        "solve", [jacobi_eigendecompose, jacobi_eigenvalues], ids=["vectors", "values"]
+    )
+    def test_underflowing_norm_rejected(self, solve):
+        # ||A||_F squares into 0: a zero tolerance and off-diagonal norm would
+        # return the diagonal (0, 0) instead of (-1e-200, 1e-200)
+        with pytest.raises(ValueError, match="matrix norm underflows"):
+            solve(HermitianMatrix([[0.0, 1e-200], [1e-200, 0.0]]))
+
+    def test_norm_just_above_underflow_is_solved(self):
+        # ||A||_F passes the underflow check, but unscaled the off-diagonal
+        # entries square to 0: taken as converged, the identity vectors would
+        # leave a residual of 5e-10 ||A||_F
+        tiny = np.array([[1.5e-154, 1e-163], [1e-163, -1.5e-154]])
+        dec = jacobi_eigendecompose(HermitianMatrix(tiny))
+        scale = 2.0**520  # exact; keeps the gates' own squares normal
+        scaled = SpectralDecomposition(scale * dec.eigenvalues, dec.eigenvectors)
+        _assert_gates(HermitianMatrix(scale * tiny), scaled)
+        stack = _stack([random_hermitian(97, 2).array, tiny])
+        assert _diagonalize(stack, None, 100)[1] == 1
+
+    def test_underflowing_stack_member_rejected_before_any_rotation(self):
+        dense = random_hermitian(96, 6).array
+        stack = _stack([dense, 1e-160 * dense])
+        before = stack.copy()
+        with pytest.raises(ValueError, match="matrix norm underflows"):
+            _diagonalize(stack, None, 100)
+        assert np.array_equal(stack, before)
 
     def test_zero_matrix(self):
         dec = jacobi_eigendecompose(HermitianMatrix(np.zeros((3, 3))))
@@ -352,6 +384,123 @@ class TestSweepLayout:
         _diagonalize(np.array(matrix), started, 100)
         np.testing.assert_allclose(started, u @ phi, rtol=0, atol=1e-12)
         assert np.linalg.norm(started - phi @ u) > 1e-3
+
+
+def _prescribed(levels, seed=0):
+    """``U diag(E) U^H`` with U the Q factor of a seeded complex Gaussian matrix."""
+    levels = np.asarray(levels, dtype=float)
+    n = levels.size
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return HermitianMatrix((u * levels) @ u.conj().T)
+
+
+_BLOCK = [[1.0, 2.0 - 1j, 0.5], [2.0 + 1j, -1.0, 0.3j], [0.5, -0.3j, 4.0]]
+# Wilkinson's W21+: pairs of eigenvalues that agree to about 1e-14.
+_WILKINSON = np.diag(np.abs(np.arange(-10.0, 11.0))) + np.eye(21, k=1) + np.eye(21, k=-1)
+HARD_SPECTRA = {
+    "triple": lambda: _prescribed([-1.0, 0.5, 0.5, 0.5, 2.0, 3.0], seed=1),
+    "split-1e-9": lambda: _prescribed([-1.0, 0.5, 0.5 + 1e-9, 2.0, 3.0, 0.5 - 1e-9], seed=2),
+    "six-4-fold": lambda: _prescribed(np.repeat(np.arange(6.0) - 2.5, 4), seed=3),
+    "block-repeats": lambda: HermitianMatrix(np.kron(np.eye(5), _BLOCK)),
+    "identity-8": lambda: identity(8),
+    "sigma-x": lambda: HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]),
+    "scale-1e100": lambda: HermitianMatrix(1e100 * random_hermitian(7, 12).array),
+    "scale-1e-100": lambda: HermitianMatrix(1e-100 * random_hermitian(7, 12).array),
+    "wilkinson-21": lambda: HermitianMatrix(_WILKINSON),
+    # A sub-column whose squares are subnormal: its reflector would not be unitary.
+    "coupling-1e-160": lambda: HermitianMatrix([[1.0, 1e-160, 0.0], [1e-160, 2.0, 1.0],
+                                                [0.0, 1.0, 3.0]]),
+    **{
+        f"dense-{n}": (lambda n=n: random_hermitian(700 + n, n))
+        for n in [*range(1, 10), 16, 33, 64, 128]
+    },
+}
+
+
+def _assert_gates(matrix, dec):
+    """Residual and orthogonality within 1e-10, eigenvalues within
+    ``1e-12 * max(1, ||H||_2)`` of numpy's ``eigvalsh``."""
+    h = matrix.array
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    np.testing.assert_allclose(
+        lam, np.linalg.eigvalsh(h), rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(h, 2))
+    )
+    assert np.linalg.norm(h @ v - v * lam) <= 1e-10 * np.linalg.norm(h)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(matrix.dim)) <= 1e-10
+
+
+def _counting_finish(monkeypatch):
+    """Record the sweep count of every ``_diagonalize`` call."""
+    diagonalize = eigensolver._diagonalize
+    sweeps = []
+
+    def counting(work, vecs, max_sweeps):
+        sweeps.append(diagonalize(work, vecs, max_sweeps))
+        return sweeps[-1]
+
+    monkeypatch.setattr(eigensolver, "_diagonalize", counting)
+    return sweeps
+
+
+class TestStartBasis:
+    """The cold solve starts from a Householder/multisection basis and Jacobi
+    only finishes it."""
+
+    @pytest.mark.parametrize("name", HARD_SPECTRA)
+    def test_gates_and_repeatability(self, monkeypatch, name):
+        matrix = HARD_SPECTRA[name]()
+        sweeps = _counting_finish(monkeypatch)
+        dec = jacobi_eigendecompose(matrix)
+        _assert_gates(matrix, dec)
+        assert sweeps == [0]  # the start already meets the tolerance
+        again = jacobi_eigendecompose(matrix)
+        assert np.array_equal(again.eigenvalues, dec.eigenvalues)
+        assert np.array_equal(again.eigenvectors, dec.eigenvectors)
+        assert np.array_equal(jacobi_eigenvalues(matrix), dec.eigenvalues)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-60, 60),
+    )
+    def test_random_hermitian_property(self, n, seed, exponent):
+        matrix = HermitianMatrix(2.0**exponent * random_hermitian(seed, n).array)
+        _assert_gates(matrix, jacobi_eigendecompose(matrix))
+
+    @settings(max_examples=20, deadline=None)
+    @given(levels=st.lists(st.integers(-3, 3), min_size=1, max_size=40), seed=st.integers(0, 99))
+    def test_degenerate_spectra_property(self, levels, seed):
+        matrix = _prescribed(levels, seed)
+        _assert_gates(matrix, jacobi_eigendecompose(matrix))
+
+    @pytest.mark.parametrize("n", [5, 24])
+    def test_poor_start_is_finished_by_sweeps(self, monkeypatch, n):
+        # A random unitary in place of the start: the finish must rotate until
+        # the same criterion holds, never return the poor start as it is.
+        def random_unitary(a):
+            rng = np.random.default_rng(n)
+            return np.linalg.qr(rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))[0]
+
+        monkeypatch.setattr(eigensolver, "_start_basis", random_unitary)
+        sweeps = _counting_finish(monkeypatch)
+        matrix = random_hermitian(800 + n, n)
+        _assert_gates(matrix, jacobi_eigendecompose(matrix))
+        assert sweeps[0] >= 1
+
+    def test_diagonal_input_skips_the_start(self, monkeypatch):
+        def no_start(a):
+            raise AssertionError("the start ran on a diagonal matrix")
+
+        monkeypatch.setattr(eigensolver, "_start_basis", no_start)
+        dec = jacobi_eigendecompose(HermitianMatrix(np.diag([2.0, -1.0, 0.5])))
+        np.testing.assert_array_equal(dec.eigenvalues, [-1.0, 0.5, 2.0])
+
+    def test_non_finite_start_rejected(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_start_basis", lambda a: np.full(a.shape, np.nan + 0j))
+        with pytest.raises(ValueError, match="start basis is not finite"):
+            jacobi_eigendecompose(random_hermitian(5, 4))
 
 
 class TestFixPhase:
