@@ -22,21 +22,22 @@ and comes back bit for bit.
 
 Eigenvalues are returned ascending, eigenvector columns permuted in
 lockstep, and each column's phase is fixed so results are deterministic and
-comparable.  :func:`jacobi_eigenvalues` takes the same start and the same
-rotations without accumulating eigenvectors.  The sweep loop also serves
-the sweeps' oracle, which starts from H's eigenbasis instead: on a nearly
-diagonal matrix (an operator written in the eigenbasis of a nearby one)
-cyclic Jacobi converges quadratically, in two or three sweeps.  That loop
-takes an ``(N, N, B)`` stack of B matrices, so that each numpy call of a
-step serves all B members; every member ends bit-identical to a solve of
-its own.
+comparable.  :func:`jacobi_eigendecompose` is the one cold solve; a caller
+that needs only eigenvalues reads its ``eigenvalues``.  The sweep loop also
+serves the sweeps' oracle, which starts from H's eigenbasis instead: on a
+nearly diagonal matrix (an operator written in the eigenbasis of a nearby
+one) cyclic Jacobi converges quadratically, in two or three sweeps.  That
+loop takes an ``(N, N, B)`` stack of B matrices, so that each numpy call of
+a step serves all B members; every member ends bit-identical to a solve of
+its own, because each member's norms are summed over its own C-ordered
+entries.
 
 A sweep runs on one C-contiguous copy ``[A^T, Phi^T]`` of the matrix and its
 eigenvectors.  Transposed, the column updates ``A <- AJ`` and
 ``Phi <- Phi J`` of a step are one contiguous row update of both, and
 ``A <- J^H A`` is a column update of ``A^T``; a step reads and resets its
-pivots and diagonal entries through precomputed flat indices, and works in
-buffers allocated once per sweep.
+pivots and diagonal entries through flat indices built when a solve's first
+sweep runs, and works in buffers allocated once per sweep.
 """
 
 from __future__ import annotations
@@ -117,27 +118,36 @@ def _fix_phases(columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
+def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``||A||_F`` and the off-diagonal Frobenius norm of every member A of an
+    ``(N, N, B)`` stack (one matrix ``a`` is the stack ``a[..., None]``).
 
-
-def _checked_norm(a: np.ndarray) -> float:
-    """``||A||_F`` of one matrix; ``ValueError`` when it overflows, or
-    underflows while A is not 0.
-
-    The sweeps square entries, and so does the norm: finite entries such as
-    ``1e200`` give an infinite norm and tolerance, and entries below about
-    ``1.5e-154`` square into zero or subnormals, so that the norm, the
+    Each norm is summed over the member's own C-ordered entries, one BLAS dot
+    per real and imaginary part as in ``np.linalg.norm``, so a member's norms
+    round the same for any B and any memory layout of the stack.  Raises
+    ``ValueError`` when some ``||A||_F`` overflows, or underflows while A is
+    not 0.  The sweeps square entries, and so do the norms: finite entries
+    such as ``1e200`` give an infinite norm and tolerance, and entries below
+    about ``1.5e-154`` square into zero or subnormals, so that the norm, the
     tolerance and the off-diagonal norm all collapse.  Either way the matrix
     would pass as converged with its diagonal as the spectrum.
     """
+    n, _, count = members.shape
+    # A C-ordered copy, one row per member; its diagonal is zeroed below.
+    flat = np.array(np.moveaxis(members, -1, 0), order="C").reshape(count, n * n)
+
+    def norms():
+        re, im = flat.real[:, None], flat.imag[:, None]
+        return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if not math.isfinite(norm):
-        raise ValueError("matrix norm overflows: entries too large to diagonalize")
-    if norm < _SMALLEST_NORM and a.any():
-        raise ValueError("matrix norm underflows: entries too small to diagonalize")
-    return norm
+        frobenius = norms()
+        if not np.isfinite(frobenius).all():
+            raise ValueError("matrix norm overflows: entries too large to diagonalize")
+        if ((frobenius < _SMALLEST_NORM) & flat.any(axis=1)).any():
+            raise ValueError("matrix norm underflows: entries too small to diagonalize")
+        flat[:, :: n + 1] = 0.0
+        return frobenius, norms()
 
 
 def _unit_scales(norms):
@@ -167,7 +177,7 @@ def _round_robin_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _step_indices(n: int, slabs: int) -> list[tuple[np.ndarray, ...]]:
     """The indices :func:`_sweep` needs, one tuple per step, built once per
-    solve so that a step slices nothing.  For a step's pairs ``(p, q)``:
+    solve that sweeps so that a step slices nothing.  For a step's pairs ``(p, q)``:
 
     - ``rows``: rows p and q of every slab of ``x``, as rows of ``x``
       reshaped to ``(slabs * N, N)``, shaped ``(2, slabs, N // 2)``;
@@ -291,15 +301,12 @@ def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
     matrix on its own.  Raises :class:`NoConvergence` for the first member
     still above its tolerance after ``max_sweeps`` sweeps, and ``ValueError``
     before any rotation when some member's Frobenius norm overflows or
-    underflows (see :func:`_checked_norm`).
+    underflows (see :func:`_norms`).  The step indices are built when the
+    first sweep runs, so a solve that needs none builds none.
     """
     members = work[..., None] if work.ndim == 2 else work  # a view: one member for one matrix
-
-    def member(b):  # C order, so the norms below round the same for any layout of work
-        return np.ascontiguousarray(members[..., b])
-
     count = members.shape[-1]
-    norms = np.array([_checked_norm(member(b)) for b in range(count)])
+    norms = _norms(members)[0]
     # A member with a norm below 0.5 is scaled up by an exact power of two
     # to a norm in [0.5, 1) for the sweeps, so that the off-diagonal norms
     # square no entry that counts into a subnormal; the rotations commute
@@ -309,10 +316,10 @@ def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
     members *= scales
     tol = OFFDIAG_RTOL * norms * scales  # ||A||_F is rotation-invariant
     parts = [work] if vecs is None else [work, vecs]
-    steps = _step_indices(work.shape[0], len(parts))
+    steps = None
     sweeps = np.zeros(count, dtype=int)
     while True:
-        off_norms = np.array([_offdiag_norm(member(b)) for b in range(count)])
+        off_norms = _norms(members)[1]
         active = np.flatnonzero(off_norms > tol)
         if active.size == 0:
             break
@@ -320,6 +327,8 @@ def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
         if sweeps[first] >= max_sweeps:
             members /= scales
             raise NoConvergence(int(sweeps[first]), float(off_norms[first] / scales[first]))
+        if steps is None:
+            steps = _step_indices(work.shape[0], len(parts))
         # Only a stack can have converged members; they are left out of the sweep.
         sel = ... if active.size == count else (..., active)
         x = np.empty((len(parts),) + work[sel].shape, dtype=np.complex128)
@@ -499,31 +508,6 @@ def _start_basis(a: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _started(a: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix and the eigenvectors that the finishing sweeps start from.
-
-    ``(A, I)`` when A already meets the tolerance, so that diagonal input
-    comes back bit for bit; otherwise ``(W, Phi0)`` with ``Phi0`` the
-    :func:`_start_basis` and ``W = (Phi0^H A Phi0 + h.c.) / 2``.  The norm
-    checks of :func:`_checked_norm` run first.  The tolerance test and the
-    start see A scaled by an exact power of two to ``||A||_F`` in [0.5, 1),
-    which scales the eigenvalues the same way, leaves the eigenvectors as
-    they are, and keeps every square that counts clear of the subnormals.
-    A W that is not finite is left to the norm check of :func:`_diagonalize`.
-    """
-    work = np.array(a.array, dtype=np.complex128)
-    norm = _checked_norm(work)
-    scale = _unit_scales(norm)
-    scaled = work * scale
-    if _offdiag_norm(scaled) <= OFFDIAG_RTOL * norm * scale:
-        return work, np.eye(a.dim, dtype=np.complex128)
-    start = _start_basis(scaled)
-    if not np.isfinite(start).all():
-        raise ValueError("start basis is not finite")
-    w = start.conj().T @ work @ start
-    return (w + w.conj().T) / 2.0, start
-
-
 def jacobi_eigendecompose(
     a: HermitianMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> SpectralDecomposition:
@@ -542,26 +526,31 @@ def jacobi_eigendecompose(
     sweeps; from a good start none runs.  Raises :class:`NoConvergence` if
     the off-diagonal norm is still above ``OFFDIAG_RTOL * ||W||_F`` after
     ``max_sweeps`` sweeps, and ``ValueError`` before any work if ``||A||_F``
-    overflows, or underflows while A is not 0, and before any rotation if
-    the start basis is not finite or W overflows.  Deterministic: identical
-    input gives bit-identical output.
+    overflows, or underflows while A is not 0 (see :func:`_norms`), and
+    before any rotation if the start basis is not finite or W overflows.
+    Deterministic: identical input gives bit-identical output.
+
+    A that already meets the tolerance keeps the identity as its start, so
+    diagonal input comes back bit for bit; otherwise the sweeps start from
+    ``W = (Phi0^H A Phi0 + h.c.) / 2``.  The tolerance test and the start
+    see A scaled by an exact power of two to ``||A||_F`` in [0.5, 1), which
+    scales the eigenvalues the same way, leaves the eigenvectors as they
+    are, and keeps every square that counts clear of the subnormals.
     """
-    work, vecs = _started(a)
+    work = np.array(a.array, dtype=np.complex128)
+    norm = _norms(work[..., None])[0][0]
+    scale = _unit_scales(norm)
+    scaled = work * scale
+    vecs = np.eye(a.dim, dtype=np.complex128)
+    if _norms(scaled[..., None])[1][0] > OFFDIAG_RTOL * norm * scale:
+        vecs = _start_basis(scaled)
+        if not np.isfinite(vecs).all():
+            raise ValueError("start basis is not finite")
+        w = vecs.conj().T @ work @ vecs
+        work = (w + w.conj().T) / 2.0
     _diagonalize(work, vecs, max_sweeps)
     eigenvalues = np.real(np.diag(work)).copy()
     order = np.argsort(eigenvalues, kind="stable")
     vecs = _fix_phases(vecs[:, order])
     return SpectralDecomposition(eigenvalues=eigenvalues[order], eigenvectors=vecs)
 
-
-def jacobi_eigenvalues(a: HermitianMatrix) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
-
-    The same start basis and the same finishing rotations as
-    :func:`jacobi_eigendecompose`, so the result is bit-identical to its
-    ``eigenvalues``; only the finish accumulates no eigenvector.  The same
-    errors are raised.
-    """
-    work, _ = _started(a)
-    _diagonalize(work, None, DEFAULT_MAX_SWEEPS)
-    return np.sort(np.real(np.diag(work)), kind="stable")

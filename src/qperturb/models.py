@@ -26,7 +26,9 @@ class BoxModelSpec:
     """Infinite square well of width ``width`` truncated to ``n_levels`` states.
 
     ``potential`` is one of ``const`` (V(x) = strength), ``linear``
-    (V(x) = strength * x) or ``quadratic`` (V(x) = strength * x^2).
+    (V(x) = strength * x) or ``quadratic`` (V(x) = strength * x^2).  The
+    width must be positive with ``2 * width**2`` finite (width at most about
+    9.48e153), as the levels divide by it.
     """
 
     n_levels: int
@@ -37,8 +39,10 @@ class BoxModelSpec:
     def __post_init__(self):
         if self.n_levels < 1:
             raise ValueError("n_levels must be >= 1")
-        if not (np.isfinite(self.width) and self.width > 0):
-            raise ValueError("width must be positive and finite")
+        # Python floats: a product that overflows is inf, where width**2 would raise.
+        width = float(self.width)
+        if not (width > 0 and math.isfinite(2.0 * width * width)):
+            raise ValueError("width must be positive, with 2 * width**2 finite")
         if self.potential not in POTENTIAL_KINDS:
             raise ParseError(
                 f"unknown potential {self.potential!r}; expected one of {POTENTIAL_KINDS}"
@@ -61,12 +65,14 @@ def random_hermitian(seed: int, n: int, scale: float = 1.0) -> HermitianMatrix:
     uniform on [-scale, scale]; strict-upper entries have real and imaginary
     parts uniform on [-scale/sqrt(2), scale/sqrt(2)] and are mirrored by
     conjugation.  Identical arguments give bit-identical matrices on one
-    platform.
+    platform.  ``ValueError`` when ``2 * scale`` overflows (scale above
+    about 8.99e307), as that range cannot be drawn from.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValueError("scale must be positive and finite")
+    # uniform(-scale, scale) draws from a range of width 2 * scale.
+    if not (scale > 0 and math.isfinite(2.0 * float(scale))):
+        raise ValueError("scale must be positive, with 2 * scale finite")
     rng = np.random.default_rng(seed)
     diagonal = rng.uniform(-scale, scale, size=n)
     half = scale / math.sqrt(2.0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolver
-from .eigensolver import jacobi_eigendecompose, jacobi_eigenvalues
+from .eigensolver import jacobi_eigendecompose
 from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
 from .numkernel import HermitianMatrix, add_scaled
@@ -76,11 +76,12 @@ def exact_levels(
 ) -> np.ndarray:
     """Ascending eigenvalues of H + x H', diagonalized exactly at finite x.
 
-    Eigenvalues only: the finishing sweeps accumulate no eigenvector.
-    Bit-identical to ``jacobi_eigendecompose(add_scaled(H, H', x)).eigenvalues``.
-    Not cached: only the sweeps' pass is.
+    A writable copy of ``jacobi_eigendecompose(add_scaled(H, H', x))``'s
+    eigenvalues: a cold solve builds its eigenvectors in the start basis
+    anyway, and the finishing rotations never read them.  Not cached: only
+    the sweeps' pass is.
     """
-    return jacobi_eigenvalues(add_scaled(hamiltonian, perturbation, x))
+    return jacobi_eigendecompose(add_scaled(hamiltonian, perturbation, x)).eigenvalues.copy()
 
 
 def _two_distinct(values: np.ndarray) -> bool:
@@ -288,7 +289,7 @@ def random_nondegenerate_pair(
     perturbation = random_hermitian(int(rng.integers(2**63)), dim, perturbation_scale)
     for _ in range(max_attempts):
         hamiltonian = random_hermitian(int(rng.integers(2**63)), dim, scale)
-        values = jacobi_eigenvalues(hamiltonian)
+        values = jacobi_eigendecompose(hamiltonian).eigenvalues
         spread = float(values[-1] - values[0])
         if dim == 1:
             return hamiltonian, perturbation

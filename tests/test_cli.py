@@ -344,6 +344,22 @@ class TestModelCommand:
         assert "ParseError: --out-h and --out-hp name the same file" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["random", "--seed", "1", "--dim", "3", "--scale", "1e308"],
+            ["box", "--levels", "3", "--width", "1.35e154", "--potential", "linear:1"],
+        ],
+        ids=["random-scale", "box-width"],
+    )
+    def test_overflowing_model_argument_rejected(self, capsys, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "model", *args)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ValueError: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_model_files_feed_perturb(self, capsys, tmp_path):
         out_h = tmp_path / "H.txt"
         out_hp = tmp_path / "Hp.txt"

@@ -66,6 +66,12 @@ class TestRandomHermitian:
             random_hermitian(0, 0)
         with pytest.raises(ValueError):
             random_hermitian(0, 3, -1.0)
+        # 2 * scale overflows, so uniform(-scale, scale) has no finite range
+        for scale in (1e308, np.float64(8.99e307), math.inf, math.nan):
+            with pytest.raises(ValueError, match="2 \\* scale finite"):
+                random_hermitian(0, 3, scale)
+        largest = np.finfo(np.float64).max / 2
+        assert np.abs(random_hermitian(0, 3, largest).array).max() <= largest
 
 
 class TestBoxHamiltonian:
@@ -91,6 +97,11 @@ class TestBoxHamiltonian:
             BoxModelSpec(2, -1.0)
         with pytest.raises(ParseError):
             BoxModelSpec(2, 1.0, "cubic", 1.0)
+        # width**2 overflows, or 2 * width**2 does
+        for width in (1.35e154, np.float64(9.49e153), math.inf, math.nan):
+            with pytest.raises(ValueError, match="2 \\* width\\*\\*2 finite"):
+                BoxModelSpec(2, width)
+        assert box_hamiltonian(BoxModelSpec(2, 9.48e153)).array[0, 0] > 0
 
 
 class TestBoxPotentialMatrix:

@@ -385,7 +385,6 @@ class TestLevelSweep:
             raise AssertionError("diagonalized before the levels were checked")
 
         monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
-        monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
         with pytest.raises(DimensionMismatch):
             level_sweep(H_2x2, HP_2x2, levels=[level])
 
@@ -396,7 +395,6 @@ class TestLevelSweep:
             raise AssertionError("diagonalized before the strengths were checked")
 
         monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
-        monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
         with pytest.raises(ValueError, match="sweep strength must be positive and finite"):
             level_sweep(H_2x2, HP_2x2, [0.1, bad])
 
@@ -407,7 +405,6 @@ class TestLevelSweep:
 
         verify._eigenbasis_pass.cache_clear()
         monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
-        monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
         monkeypatch.setattr(eigensolver, "_diagonalize", no_solve)
         with pytest.raises(InsufficientData, match="at least one strength"):
             if superposition:
@@ -474,7 +471,6 @@ class TestSuperpositionSweep:
             raise AssertionError("diagonalized before the state was checked")
 
         monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
-        monkeypatch.setattr(verify, "jacobi_eigenvalues", no_solve)
         with pytest.raises(DimensionMismatch):
             superposition_sweep(H_2x2, HP_2x2, StateVector.basis_state(3, 0))
 
