@@ -23,7 +23,6 @@ from .numkernel import (
     HERMITICITY_RTOL,
     HermitianMatrix,
     add_scaled,
-    check_hermitian,
     identity,
     inner_product,
     matrix_element,
@@ -32,7 +31,6 @@ from .numkernel import (
 from .eigensolver import (
     OFFDIAG_RTOL,
     SpectralDecomposition,
-    fix_phase,
     jacobi_eigendecompose,
 )
 from .perturbation import (
@@ -98,14 +96,12 @@ __all__ = [
     "add_scaled",
     "box_hamiltonian",
     "box_potential_matrix",
-    "check_hermitian",
     "convergence_order",
     "correction_coefficients",
     "exact_levels",
     "expected_energy",
     "first_order",
     "fit_order",
-    "fix_phase",
     "format_matrix",
     "format_vector",
     "identity",

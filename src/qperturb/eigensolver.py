@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, ZeroVector
+from .errors import DimensionMismatch, NoConvergence
 from .numkernel import HermitianMatrix
 
 # Convergence threshold for the off-diagonal Frobenius norm, relative to ||A||_F.
@@ -99,20 +99,14 @@ class SpectralDecomposition:
         return self.eigenvectors @ b
 
 
-def fix_phase(column) -> np.ndarray:
-    """Multiply a vector by the unit scalar that makes its largest-magnitude
-    entry real and strictly positive (magnitude ties broken by lowest index)."""
-    return _fix_phases(np.array(column, dtype=np.complex128)[:, None])[:, 0]
-
-
 def _fix_phases(columns: np.ndarray) -> np.ndarray:
-    """:func:`fix_phase` applied to every column of a 2-D array at once."""
+    """Multiply each column of an orthonormal basis by the unit scalar that
+    makes its largest-magnitude entry real and strictly positive (magnitude
+    ties broken by lowest index)."""
     mags = np.abs(columns)
     rows = np.argmax(mags, axis=0)  # lowest index on magnitude ties
     cols = np.arange(columns.shape[1])
     pivot_mags = mags[rows, cols]
-    if not pivot_mags.all():
-        raise ZeroVector("cannot fix the phase of a zero vector")
     out = columns * np.conj(columns[rows, cols] / pivot_mags)
     out[rows, cols] = pivot_mags  # exact: kill the pivots' roundoff imaginary parts
     return out

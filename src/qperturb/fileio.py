@@ -45,9 +45,18 @@ def _tokens_with_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _plain(token: str) -> str:
+    """The token, or ``ValueError`` unless it is ASCII without ``_``: ``int``
+    and ``float`` also read digit-group underscores and non-ASCII digits,
+    which the grammar does not allow."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return token
+
+
 def _parse_number(token: str, lineno: int) -> float:
     try:
-        value = float(token)
+        value = float(_plain(token))
     except ValueError:
         raise ParseError(f"bad numeric token {token!r}", lineno) from None
     if not np.isfinite(value):
@@ -71,7 +80,7 @@ def _parse_entries(text: str, what: str, rank: int) -> np.ndarray:
         raise ParseError(f"empty {what} input")
     lineno, token = tokens[0]
     try:
-        dim = int(token)
+        dim = int(_plain(token))
     except ValueError:
         raise ParseError(f"dimension header must be an integer, got {token!r}", lineno) from None
     if dim < 1:

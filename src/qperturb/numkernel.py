@@ -32,31 +32,15 @@ def _as_vector(v) -> np.ndarray:
     return u
 
 
-def _hermiticity_violation(a: np.ndarray) -> float | None:
-    """``max |A[i,j] - conj(A[j,i])|`` of a finite square array when it exceeds
-    ``HERMITICITY_RTOL * max|A[i,j]|``, else None."""
-    scale = float(np.abs(a).max())
-    violation = float(np.abs(a - a.conj().T).max())
-    return None if violation <= HERMITICITY_RTOL * scale else violation
-
-
-def check_hermitian(entries) -> bool:
-    """Whether a raw square array is Hermitian within tolerance.
-
-    True iff every entry is finite and
-    ``max |A[i,j] - conj(A[j,i])| <= HERMITICITY_RTOL * max|A[i,j]|``.
-    """
-    a = _as_square(entries)
-    return bool(np.isfinite(a).all()) and _hermiticity_violation(a) is None
-
-
 class HermitianMatrix:
     """Dense complex self-adjoint matrix on an N-dimensional basis.
 
-    Raw entries are accepted when :func:`check_hermitian` passes and are then
-    symmetrized as ``(A + A^dagger)/2``, which is idempotent and makes the
-    stored array self-adjoint to the last bit (diagonal exactly real).  The
-    array is frozen after construction, so instances are safe to share.
+    Raw entries must be finite (else ``ValueError``) and Hermitian within
+    tolerance: ``max |A[i,j] - conj(A[j,i])| <= HERMITICITY_RTOL * max|A[i,j]|``,
+    else :class:`NonHermitianInput`.  They are then symmetrized as
+    ``(A + A^dagger)/2``, which is idempotent and makes the stored array
+    self-adjoint to the last bit (diagonal exactly real).  The array is
+    frozen after construction, so instances are safe to share.
     """
 
     __slots__ = ("_array",)
@@ -65,8 +49,8 @@ class HermitianMatrix:
         a = _as_square(entries)
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        violation = _hermiticity_violation(a)
-        if violation is not None:
+        violation = float(np.abs(a - a.conj().T).max())
+        if violation > HERMITICITY_RTOL * float(np.abs(a).max()):
             raise NonHermitianInput(violation)
         # halves first: (a + a^dagger) could overflow for entries near float max
         sym = a / 2.0 + a.conj().T / 2.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,24 +37,21 @@ SUPERPOSITION_LEVEL = -1  # level tag for weighted-total records
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One (strength, level) comparison of a perturbative value vs the oracle."""
+    """One (strength, level) comparison of a perturbative value vs the oracle.
+
+    ``abs_error`` is not an argument: it is always ``|perturbative - exact|``.
+    """
 
     x: float
     level: int
     perturbative: float
     exact: float
-    abs_error: float
+    abs_error: float = field(init=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.x) and self.x > 0):
             raise ValueError(f"sweep strength must be positive and finite, got {self.x}")
-        expected = abs(self.perturbative - self.exact)
-        if abs(self.abs_error - expected) > 1e-15 * max(1.0, expected):
-            raise ValueError("abs_error is inconsistent with |perturbative - exact|")
-
-    @classmethod
-    def measure(cls, x: float, level: int, perturbative: float, exact: float) -> "SweepRecord":
-        return cls(x, level, perturbative, exact, abs(perturbative - exact))
+        object.__setattr__(self, "abs_error", abs(self.perturbative - self.exact))
 
 
 @dataclass(frozen=True)
@@ -94,13 +91,20 @@ def _two_distinct(values: np.ndarray) -> bool:
 
 
 def fit_order(xs, errors) -> OrderFit:
-    """Fit log10(error) vs log10(x), ignoring points at or below ``ERROR_FLOOR``."""
+    """Fit log10(error) vs log10(x), ignoring points at or below ``ERROR_FLOOR``.
+
+    Every strength must be positive and finite and every error non-negative
+    and finite, else :class:`InsufficientData`: such a point can be neither
+    fitted nor dropped as noise.
+    """
     x_arr = np.asarray(xs, dtype=np.float64)
     e_arr = np.asarray(errors, dtype=np.float64)
     if x_arr.shape != e_arr.shape or x_arr.ndim != 1:
         raise DimensionMismatch("xs and errors must be 1-D and equally long")
     if np.any(x_arr <= 0) or not np.isfinite(x_arr).all():
         raise InsufficientData("all strengths must be positive and finite")
+    if np.any(e_arr < 0) or not np.isfinite(e_arr).all():
+        raise InsufficientData("all errors must be non-negative and finite")
     if not _two_distinct(x_arr):
         raise InsufficientData("need at least 2 distinct strengths to fit a slope")
     keep = e_arr > ERROR_FLOOR
@@ -225,7 +229,7 @@ def level_sweep(
             raise DimensionMismatch(f"level {level} out of range for dim {dim}")
     grid, _, _, first, exact = _sweep(hamiltonian, perturbation, xs)
     return [
-        SweepRecord.measure(x, operator.index(level), float(p[level]), float(e[level]))
+        SweepRecord(x, operator.index(level), float(p[level]), float(e[level]))
         for x, p, e in zip(grid, first, exact) for level in selected
     ]
 
@@ -256,7 +260,7 @@ def superposition_sweep(
     weights = np.abs(state.coefficients) ** 2
     eprime = float(weights @ shifts)
     return [
-        SweepRecord.measure(x, SUPERPOSITION_LEVEL, energy + x * eprime, float(weights @ spectrum))
+        SweepRecord(x, SUPERPOSITION_LEVEL, energy + x * eprime, float(weights @ spectrum))
         for x, spectrum in zip(grid, exact)
     ]
 
@@ -264,35 +268,32 @@ def superposition_sweep(
 def random_nondegenerate_pair(
     seed: int,
     dim: int,
-    scale: float = 1.0,
-    perturbation_scale: float | None = None,
+    perturbation_scale: float = 1.0,
     min_gap_fraction: float = MIN_GAP_FRACTION,
     max_attempts: int = 1000,
 ) -> tuple[HermitianMatrix, HermitianMatrix]:
     """Seeded (H, H') pair whose H has well-separated levels.
 
-    Candidates are drawn from :func:`random_hermitian`; H is regenerated
-    until its minimum level gap is at least ``min_gap_fraction`` of the
-    spectral spread.  ``perturbation_scale`` (default: ``scale``) sets the
-    entry magnitude of H'; choosing it small relative to the gaps keeps the
-    whole default x-grid inside the perturbative regime.  Deterministic for
-    a given seed.  Raises ``ValueError`` up front when
-    ``(dim - 1) * min_gap_fraction > 1``: the dim - 1 gaps sum to the
-    spread, so no H can meet the gap criterion; raises
-    :class:`AttemptsExhausted` when ``max_attempts`` draws all fail it.
+    Candidates are drawn from :func:`random_hermitian` with unit entry scale;
+    H is regenerated until its minimum level gap is at least
+    ``min_gap_fraction`` of the spectral spread (any H passes for dim 1).
+    ``perturbation_scale`` sets the entry magnitude of H'; choosing it small
+    relative to the gaps keeps the whole default x-grid inside the
+    perturbative regime.  Deterministic for a given seed.  Raises
+    ``ValueError`` up front when ``(dim - 1) * min_gap_fraction > 1``: the
+    dim - 1 gaps sum to the spread, so no H can meet the gap criterion;
+    raises :class:`AttemptsExhausted` when ``max_attempts`` draws all fail it.
     """
-    if dim > 1 and (dim - 1) * min_gap_fraction > 1:
+    if (dim - 1) * min_gap_fraction > 1:
         raise ValueError(f"min_gap_fraction {min_gap_fraction} is infeasible for dim {dim}")
     rng = np.random.default_rng(seed)
-    if perturbation_scale is None:
-        perturbation_scale = scale
     perturbation = random_hermitian(int(rng.integers(2**63)), dim, perturbation_scale)
     for _ in range(max_attempts):
-        hamiltonian = random_hermitian(int(rng.integers(2**63)), dim, scale)
-        values = jacobi_eigendecompose(hamiltonian).eigenvalues
-        spread = float(values[-1] - values[0])
+        hamiltonian = random_hermitian(int(rng.integers(2**63)), dim)
         if dim == 1:
             return hamiltonian, perturbation
+        values = jacobi_eigendecompose(hamiltonian).eigenvalues
+        spread = float(values[-1] - values[0])
         if spread > 0 and float(np.diff(values).min()) >= min_gap_fraction * spread:
             return hamiltonian, perturbation
     raise AttemptsExhausted(max_attempts)

@@ -286,6 +286,16 @@ class TestSpectrumCommand:
             "error: ValueError: matrix norm overflows: entries too large to diagonalize"
         ]
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661\u0662"])
+    def test_non_plain_number_rejected(self, tmp_path, token):
+        # float() reads both as numbers; the file grammar does not
+        h = tmp_path / "H.txt"
+        h.write_text(f"2\n{token} 0\n0 1\n", encoding="utf-8")
+        done = _run_module("spectrum", str(h))
+        assert done.returncode == 1 and done.stdout == b""
+        [line] = done.stderr.decode().splitlines()
+        assert line.startswith("error: ParseError: ")
+
     def test_reports_levels_and_vectors(self, capsys, matrix_files):
         h, _ = matrix_files
         code, out, _ = run_cli(capsys, "spectrum", h)

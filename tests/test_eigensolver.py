@@ -9,11 +9,11 @@ from qperturb import eigensolver
 from qperturb.eigensolver import (
     SpectralDecomposition,
     _diagonalize,
+    _fix_phases,
     _round_robin_steps,
-    fix_phase,
     jacobi_eigendecompose,
 )
-from qperturb.errors import NoConvergence, ZeroVector
+from qperturb.errors import NoConvergence
 from qperturb.models import random_hermitian
 from qperturb.numkernel import HermitianMatrix, add_scaled, identity
 
@@ -511,28 +511,32 @@ class TestStartBasis:
 
 
 class TestFixPhase:
+    """``_fix_phases`` on orthonormal bases, one column per vector."""
+
     def test_sign_flip(self):
-        np.testing.assert_array_equal(fix_phase([-1, 0]), [1, 0])
+        basis = np.array([[-1, 0], [0, 1]], dtype=np.complex128)
+        np.testing.assert_array_equal(_fix_phases(basis), np.eye(2))
 
     def test_rotate_by_i(self):
-        np.testing.assert_allclose(fix_phase([0, -1j]), [0, 1], atol=1e-16)
+        basis = np.array([[0, 1j], [-1j, 0]])
+        np.testing.assert_allclose(_fix_phases(basis), [[0, 1], [1, 0]], atol=1e-16)
 
     def test_positive_dominant_unchanged(self):
-        v = np.array([0.25, 0.8, -0.3 + 0.1j])
-        np.testing.assert_array_equal(fix_phase(v), v)
+        basis = np.array([[0.6j, 0.8], [0.8, 0.6j]])
+        np.testing.assert_array_equal(_fix_phases(basis), basis)
 
     def test_tie_breaks_to_lowest_index(self):
-        out = fix_phase([-0.5, 0.5])
-        np.testing.assert_allclose(out, [0.5, -0.5])
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            fix_phase(np.zeros(3))
+        s = math.sqrt(0.5)
+        out = _fix_phases(np.array([[-s, s], [s, s]], dtype=np.complex128))
+        np.testing.assert_allclose(out, [[s, s], [-s, s]])
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(5)
-        v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        assert np.linalg.norm(fix_phase(v)) == pytest.approx(np.linalg.norm(v), rel=1e-15)
+        raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        basis = np.linalg.qr(raw)[0]
+        np.testing.assert_allclose(
+            np.linalg.norm(_fix_phases(basis), axis=0), np.ones(6), rtol=1e-15
+        )
 
 
 class TestSpectralDecomposition:

@@ -41,9 +41,19 @@ class TestParseMatrix:
         assert m.dim == 2
 
     def test_bad_token_reports_line(self):
-        with pytest.raises(ParseError) as exc:
-            parse_matrix("2\n0 1\n1 oops\n")
-        assert exc.value.line == 3
+        # float() would read the underscore and the Arabic-Indic digits as 10 and 12
+        for parse, text in [
+            (parse_matrix, "2\n0 1\n1 oops\n"),
+            (parse_matrix, "2\n0 1\n1 1_0\n"),
+            (parse_matrix, "2\n0 1\n1 (1_0,0)\n"),
+            (parse_matrix, "2\n0 1\n1 (0,1_0)\n"),
+            (parse_matrix, "2\n0 1\n1 \u0661\u0662\n"),
+            (parse_vector, "2\n% comment\n1 0_0\n"),
+            (parse_vector, "2\n% comment\n1 \u0660\n"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert exc.value.line == 3, text
 
     def test_bad_complex_token(self):
         with pytest.raises(ParseError):
@@ -64,6 +74,13 @@ class TestParseMatrix:
             parse_matrix("0\n")
         with pytest.raises(ParseError):
             parse_matrix("")
+        # int() would read these as 2
+        for header in ("0_2", "\u0662", "\uff12"):
+            with pytest.raises(ParseError) as exc:
+                parse_matrix(f"% comment\n{header}\n0 1\n1 0\n")
+            assert exc.value.line == 2, header
+            with pytest.raises(ParseError):
+                parse_vector(f"{header}\n1 0\n")
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ParseError):

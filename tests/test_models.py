@@ -10,7 +10,7 @@ from qperturb.models import (
     box_potential_matrix,
     random_hermitian,
 )
-from qperturb.numkernel import check_hermitian
+from qperturb.numkernel import HermitianMatrix
 
 
 def gauss_legendre_element(m, n, width, potential, nodes=200):
@@ -39,7 +39,7 @@ def linear_element(m, n, width):
 class TestRandomHermitian:
     def test_output_is_hermitian(self):
         for seed in range(10):
-            assert check_hermitian(random_hermitian(seed, 5).array)
+            HermitianMatrix(random_hermitian(seed, 5).array)
 
     def test_deterministic(self):
         a = random_hermitian(7, 6, 2.0)
@@ -162,7 +162,7 @@ class TestBoxPotentialMatrix:
 
     def test_output_is_hermitian(self):
         spec = BoxModelSpec(5, 3.0, "quadratic", -0.4)
-        assert check_hermitian(box_potential_matrix(spec).array)
+        HermitianMatrix(box_potential_matrix(spec).array)
 
     def test_odd_subdivision_rejected(self):
         with pytest.raises(ValueError):

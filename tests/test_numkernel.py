@@ -11,7 +11,6 @@ from qperturb.numkernel import (
     HERMITICITY_RTOL,
     HermitianMatrix,
     add_scaled,
-    check_hermitian,
     identity,
     inner_product,
     matrix_element,
@@ -158,7 +157,7 @@ class TestAddScaled:
             raw2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             b = HermitianMatrix((raw2 + raw2.conj().T) / 2)
             out = add_scaled(a, b, float(rng.normal()))
-            assert check_hermitian(out.array)
+            np.testing.assert_array_equal(out.array, out.array.conj().T)
 
     @given(x1=finite_floats(1.0), x2=finite_floats(1.0))
     @settings(max_examples=50)
@@ -180,27 +179,33 @@ class TestAddScaled:
 
 
 class TestCheckHermitian:
+    """The hermiticity rule that ``HermitianMatrix`` construction enforces."""
+
     def test_pauli_y_form(self):
-        assert check_hermitian([[0, 1j], [-1j, 0]])
+        HermitianMatrix([[0, 1j], [-1j, 0]])
 
     def test_upper_triangular_only(self):
-        assert not check_hermitian([[0, 1], [0, 0]])
+        with pytest.raises(NonHermitianInput):
+            HermitianMatrix([[0, 1], [0, 0]])
 
     def test_real_diagonal(self):
-        assert check_hermitian(np.diag([3.0, -1.0, 0.0]))
+        HermitianMatrix(np.diag([3.0, -1.0, 0.0]))
 
     def test_tolerance_scales_with_entries(self):
         base = np.array([[0.0, 1.0], [1.0, 0.0]])
         wiggle = np.array([[0.0, 1e-14], [0.0, 0.0]])
-        assert check_hermitian(base + wiggle)
-        assert not check_hermitian(base + 1e4 * wiggle)
+        HermitianMatrix(base + wiggle)
+        with pytest.raises(NonHermitianInput):
+            HermitianMatrix(base + 1e4 * wiggle)
 
     def test_nonfinite_rejected(self):
-        assert not check_hermitian([[np.inf, 0], [0, 0]])
-        assert not check_hermitian([[np.nan, 0], [0, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix([[np.inf, 0], [0, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix([[np.nan, 0], [0, 0]])
 
     def test_zero_matrix(self):
-        assert check_hermitian(np.zeros((3, 3)))
+        HermitianMatrix(np.zeros((3, 3)))
 
 
 class TestHermitianMatrix:

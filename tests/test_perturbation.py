@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qperturb.eigensolver import SpectralDecomposition, fix_phase, jacobi_eigendecompose
+from qperturb.eigensolver import SpectralDecomposition, _fix_phases, jacobi_eigendecompose
 from qperturb.errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -277,7 +277,7 @@ class TestCorrectionCoefficients:
         np.testing.assert_allclose(np.abs(a_phased), np.abs(a), atol=1e-12)
 
         # re-fixing the phases restores the original decomposition and output
-        refixed = np.column_stack([fix_phase(phased[:, m]) for m in range(5)])
+        refixed = _fix_phases(phased)
         dec_refixed = SpectralDecomposition(dec.eigenvalues, refixed)
         a_refixed = correction_coefficients(
             hp, dec_refixed, b, expected_energy(b, dec_refixed),

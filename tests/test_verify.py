@@ -255,24 +255,24 @@ class TestSharedPass:
 
 class TestSweepRecord:
     def test_measure_fills_error(self):
-        r = SweepRecord.measure(0.1, 0, 2.0, 2.005)
-        assert r.abs_error == pytest.approx(0.005, abs=1e-15)
+        r = SweepRecord(0.1, 0, 2.0, 2.005)
+        assert r.abs_error == abs(2.0 - 2.005)
 
     def test_rejects_nonpositive_strength(self):
         with pytest.raises(ValueError):
-            SweepRecord.measure(0.0, 0, 1.0, 1.0)
+            SweepRecord(0.0, 0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            SweepRecord.measure(-0.1, 0, 1.0, 1.0)
+            SweepRecord(-0.1, 0, 1.0, 1.0)
 
-    def test_rejects_inconsistent_error(self):
-        with pytest.raises(ValueError):
+    def test_error_is_not_an_argument(self):
+        with pytest.raises(TypeError):
             SweepRecord(0.1, 0, 1.0, 2.0, 0.5)
 
 
 class TestConvergenceOrder:
     def test_exact_quadratic_data(self):
         recs = [
-            SweepRecord.measure(x, 0, 0.0, err)
+            SweepRecord(x, 0, 0.0, err)
             for x, err in [(1e-1, 5e-3), (1e-2, 5e-5), (1e-3, 5e-7)]
         ]
         fit = convergence_order(recs)
@@ -311,6 +311,19 @@ class TestConvergenceOrder:
     def test_nonpositive_strength_rejected(self):
         with pytest.raises(InsufficientData):
             fit_order([1e-1, -1e-2], [1e-3, 1e-4])
+
+    @pytest.mark.parametrize(
+        "errors",
+        [
+            [1e-2, math.nan, 1e-6],  # would fit slope 2.0 from the other two points
+            [math.nan, math.nan, math.nan],  # would come back floored
+            [1e-2, math.inf, 1e-6],  # would fit slope NaN, not floored
+            [1e-2, -1e-4, 1e-6],
+        ],
+    )
+    def test_unfittable_error_rejected(self, errors):
+        with pytest.raises(InsufficientData, match="errors"):
+            fit_order([0.1, 0.01, 0.001], errors)
 
     @settings(max_examples=200, deadline=None)
     @given(
