@@ -23,10 +23,7 @@ from .numkernel import (
     HERMITICITY_RTOL,
     HermitianMatrix,
     add_scaled,
-    identity,
-    inner_product,
     matrix_element,
-    matvec,
 )
 from .eigensolver import (
     OFFDIAG_RTOL,
@@ -104,13 +101,10 @@ __all__ = [
     "fit_order",
     "format_matrix",
     "format_vector",
-    "identity",
-    "inner_product",
     "jacobi_eigendecompose",
     "level_shifts",
     "level_sweep",
     "matrix_element",
-    "matvec",
     "parse_matrix",
     "parse_vector",
     "perturbed_state",

@@ -208,8 +208,9 @@ def _rotate(operands: tuple, cs, sc) -> None:
 
 def _sweep(x: np.ndarray, steps) -> None:
     """One round-robin sweep in place on ``x = [A^T, Phi^T]`` (``[A^T]``
-    without eigenvectors), a ``(2, N, N[, B])`` or ``(1, N, N[, B])`` array
-    that must be C-contiguous: its flat views below must not be copies.
+    without eigenvectors) for a stack of B members, a ``(2, N, N, B)`` or
+    ``(1, N, N, B)`` array that must be C-contiguous: its flat views below
+    must not be copies.
 
     Transposed, the column updates ``A <- AJ`` and ``Phi <- Phi J`` are one
     row update of ``x[:, p]`` and ``x[:, q]``, and ``A <- J^H A`` is a
@@ -219,22 +220,22 @@ def _sweep(x: np.ndarray, steps) -> None:
     once per sweep too.  Every entry is computed with the same operations on
     the same operands as in the untransposed layout.
     """
-    slabs, n, tail = x.shape[0], x.shape[1], x.shape[3:]
+    slabs, n, _, count = x.shape
     k = n // 2
-    flat = x[0].reshape((n * n,) + tail)  # views, since x is C-contiguous
+    flat = x[0].reshape(n * n, count)  # views, since x is C-contiguous
     flat_imag = flat.imag
-    x_rows = x.reshape((slabs * n, n) + tail)
+    x_rows = x.reshape(slabs * n, n, count)
     row_starts = np.repeat(n * np.arange(n)[:, None], k, axis=1)
     cols_at = np.empty((2, n, k), dtype=np.intp)
     # The row and the column update take turns on the same three buffers,
     # _rotate's old, new and tmp.
-    buffers = np.empty((3, 2 * slabs * k * n * math.prod(tail)), dtype=x.dtype)
-    rows = [b.reshape((2, slabs, k, n) + tail) for b in buffers]
-    cols = [b[: 2 * n * k * math.prod(tail)].reshape((2, n, k) + tail) for b in buffers]
+    buffers = np.empty((3, 2 * slabs * k * n * count), dtype=x.dtype)
+    rows = [b.reshape(2, slabs, k, n, count) for b in buffers]
+    cols = [b[: 2 * n * k * count].reshape(2, n, k, count) for b in buffers]
     # [c, s] as complex numbers, so the updates' products need no casts;
     # their imaginary parts stay 0.  It is updated in place, so its views
     # below stay valid for the whole sweep.
-    cs = np.zeros((2, k) + tail, dtype=x.dtype)
+    cs = np.zeros((2, k, count), dtype=x.dtype)
     c, s = cs.real
     sc_conj, sc = np.empty_like(cs), np.empty_like(cs)
     reversed_cs = cs[::-1]
@@ -242,7 +243,7 @@ def _sweep(x: np.ndarray, steps) -> None:
     col_rotation = _rotation_operands(*cols), cs[:, None], sc[:, None]
     # A step's A[p,p], A[q,q] and A[p,q].  mode="clip" lets take write
     # straight into out, here and below; the indices are in range.
-    got = np.empty((3 * k,) + tail, dtype=x.dtype)
+    got = np.empty((3 * k, count), dtype=x.dtype)
     app, aqq, apq = got[:k].real, got[k : 2 * k].real, got[2 * k :]
     for rows_at, first, read, pivots, diagonals in steps:
         flat.take(read, axis=0, out=got, mode="clip")
@@ -274,66 +275,62 @@ def _sweep(x: np.ndarray, steps) -> None:
         flat_imag[diagonals] = 0.0
 
 
-def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int):
-    """Run round-robin Jacobi sweeps in place on one ``(N, N)`` matrix or an
-    ``(N, N, B)`` stack of B matrices until each one's off-diagonal norm is
-    at most ``OFFDIAG_RTOL`` times its own Frobenius norm; return the number
-    of sweeps (an int for one matrix, one per member for a stack).
+def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int) -> np.ndarray:
+    """Run round-robin Jacobi sweeps in place on an ``(N, N, B)`` stack of B
+    matrices until each one's off-diagonal norm is at most ``OFFDIAG_RTOL``
+    times its own Frobenius norm; return the number of sweeps of each member
+    (one matrix ``a`` is the stack ``a[..., None]``, a view that the sweeps
+    write through).
 
     The rotations are also applied to the columns of ``vecs`` (shaped like
     ``work``) unless it is None.  They never depend on ``vecs``, so ``work``
-    ends bit-identical either way.  Each sweep copies ``work`` and ``vecs``
+    ends bit-identical either way.  Each sweep copies the members still
+    above their tolerance, ``work[..., active]`` and ``vecs[..., active]``,
     transposed into one new C-contiguous array ``x = [A^T, Phi^T]``
-    (``(2, N, N[, B])``, or ``(1, ...)`` without vectors), runs on it (see
+    (``(2, N, N, b)``, or ``(1, ...)`` without vectors), runs on it (see
     :func:`_sweep`) and writes the result back, so any memory layout of the
-    caller's arrays gives the same bits.  The stack axis is last, so a
-    step's indexing and broadcasting read the same for one matrix and for a
-    stack, and each numpy call of a step serves all members at once.  A
-    member is rotated only in the sweeps it would run alone: once some
-    members have converged, only the others are copied for the sweep and
-    written back, so every member ends bit-identical to a solve of that
-    matrix on its own.  Raises :class:`NoConvergence` for the first member
-    still above its tolerance after ``max_sweeps`` sweeps, and ``ValueError``
-    before any rotation when some member's Frobenius norm overflows or
-    underflows (see :func:`_norms`).  The step indices are built when the
-    first sweep runs, so a solve that needs none builds none.
+    caller's arrays gives the same bits.  The stack axis is last, so each
+    numpy call of a step serves all active members at once.  A member is
+    rotated only in the sweeps it would run alone, so every member ends
+    bit-identical to a solve of that matrix on its own.  Raises
+    :class:`NoConvergence` for the first member still above its tolerance
+    after ``max_sweeps`` sweeps, and ``ValueError`` before any rotation when
+    some member's Frobenius norm overflows or underflows (see
+    :func:`_norms`).  The step indices are built when the first sweep runs,
+    so a solve that needs none builds none.
     """
-    members = work[..., None] if work.ndim == 2 else work  # a view: one member for one matrix
-    count = members.shape[-1]
-    norms = _norms(members)[0]
+    norms = _norms(work)[0]
     # A member with a norm below 0.5 is scaled up by an exact power of two
     # to a norm in [0.5, 1) for the sweeps, so that the off-diagonal norms
     # square no entry that counts into a subnormal; the rotations commute
     # with the scaling bit for bit.  None is scaled down, which could flush
     # tiny entries into subnormals; a finite norm keeps every square finite.
     scales = np.maximum(_unit_scales(norms), 1.0)
-    members *= scales
+    work *= scales
     tol = OFFDIAG_RTOL * norms * scales  # ||A||_F is rotation-invariant
     parts = [work] if vecs is None else [work, vecs]
     steps = None
-    sweeps = np.zeros(count, dtype=int)
+    sweeps = np.zeros(work.shape[-1], dtype=int)
     while True:
-        off_norms = _norms(members)[1]
+        off_norms = _norms(work)[1]
         active = np.flatnonzero(off_norms > tol)
         if active.size == 0:
             break
         first = active[0]
         if sweeps[first] >= max_sweeps:
-            members /= scales
+            work /= scales
             raise NoConvergence(int(sweeps[first]), float(off_norms[first] / scales[first]))
         if steps is None:
             steps = _step_indices(work.shape[0], len(parts))
-        # Only a stack can have converged members; they are left out of the sweep.
-        sel = ... if active.size == count else (..., active)
-        x = np.empty((len(parts),) + work[sel].shape, dtype=np.complex128)
+        x = np.empty((len(parts),) + work.shape[:2] + active.shape, dtype=np.complex128)
         for m, m_t in zip(parts, x):
-            m_t[...] = m[sel].swapaxes(0, 1)
+            m_t[...] = m[..., active].swapaxes(0, 1)
         _sweep(x, steps)
         for m, m_t in zip(parts, x):
-            m[sel] = m_t.swapaxes(0, 1)
+            m[..., active] = m_t.swapaxes(0, 1)
         sweeps[active] += 1
-    members /= scales
-    return sweeps if work.ndim == 3 else int(sweeps[0])
+    work /= scales
+    return sweeps
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
@@ -542,7 +539,7 @@ def jacobi_eigendecompose(
             raise ValueError("start basis is not finite")
         w = vecs.conj().T @ work @ vecs
         work = (w + w.conj().T) / 2.0
-    _diagonalize(work, vecs, max_sweeps)
+    _diagonalize(work[..., None], vecs[..., None], max_sweeps)
     eigenvalues = np.real(np.diag(work)).copy()
     order = np.argsort(eigenvalues, kind="stable")
     vecs = _fix_phases(vecs[:, order])

@@ -16,15 +16,16 @@ class ZeroVector(QPerturbError):
 
 
 class NoConvergence(QPerturbError):
-    """The eigensolver did not meet its off-diagonal tolerance."""
+    """The eigensolver did not meet its off-diagonal tolerance: ``off_norm``
+    is the off-diagonal norm left after ``sweeps`` sweeps."""
 
-    def __init__(self, sweeps: int, off_norm: float | None = None):
+    def __init__(self, sweeps: int, off_norm: float):
         self.sweeps = sweeps
         self.off_norm = off_norm
-        msg = f"off-diagonal norm still above tolerance after {sweeps} sweeps"
-        if off_norm is not None:
-            msg += f" (remaining {off_norm:.3e})"
-        super().__init__(msg)
+        super().__init__(
+            f"off-diagonal norm still above tolerance after {sweeps} sweeps"
+            f" (remaining {off_norm:.3e})"
+        )
 
 
 class AttemptsExhausted(QPerturbError, RuntimeError):

@@ -10,6 +10,7 @@ study; the verification oracle diagonalizes the same truncation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,8 @@ from .errors import ParseError
 from .numkernel import HermitianMatrix
 
 POTENTIAL_KINDS = ("const", "linear", "quadratic")
-DEFAULT_QUADRATURE_POINTS = 2048
+# Simpson subintervals of box_potential_matrix (even, as Simpson needs).
+QUADRATURE_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,10 @@ class BoxModelSpec:
     strength: float = 1.0
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_levels)
+        except TypeError:
+            raise ValueError(f"n_levels must be an integer, got {self.n_levels!r}") from None
         if self.n_levels < 1:
             raise ValueError("n_levels must be >= 1")
         # Python floats: a product that overflows is inf, where width**2 would raise.
@@ -95,20 +101,15 @@ def _simpson_weights(intervals: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
-def box_potential_matrix(
-    spec: BoxModelSpec, quadrature_points: int = DEFAULT_QUADRATURE_POINTS
-) -> HermitianMatrix:
+def box_potential_matrix(spec: BoxModelSpec) -> HermitianMatrix:
     """Perturbation matrix ``<m|V|n> = (2/L) int_0^L sin(m pi x/L) V(x) sin(n pi x/L) dx``.
 
-    Composite Simpson quadrature on ``quadrature_points`` equal subintervals
-    (must be even).  The integrands are smooth, so the default resolution is
-    accurate well past 1e-10.
+    Composite Simpson quadrature on ``QUADRATURE_POINTS`` equal subintervals.
+    The integrands are smooth, so this resolution is accurate well past 1e-10.
     """
-    if quadrature_points < 2 or quadrature_points % 2 != 0:
-        raise ValueError("quadrature_points must be an even integer >= 2")
     width = spec.width
-    x = np.linspace(0.0, width, quadrature_points + 1)
-    weights = _simpson_weights(quadrature_points, width / quadrature_points)
+    x = np.linspace(0.0, width, QUADRATURE_POINTS + 1)
+    weights = _simpson_weights(QUADRATURE_POINTS, width / QUADRATURE_POINTS)
     sines = np.sin(np.outer(np.arange(1, spec.n_levels + 1), x) * (math.pi / width))
     weighted = sines * (weights * spec.potential_values(x))
     mat = (2.0 / width) * (weighted @ sines.T)

@@ -1,10 +1,10 @@
-"""Complex vector and matrix arithmetic with bra-ket inner-product conventions.
+"""Hermitian matrices and their bra-ket matrix elements.
 
 Vectors are plain 1-D ``complex128`` numpy arrays.  Matrices enter through
 :class:`HermitianMatrix`, which validates and symmetrizes raw entries once,
-so everything downstream can rely on exact self-adjointness.  The inner
-product is conjugate-linear in its first argument (physics convention):
-``<u|v> = sum_i conj(u_i) v_i``.
+so everything downstream can rely on exact self-adjointness.  Matrix
+elements are conjugate-linear in the bra (physics convention):
+``<u|A|v> = sum_ij conj(u_i) A[i,j] v_j``.
 """
 
 from __future__ import annotations
@@ -70,29 +70,8 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-def identity(dim: int) -> HermitianMatrix:
-    """The dim-dimensional identity operator."""
-    return HermitianMatrix(np.eye(dim))
-
-
-def inner_product(u, v) -> complex:
-    """``<u|v>``: conjugate-linear in ``u``, linear in ``v``."""
-    a, b = _as_vector(u), _as_vector(v)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vector dims differ: {a.shape[0]} vs {b.shape[0]}")
-    return complex(np.vdot(a, b))
-
-
-def matvec(a: HermitianMatrix, v) -> np.ndarray:
-    """Apply the operator: ``(A v)_i = sum_j A[i,j] v_j``."""
-    b = _as_vector(v)
-    if a.dim != b.shape[0]:
-        raise DimensionMismatch(f"matrix dim {a.dim} vs vector dim {b.shape[0]}")
-    return a.array @ b
-
-
 def matrix_element(u, a: HermitianMatrix, v) -> complex:
-    """``<u|A|v>`` = ``inner_product(u, matvec(A, v))``.
+    """``<u|A|v> = sum_ij conj(u_i) A[i,j] v_j``: conjugate-linear in ``u``.
 
     For ``u == v`` the value is real up to roundoff (A is Hermitian); the
     residual imaginary part is zeroed in that case.
@@ -102,7 +81,7 @@ def matrix_element(u, a: HermitianMatrix, v) -> complex:
         raise DimensionMismatch(
             f"dims disagree: bra {x.shape[0]}, matrix {a.dim}, ket {y.shape[0]}"
         )
-    z = inner_product(x, matvec(a, y))
+    z = complex(np.vdot(x, a.array @ y))
     if np.array_equal(x, y):
         return complex(z.real, 0.0)
     return z

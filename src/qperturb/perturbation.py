@@ -32,7 +32,7 @@ from .errors import (
     NotNormalized,
     ZeroVector,
 )
-from .numkernel import HermitianMatrix, add_scaled, matvec
+from .numkernel import HermitianMatrix, add_scaled
 
 # Unit-norm tolerance for StateVector coefficients.
 NORMALIZATION_ATOL = 1e-10
@@ -74,8 +74,21 @@ class StateVector:
 
     @classmethod
     def from_unnormalized(cls, coefficients) -> "StateVector":
-        """Normalize arbitrary nonzero coefficients into a StateVector."""
-        b = np.asarray(coefficients, dtype=np.complex128)
+        """Normalize arbitrary nonzero finite coefficients into a StateVector.
+
+        The coefficients are first scaled by the exact power of two that
+        brings their largest real or imaginary magnitude into [0.5, 1), so
+        the squares in the norm neither overflow nor underflow to zero;
+        wherever those squares stay normal the result is bit-identical to
+        ``b / np.linalg.norm(b)``.
+        """
+        b = np.array(coefficients, dtype=np.complex128)
+        if not np.isfinite(b).all():
+            raise ValueError("state coefficients must be finite")
+        peak = max(np.abs(b.real).max(initial=0.0), np.abs(b.imag).max(initial=0.0))
+        # ldexp, not a factor 2**-k: that factor overflows for a subnormal peak.
+        exponent = -np.frexp(peak)[1]
+        b.real, b.imag = np.ldexp(b.real, exponent), np.ldexp(b.imag, exponent)
         norm = float(np.linalg.norm(b))
         if norm == 0.0:
             raise ZeroVector("cannot normalize the zero vector")
@@ -166,7 +179,7 @@ def correction_coefficients(
             f"state {state.dim}"
         )
     b = state.coefficients
-    hp_psi = matvec(perturbation, decomp.synthesize(b))
+    hp_psi = perturbation.array @ decomp.synthesize(b)
     numerators = decomp.eigenvectors.conj().T @ hp_psi - first_order_total * b
     denominators = energy - decomp.eigenvalues
     spread = float(decomp.eigenvalues[-1] - decomp.eigenvalues[0]) + 1.0
@@ -230,7 +243,7 @@ def residual_norm(
     if not math.isfinite(norm):
         raise ValueError("state norm is not finite; its residual is undefined")
     perturbed = add_scaled(hamiltonian, perturbation, x)
-    residual = matvec(perturbed, v) - total_energy_value * v
+    residual = perturbed.array @ v - total_energy_value * v
     return float(np.linalg.norm(residual) / norm)
 
 

@@ -21,7 +21,7 @@ from .eigensolver import jacobi_eigendecompose
 from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
 from .numkernel import HermitianMatrix, add_scaled
-from .perturbation import StateVector, expected_energy, level_shifts
+from .perturbation import StateVector, expected_energy
 
 # Two decades of strengths, inside the perturbative regime for O(1)-gap spectra.
 DEFAULT_X_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -31,6 +31,8 @@ ERROR_FLOOR = 1e-12
 # the spectral spread: keeps the x-grid inside the rank-pairing regime, where
 # no two levels cross (past a crossing the sweeps' records swap labels).
 MIN_GAP_FRACTION = 0.1
+# Draws random_nondegenerate_pair makes before giving up.
+MAX_ATTEMPTS = 1000
 
 SUPERPOSITION_LEVEL = -1  # level tag for weighted-total records
 
@@ -146,7 +148,9 @@ def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
 def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, grid):
     """One sweep pass over a checked grid, kept for the last completed call.
 
-    Returns H's decomposition, its first-order shifts E'_n, and two
+    Returns H's decomposition, its first-order shifts E'_n (the diagonal of
+    V below, which agrees with :func:`level_shifts` to within a few ulps of
+    ``||H'||_F`` and equals it where Phi is the identity), and two
     ``(B, N)`` arrays with one row per strength: the first-order levels
     E_n + x E'_n and the oracle spectrum.  Each row is sorted ascending, so
     column n pairs the n-th first-order level with the n-th exact one; this
@@ -175,10 +179,10 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     ``ValueError`` before the oracle runs.
     """
     decomp = jacobi_eigendecompose(hamiltonian)
-    shifts = level_shifts(perturbation, decomp)
     phi = decomp.eigenvectors
     products = [phi.conj().T @ m.array @ phi for m in (hamiltonian, perturbation)]
     base, coupling = [(w + w.conj().T) / 2.0 for w in products]
+    shifts = np.diagonal(coupling).real.copy()
     strengths = np.array(grid)
     stack = base[..., None] + coupling[..., None] * strengths
     if not np.isfinite(stack).all():
@@ -270,7 +274,6 @@ def random_nondegenerate_pair(
     dim: int,
     perturbation_scale: float = 1.0,
     min_gap_fraction: float = MIN_GAP_FRACTION,
-    max_attempts: int = 1000,
 ) -> tuple[HermitianMatrix, HermitianMatrix]:
     """Seeded (H, H') pair whose H has well-separated levels.
 
@@ -280,15 +283,18 @@ def random_nondegenerate_pair(
     ``perturbation_scale`` sets the entry magnitude of H'; choosing it small
     relative to the gaps keeps the whole default x-grid inside the
     perturbative regime.  Deterministic for a given seed.  Raises
-    ``ValueError`` up front when ``(dim - 1) * min_gap_fraction > 1``: the
-    dim - 1 gaps sum to the spread, so no H can meet the gap criterion;
-    raises :class:`AttemptsExhausted` when ``max_attempts`` draws all fail it.
+    ``ValueError`` up front when ``min_gap_fraction`` is negative or not
+    finite, or when ``(dim - 1) * min_gap_fraction > 1``: the dim - 1 gaps
+    sum to the spread, so no H can meet the gap criterion; raises
+    :class:`AttemptsExhausted` when ``MAX_ATTEMPTS`` draws all fail it.
     """
+    if not (math.isfinite(min_gap_fraction) and min_gap_fraction >= 0):
+        raise ValueError(f"min_gap_fraction must be finite and >= 0, got {min_gap_fraction}")
     if (dim - 1) * min_gap_fraction > 1:
         raise ValueError(f"min_gap_fraction {min_gap_fraction} is infeasible for dim {dim}")
     rng = np.random.default_rng(seed)
     perturbation = random_hermitian(int(rng.integers(2**63)), dim, perturbation_scale)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         hamiltonian = random_hermitian(int(rng.integers(2**63)), dim)
         if dim == 1:
             return hamiltonian, perturbation
@@ -296,4 +302,4 @@ def random_nondegenerate_pair(
         spread = float(values[-1] - values[0])
         if spread > 0 and float(np.diff(values).min()) >= min_gap_fraction * spread:
             return hamiltonian, perturbation
-    raise AttemptsExhausted(max_attempts)
+    raise AttemptsExhausted(MAX_ATTEMPTS)

@@ -15,7 +15,7 @@ from qperturb.eigensolver import (
 )
 from qperturb.errors import NoConvergence
 from qperturb.models import random_hermitian
-from qperturb.numkernel import HermitianMatrix, add_scaled, identity
+from qperturb.numkernel import HermitianMatrix, add_scaled
 
 
 def two_by_two_eigenvalues(a, b, d):
@@ -117,7 +117,7 @@ class TestJacobi:
 
     def test_shift_covariance(self):
         matrix = random_hermitian(9, 6)
-        shifted = add_scaled(matrix, identity(6), 2.5)
+        shifted = add_scaled(matrix, HermitianMatrix(np.eye(6)), 2.5)
         base = jacobi_eigendecompose(matrix).eigenvalues
         np.testing.assert_allclose(
             jacobi_eigendecompose(shifted).eigenvalues, base + 2.5, atol=1e-10
@@ -165,10 +165,7 @@ class TestJacobi:
         # the same check on a strided view of a stack and on a Fortran-ordered matrix
         for kind in ("strided-stack", "fortran"):
             _, work, _, _ = _layout(kind, False)
-            if work.ndim == 3:
-                work[..., 1] *= 1e-160  # the view's middle member
-            else:
-                work *= 1e-160
+            work[..., work.shape[-1] // 2] *= 1e-160  # the view's middle member
             stacks.append(work)
         for stack in stacks:
             before = stack.copy()
@@ -217,7 +214,7 @@ class TestJacobi:
 
     def test_eigenvalues_only_no_convergence_error(self):
         with pytest.raises(NoConvergence) as exc:
-            _diagonalize(np.array([[0, 1], [1, 0]], dtype=np.complex128), None, 0)
+            _diagonalize(np.array([[0, 1], [1, 0]], dtype=np.complex128)[..., None], None, 0)
         assert exc.value.sweeps == 0
 
     @pytest.mark.parametrize("n", [*range(1, 10), 32, 33])
@@ -237,10 +234,12 @@ class TestJacobi:
 
 
 def _solo(matrix, with_vectors, max_sweeps=100):
-    """``_diagonalize`` on one matrix: (work, vectors or None, sweeps)."""
+    """``_diagonalize`` on one matrix as a one-member stack: (work, vectors
+    or None, sweeps)."""
     work = np.array(matrix, dtype=np.complex128)
     vecs = np.eye(work.shape[0], dtype=np.complex128) if with_vectors else None
-    return work, vecs, _diagonalize(work, vecs, max_sweeps)
+    sweeps = _diagonalize(work[..., None], None if vecs is None else vecs[..., None], max_sweeps)
+    return work, vecs, sweeps[0]
 
 
 def _stack(matrices):
@@ -260,7 +259,7 @@ class TestStackedJacobi:
     def test_single_matrix_unchanged(self, n, with_vectors):
         matrix = random_hermitian(500 + n, n).array
         work, vecs, sweeps = _solo(matrix, with_vectors)
-        assert type(sweeps) is int and sweeps == self.SOLO_SWEEPS[n]
+        assert sweeps == self.SOLO_SWEEPS[n]
         # the same matrix as the middle member of a stack ends bit-identical
         stack = _stack([random_hermitian(600 + n, n).array, matrix, np.diag(np.arange(n, 0, -1.0))])
         stack_vecs = _stack([np.eye(n)] * 3) if with_vectors else None
@@ -324,8 +323,8 @@ class TestStackedJacobi:
 
 
 def _layout(kind, with_vectors):
-    """``work`` and ``vecs`` (or None) laid out as ``kind`` says, with the
-    array each one is a view of (itself when it is no view)."""
+    """``work`` and ``vecs`` (or None), stacks laid out as ``kind`` says, with
+    the array each one is a view of."""
     n = 9
     if kind == "strided-stack":
         base = _stack([random_hermitian(110 + b, n).array for b in range(5)])
@@ -336,9 +335,9 @@ def _layout(kind, with_vectors):
     eye = np.eye(n, dtype=np.complex128)
     if kind == "fortran":
         work, vecs = np.asfortranarray(matrix), np.asfortranarray(eye)
-        return work, work, vecs, vecs if with_vectors else None
+        return work, work[..., None], vecs, vecs[..., None] if with_vectors else None
     work_t, vecs_t = np.ascontiguousarray(matrix.T), eye.T.copy()
-    return work_t, work_t.T, vecs_t, vecs_t.T if with_vectors else None
+    return work_t, work_t.T[..., None], vecs_t, vecs_t.T[..., None] if with_vectors else None
 
 
 class TestSweepLayout:
@@ -370,8 +369,7 @@ class TestSweepLayout:
     @pytest.mark.parametrize("kind", ["fortran", "transposed", "strided-stack"])
     def test_norms_match_per_member_reference(self, kind):
         # each member's norms equal np.linalg.norm of its own C-ordered copy, bit for bit
-        _, work, _, _ = _layout(kind, False)
-        stack = work if work.ndim == 3 else work[..., None]
+        _, stack, _, _ = _layout(kind, False)
         frobenius, off = eigensolver._norms(stack)
         for b in range(stack.shape[-1]):
             member = np.ascontiguousarray(stack[..., b])
@@ -389,7 +387,7 @@ class TestSweepLayout:
         rng = np.random.default_rng(121)
         u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         started = u.copy()
-        _diagonalize(np.array(matrix), started, 100)
+        _diagonalize(np.array(matrix)[..., None], started[..., None], 100)
         np.testing.assert_allclose(started, u @ phi, rtol=0, atol=1e-12)
         assert np.linalg.norm(started - phi @ u) > 1e-3
 
@@ -411,7 +409,7 @@ HARD_SPECTRA = {
     "split-1e-9": lambda: _prescribed([-1.0, 0.5, 0.5 + 1e-9, 2.0, 3.0, 0.5 - 1e-9], seed=2),
     "six-4-fold": lambda: _prescribed(np.repeat(np.arange(6.0) - 2.5, 4), seed=3),
     "block-repeats": lambda: HermitianMatrix(np.kron(np.eye(5), _BLOCK)),
-    "identity-8": lambda: identity(8),
+    "identity-8": lambda: HermitianMatrix(np.eye(8)),
     "sigma-x": lambda: HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]),
     "scale-1e100": lambda: HermitianMatrix(1e100 * random_hermitian(7, 12).array),
     "scale-1e-100": lambda: HermitianMatrix(1e-100 * random_hermitian(7, 12).array),
@@ -439,13 +437,14 @@ def _assert_gates(matrix, dec):
 
 
 def _counting_finish(monkeypatch):
-    """Record the sweep count of every ``_diagonalize`` call."""
+    """Record the sweep count of every member of every ``_diagonalize`` call."""
     diagonalize = eigensolver._diagonalize
     sweeps = []
 
     def counting(work, vecs, max_sweeps):
-        sweeps.append(diagonalize(work, vecs, max_sweeps))
-        return sweeps[-1]
+        done = diagonalize(work, vecs, max_sweeps)
+        sweeps.extend(done.tolist())
+        return done
 
     monkeypatch.setattr(eigensolver, "_diagonalize", counting)
     return sweeps

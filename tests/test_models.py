@@ -93,6 +93,12 @@ class TestBoxHamiltonian:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             BoxModelSpec(0, 1.0)
+        # a non-integer level count would be truncated by arange
+        for levels in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="integer"):
+                BoxModelSpec(levels, 1.0)
+        assert box_hamiltonian(BoxModelSpec(np.int64(3), 1.0)).dim == 3
+        assert box_potential_matrix(BoxModelSpec(np.int32(3), 1.0)).dim == 3
         with pytest.raises(ValueError):
             BoxModelSpec(2, -1.0)
         with pytest.raises(ParseError):
@@ -156,14 +162,12 @@ class TestBoxPotentialMatrix:
     def test_quadrature_refinement_stable(self):
         for kind in ("const", "linear", "quadratic"):
             spec = BoxModelSpec(5, 2.0, kind, 1.3)
-            coarse = box_potential_matrix(spec, 2048).array
-            fine = box_potential_matrix(spec, 4096).array
-            assert np.abs(coarse - fine).max() <= 1e-10
+            got = box_potential_matrix(spec).array
+            for m in range(1, 6):
+                for n in range(1, 6):
+                    oracle = gauss_legendre_element(m, n, 2.0, spec.potential_values)
+                    assert abs(got[m - 1, n - 1] - oracle) <= 1e-10
 
     def test_output_is_hermitian(self):
         spec = BoxModelSpec(5, 3.0, "quadratic", -0.4)
         HermitianMatrix(box_potential_matrix(spec).array)
-
-    def test_odd_subdivision_rejected(self):
-        with pytest.raises(ValueError):
-            box_potential_matrix(BoxModelSpec(2, 1.0), quadrature_points=101)

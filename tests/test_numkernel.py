@@ -11,10 +11,7 @@ from qperturb.numkernel import (
     HERMITICITY_RTOL,
     HermitianMatrix,
     add_scaled,
-    identity,
-    inner_product,
     matrix_element,
-    matvec,
 )
 
 SIGMA_X = [[0, 1], [1, 0]]
@@ -41,59 +38,6 @@ def vector_pairs(draw, max_dim=6):
         im = draw(arrays(np.float64, (dim,), elements=finite_floats()))
         return re + 1j * im
     return vec(), vec()
-
-
-class TestInnerProduct:
-    def test_orthogonal_basis_vectors(self):
-        assert inner_product([1, 0], [0, 1]) == 0
-
-    def test_unit_norm_under_conjugation(self):
-        assert inner_product([1j, 0], [1j, 0]) == 1
-
-    def test_orthogonal_superpositions(self):
-        s = 1 / math.sqrt(2)
-        assert inner_product([s, s], [s, -s]) == pytest.approx(0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            inner_product([1, 0], [1, 0, 0])
-
-    @given(vector_pairs())
-    def test_conjugate_symmetry(self, pair):
-        u, v = pair
-        lhs = inner_product(u, v)
-        rhs = np.conj(inner_product(v, u))
-        assert abs(lhs - rhs) <= 1e-15 * max(1.0, abs(lhs))
-
-    @given(vector_pairs())
-    def test_self_product_real_nonnegative(self, pair):
-        v, _ = pair
-        z = inner_product(v, v)
-        assert z.imag == 0
-        assert z.real >= 0
-
-    def test_self_product_zero_only_for_zero_vector(self):
-        assert inner_product(np.zeros(4), np.zeros(4)) == 0
-        v = np.array([0.0, 1e-3, 0.0])
-        assert inner_product(v, v).real > 0
-
-
-class TestMatvec:
-    def test_identity(self):
-        out = matvec(identity(2), [3 + 1j, -2])
-        np.testing.assert_array_equal(out, np.array([3 + 1j, -2 + 0j]))
-
-    def test_permutation_action(self):
-        out = matvec(HermitianMatrix(SIGMA_X), [1, 0])
-        np.testing.assert_allclose(out, [0, 1])
-
-    def test_diagonal_action(self):
-        out = matvec(HermitianMatrix(np.diag([0.0, 2.0])), [5 + 1j, 7 - 2j])
-        np.testing.assert_allclose(out, [0, 14 - 4j])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matvec(identity(3), [1, 0])
 
 
 class TestMatrixElement:
@@ -130,10 +74,22 @@ class TestMatrixElement:
             raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             a = HermitianMatrix((raw + raw.conj().T) / 2)
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            z = inner_product(v, matvec(a, v))
+            z = np.vdot(v, a.array @ v)
             bound = 1e-12 * np.linalg.norm(a.array) * np.linalg.norm(v) ** 2
             assert abs(z.imag) <= bound
             assert matrix_element(v, a, v).imag == 0
+
+    @given(vector_pairs(), st.integers(0, 2**32 - 1))
+    def test_conjugate_symmetry(self, pair, seed):
+        # <u|A|v> = conj(<v|A|u>) for Hermitian A
+        u, v = pair
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(u.size, u.size)) + 1j * rng.normal(size=(u.size, u.size))
+        a = HermitianMatrix((raw + raw.conj().T) / 2)
+        lhs = matrix_element(u, a, v)
+        rhs = np.conj(matrix_element(v, a, u))
+        scale = np.linalg.norm(a.array) * np.linalg.norm(u) * np.linalg.norm(v)
+        assert abs(lhs - rhs) <= 1e-14 * max(1.0, scale)
 
 
 class TestAddScaled:
@@ -169,13 +125,13 @@ class TestAddScaled:
         assert np.abs(direct - stepped).max() <= 1e-15 * max(1.0, abs(x1) + abs(x2))
 
     def test_nonfinite_strength_rejected(self):
-        a = identity(2)
+        a = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             add_scaled(a, a, math.inf)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            add_scaled(identity(2), identity(3), 1.0)
+            add_scaled(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)), 1.0)
 
 
 class TestCheckHermitian:
@@ -237,6 +193,6 @@ class TestHermitianMatrix:
             HermitianMatrix(np.zeros((2, 3)))
 
     def test_array_is_read_only(self):
-        m = identity(2)
+        m = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0

@@ -13,7 +13,7 @@ from qperturb.errors import (
     ZeroVector,
 )
 from qperturb.models import BoxModelSpec, box_hamiltonian, box_potential_matrix, random_hermitian
-from qperturb.numkernel import HermitianMatrix, identity, inner_product, matrix_element
+from qperturb.numkernel import HermitianMatrix, matrix_element
 from qperturb.perturbation import (
     DEFAULT_TOL_DEGEN,
     DEFAULT_TOL_NUM,
@@ -57,7 +57,7 @@ def loop_correction_coefficients(perturbation, decomp, state, energy, eprime):
     hp_scale = float(np.linalg.norm(perturbation.array))
     out = np.zeros(decomp.dim, dtype=np.complex128)
     for m in range(decomp.dim):
-        numerator = inner_product(decomp.eigenvector(m), hp_psi) - eprime * state.coefficients[m]
+        numerator = np.vdot(decomp.eigenvector(m), hp_psi) - eprime * state.coefficients[m]
         denominator = energy - float(decomp.eigenvalues[m])
         if abs(denominator) > DEFAULT_TOL_DEGEN * spread:
             out[m] = numerator / denominator
@@ -92,6 +92,21 @@ class TestStateVector:
         with pytest.raises(ZeroVector):
             StateVector.from_unnormalized([0.0, 0.0])
 
+    def test_from_unnormalized_extreme_magnitudes(self):
+        # the plain norm squares 1e-200 to 0 and 1e200 to inf
+        for tiny_or_huge in (1e-200, 1e200):
+            s = StateVector.from_unnormalized([tiny_or_huge, tiny_or_huge])
+            np.testing.assert_allclose(s.coefficients, [INV_SQRT2, INV_SQRT2], rtol=0, atol=1e-15)
+        subnormal = StateVector.from_unnormalized([1e-320, 0.0])
+        np.testing.assert_allclose(subnormal.coefficients, [1.0, 0.0], rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="finite"):
+            StateVector.from_unnormalized([math.inf, 1.0])
+
+    def test_from_unnormalized_matches_plain_division(self):
+        b = [1e3, 1e3j] @ np.random.default_rng(5).normal(size=(2, 9))
+        s = StateVector.from_unnormalized(b)
+        np.testing.assert_array_equal(s.coefficients, b / np.linalg.norm(b))
+
 
 class TestExpectedEnergy:
     def test_eigenstate_case(self, dec_2x2):
@@ -118,7 +133,8 @@ class TestLevelShifts:
 
     def test_identity_perturbation(self):
         dec = jacobi_eigendecompose(random_hermitian(8, 4))
-        np.testing.assert_allclose(level_shifts(identity(4), dec), np.ones(4), atol=1e-12)
+        shifts = level_shifts(HermitianMatrix(np.eye(4)), dec)
+        np.testing.assert_allclose(shifts, np.ones(4), atol=1e-12)
 
     def test_box_linear_potential_gives_half_width(self):
         # oracle: <n|x|n> = L/2 for every well level
@@ -252,7 +268,7 @@ class TestCorrectionCoefficients:
         h = HermitianMatrix(np.diag([1.0, 1.0]))
         dec = jacobi_eigendecompose(h)
         b = StateVector.basis_state(2, 0)
-        a = correction_coefficients(identity(2), dec, b, 1.0, 1.0)
+        a = correction_coefficients(HermitianMatrix(np.eye(2)), dec, b, 1.0, 1.0)
         np.testing.assert_array_equal(a, np.zeros(2))
 
     def test_gauge_invariance_under_column_phase(self):
@@ -329,10 +345,11 @@ class TestResidualNorm:
     def test_identity_perturbation_exact_at_any_strength(self):
         h = random_hermitian(6, 4)
         dec = jacobi_eigendecompose(h)
+        identity = HermitianMatrix(np.eye(4))
         for x in (0.0, 0.1, 0.5, 1.0):
-            res = first_order(dec, identity(4), StateVector.basis_state(4, 2), x)
+            res = first_order(dec, identity, StateVector.basis_state(4, 2), x)
             psi1 = dec.synthesize(res.perturbed_state)
-            assert residual_norm(h, identity(4), x, res.perturbed_levels[2], psi1) <= 1e-12
+            assert residual_norm(h, identity, x, res.perturbed_levels[2], psi1) <= 1e-12
 
     def test_quadratic_scaling_matches_analytic_form(self, dec_2x2):
         # oracle for H = diag(0,2), H' offdiagonal, level 0:

@@ -16,8 +16,8 @@ from qperturb.errors import (
     QPerturbError,
 )
 from qperturb.models import BoxModelSpec, box_hamiltonian, box_potential_matrix, random_hermitian
-from qperturb.numkernel import HermitianMatrix, add_scaled, identity
-from qperturb.perturbation import StateVector, first_order
+from qperturb.numkernel import HermitianMatrix, add_scaled
+from qperturb.perturbation import StateVector, first_order, level_shifts
 from qperturb import verify
 from qperturb.verify import (
     DEFAULT_X_GRID,
@@ -54,7 +54,8 @@ class TestExactLevels:
     def test_identity_shift(self):
         h = random_hermitian(12, 4)
         base = jacobi_eigendecompose(h).eigenvalues
-        np.testing.assert_allclose(exact_levels(h, identity(4), 0.7), base + 0.7, atol=1e-10)
+        shifted = exact_levels(h, HermitianMatrix(np.eye(4)), 0.7)
+        np.testing.assert_allclose(shifted, base + 0.7, atol=1e-10)
 
 
 def _degenerate_pair():
@@ -107,6 +108,18 @@ class TestWarmStartedOracle:
             ref, tol = _eigvalsh_and_tol(h, hp, r.x)
             assert abs(r.exact - weights @ ref) <= tol
 
+    @pytest.mark.parametrize("name", ["dense-6", "dense-24", "dense-64", "box-12"])
+    def test_shifts_read_from_v_match_level_shifts(self, name):
+        h, hp = ORACLE_PAIRS[name]()
+        _, decomp, shifts, _, _ = verify._sweep(h, hp, DEFAULT_X_GRID)
+        direct = level_shifts(hp, decomp)
+        if name == "box-12":
+            assert np.array_equal(decomp.eigenvectors, np.eye(h.dim))
+            assert np.array_equal(shifts, direct)
+        else:
+            bound = 4 * np.finfo(np.float64).eps * np.linalg.norm(hp.array)
+            assert np.abs(shifts - direct).max() <= bound
+
     def test_exact_levels_matches_full_decomposition_bitwise(self):
         h, hp = ORACLE_PAIRS["dense-6"]()
         x = DEFAULT_X_GRID[0]
@@ -125,7 +138,7 @@ class TestWarmStartedOracle:
         assert max(oracle_sweeps) <= 3
         for x in DEFAULT_X_GRID:
             cold = np.array(add_scaled(h, hp, x).array)
-            assert diagonalize(cold, None, eigensolver.DEFAULT_MAX_SWEEPS) >= 6
+            assert diagonalize(cold[..., None], None, eigensolver.DEFAULT_MAX_SWEEPS)[0] >= 6
 
     @pytest.mark.parametrize("name", ORACLE_PAIRS)
     @pytest.mark.parametrize(
@@ -156,7 +169,7 @@ def _solo_levels(base, coupling, x):
     """The stack member for x solved on its own: a values-only Jacobi solve of
     ``A0 + x V`` from the identity, its diagonal sorted."""
     work = np.array(add_scaled(base, coupling, x).array)
-    eigensolver._diagonalize(work, None, eigensolver.DEFAULT_MAX_SWEEPS)
+    eigensolver._diagonalize(work[..., None], None, eigensolver.DEFAULT_MAX_SWEEPS)
     return np.sort(np.diagonal(work).real, kind="stable")
 
 
@@ -168,14 +181,13 @@ def _in_eigenbasis(matrix, eigenvectors):
 
 def _counting_diagonalize(monkeypatch):
     """Record every Jacobi solve that runs as ``(kind, sweeps)``: kind
-    ``"vectors"`` or ``"values"``, and one sweep count per member (a list of
-    one for a single matrix)."""
+    ``"vectors"`` or ``"values"``, and one sweep count per member."""
     diagonalize = eigensolver._diagonalize
     solves = []
 
     def counting(work, vecs, max_sweeps):
         sweeps = diagonalize(work, vecs, max_sweeps)
-        solves.append(("values" if vecs is None else "vectors", np.atleast_1d(sweeps).tolist()))
+        solves.append(("values" if vecs is None else "vectors", sweeps.tolist()))
         return sweeps
 
     monkeypatch.setattr(eigensolver, "_diagonalize", counting)
@@ -240,7 +252,7 @@ class TestSharedPass:
 
         def oracle_fails(work, vecs, max_sweeps):
             if vecs is None:
-                raise NoConvergence(max_sweeps)
+                raise NoConvergence(max_sweeps, 1.0)
             return diagonalize(work, vecs, max_sweeps)
 
         monkeypatch.setattr(eigensolver, "_diagonalize", oracle_fails)
@@ -384,7 +396,7 @@ class TestLevelSweep:
             assert pickle.dumps(recs) == pickle.dumps(want)
 
     def test_identity_perturbation_floored(self):
-        recs = level_sweep(H_2x2, identity(2))
+        recs = level_sweep(H_2x2, HermitianMatrix(np.eye(2)))
         assert all(r.abs_error <= 1e-12 for r in recs)
         assert convergence_order(records_for_level(recs, 0)).floored
 
@@ -506,15 +518,24 @@ class TestRandomNondegeneratePair:
         _, hp = random_nondegenerate_pair(2, 6, perturbation_scale=0.1)
         assert np.abs(hp.array).max() <= 0.1
 
-    def test_infeasible_gap_fraction_fails_fast(self):
+    def test_infeasible_gap_fraction_fails_fast(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a candidate before the gap fraction was checked")
+
+        monkeypatch.setattr(verify, "random_hermitian", no_draw)
         # 11 gaps that sum to the spread cannot each be >= 0.1 of it
         with pytest.raises(ValueError, match="infeasible"):
             random_nondegenerate_pair(0, 12)
+        # NaN fails every draw's gap test; a negative fraction guarantees no gap
+        for fraction in (math.nan, -0.1):
+            with pytest.raises(ValueError, match="min_gap_fraction must be finite and >= 0"):
+                random_nondegenerate_pair(0, 6, min_gap_fraction=fraction)
 
-    def test_exhausted_attempts_typed(self):
+    def test_exhausted_attempts_typed(self, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_ATTEMPTS", 1)
         # feasible (5 * 0.19 < 1) but the single draw of seed 0 misses the gap criterion
         with pytest.raises(AttemptsExhausted) as exc:
-            random_nondegenerate_pair(0, 6, min_gap_fraction=0.19, max_attempts=1)
+            random_nondegenerate_pair(0, 6, min_gap_fraction=0.19)
         assert exc.value.attempts == 1
         assert isinstance(exc.value, QPerturbError)
         assert isinstance(exc.value, RuntimeError)
