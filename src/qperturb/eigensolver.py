@@ -27,17 +27,11 @@ that needs only eigenvalues reads its ``eigenvalues``.  The sweep loop also
 serves the sweeps' oracle, which starts from H's eigenbasis instead: on a
 nearly diagonal matrix (an operator written in the eigenbasis of a nearby
 one) cyclic Jacobi converges quadratically, in two or three sweeps.  That
-loop takes an ``(N, N, B)`` stack of B matrices, so that each numpy call of
-a step serves all B members; every member ends bit-identical to a solve of
-its own, because each member's norms are summed over its own C-ordered
-entries.
-
-A sweep runs on one C-contiguous copy ``[A^T, Phi^T]`` of the matrix and its
-eigenvectors.  Transposed, the column updates ``A <- AJ`` and
-``Phi <- Phi J`` of a step are one contiguous row update of both, and
-``A <- J^H A`` is a column update of ``A^T``; a step reads and resets its
-pivots and diagonal entries through flat indices built when a solve's first
-sweep runs, and works in buffers allocated once per sweep.
+loop takes a ``(B, N, N)`` stack of B matrices, member b at ``stack[b]``,
+so that each numpy call of a step serves all B members; every member ends
+bit-identical to a solve of its own, because each member's norms are
+summed over its own C-ordered entries and a step's arithmetic is
+elementwise.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
-from .numkernel import HermitianMatrix
+from .numkernel import HermitianMatrix, checked_index
 
 # Convergence threshold for the off-diagonal Frobenius norm, relative to ||A||_F.
 OFFDIAG_RTOL = 1e-12
@@ -89,7 +83,8 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
     def eigenvector(self, m: int) -> np.ndarray:
-        return self.eigenvectors[:, m]
+        """Column m; :class:`DimensionMismatch` unless ``0 <= m < dim``."""
+        return self.eigenvectors[:, checked_index(m, "level", self.dim)]
 
     def synthesize(self, coefficients) -> np.ndarray:
         """Map eigenbasis coordinates to the computational basis: sum_j b_j phi_j."""
@@ -113,8 +108,8 @@ def _fix_phases(columns: np.ndarray) -> np.ndarray:
 
 
 def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``||A||_F`` and the off-diagonal Frobenius norm of every member A of an
-    ``(N, N, B)`` stack (one matrix ``a`` is the stack ``a[..., None]``).
+    """``||A||_F`` and the off-diagonal Frobenius norm of every member A of a
+    ``(B, N, N)`` stack (one matrix ``a`` is the stack ``a[None]``).
 
     Each norm is summed over the member's own C-ordered entries, one BLAS dot
     per real and imaginary part as in ``np.linalg.norm``, so a member's norms
@@ -126,9 +121,9 @@ def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tolerance and the off-diagonal norm all collapse.  Either way the matrix
     would pass as converged with its diagonal as the spectrum.
     """
-    n, _, count = members.shape
+    count, n, _ = members.shape
     # A C-ordered copy, one row per member; its diagonal is zeroed below.
-    flat = np.array(np.moveaxis(members, -1, 0), order="C").reshape(count, n * n)
+    flat = np.array(members, order="C").reshape(count, n * n)
 
     def norms():
         re, im = flat.real[:, None], flat.imag[:, None]
@@ -169,84 +164,23 @@ def _round_robin_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
     return p[real].reshape(steps, n // 2), q[real].reshape(steps, n // 2)
 
 
-def _step_indices(n: int, slabs: int) -> list[tuple[np.ndarray, ...]]:
-    """The indices :func:`_sweep` needs, one tuple per step, built once per
-    solve that sweeps so that a step slices nothing.  For a step's pairs ``(p, q)``:
+def _sweep(a: np.ndarray, vecs: np.ndarray | None, steps: np.ndarray) -> None:
+    """One round-robin sweep in place on a C-contiguous ``(B, N, N)`` stack
+    ``a``, its rotations also applied to the columns of ``vecs`` (shaped
+    like ``a``) unless it is None.  ``steps[i]`` is step i's ``[p, q]``, a
+    ``(2, N // 2)`` array of its index pairs (see :func:`_round_robin_steps`).
 
-    - ``rows``: rows p and q of every slab of ``x``, as rows of ``x``
-      reshaped to ``(slabs * N, N)``, shaped ``(2, slabs, N // 2)``;
-    - ``first``: ``rows[:, :1]``, the first slab's rows, p and q themselves;
-    - ``read``: ``A[p,p], A[q,q], A[p,q]`` as flat indices into ``A^T``;
-    - ``pivots``: ``A[p,q], A[q,p]``, and ``diagonals``: ``A[p,p], A[q,q]``,
-      the same way.
+    A step rotates columns p and q of A and Phi (``A <- AJ``,
+    ``Phi <- Phi J``), then rows p and q of A (``A <- J^H A``), and then
+    sets the pivots A[p,q], A[q,p] and the imaginary parts of A[p,p],
+    A[q,q] to 0, the rotations' exact post-conditions.
     """
-    p, q = _round_robin_steps(n)
-    k = n // 2
-    rows = np.stack([p, q], axis=1)[:, :, None, :] + n * np.arange(slabs)[:, None]
-    entries = np.concatenate([p * (n + 1), q * (n + 1), q * n + p, p * n + q], axis=1)
-    return [
-        (r, r[:, :1], e[: 3 * k], e[2 * k :], e[: 2 * k]) for r, e in zip(rows, entries)
-    ]
-
-
-def _rotation_operands(old: np.ndarray, new: np.ndarray, tmp: np.ndarray) -> tuple:
-    """:func:`_rotate`'s buffers: ``old``'s halves, ``new`` and ``tmp`` whole
-    and in halves, as views made once per sweep."""
-    return old[0], old[1], new, new[0], new[1], tmp, tmp[0], tmp[1]
-
-
-def _rotate(operands: tuple, cs, sc) -> None:
-    """``new = [c*P - s*w*Q, s*P + c*w*Q]`` for ``old = [P, Q]``, with
-    ``cs = [c, s]`` and ``sc = [s*w, c*w]``; ``tmp`` is scratch, and
-    ``operands`` is :func:`_rotation_operands` ``(old, new, tmp)``."""
-    p, q, new, new_p, new_q, tmp, tmp_p, tmp_q = operands
-    np.multiply(cs, p, out=new)
-    np.multiply(sc, q, out=tmp)
-    np.subtract(new_p, tmp_p, out=new_p)
-    np.add(new_q, tmp_q, out=new_q)
-
-
-def _sweep(x: np.ndarray, steps) -> None:
-    """One round-robin sweep in place on ``x = [A^T, Phi^T]`` (``[A^T]``
-    without eigenvectors) for a stack of B members, a ``(2, N, N, B)`` or
-    ``(1, N, N, B)`` array that must be C-contiguous: its flat views below
-    must not be copies.
-
-    Transposed, the column updates ``A <- AJ`` and ``Phi <- Phi J`` are one
-    row update of ``x[:, p]`` and ``x[:, q]``, and ``A <- J^H A`` is a
-    column update of ``x[0]``.  Each update gathers into, computes in and
-    scatters from buffers allocated once per sweep, so a step allocates no
-    matrix-sized temporary, and the views a step passes to numpy are made
-    once per sweep too.  Every entry is computed with the same operations on
-    the same operands as in the untransposed layout.
-    """
-    slabs, n, _, count = x.shape
-    k = n // 2
-    flat = x[0].reshape(n * n, count)  # views, since x is C-contiguous
-    flat_imag = flat.imag
-    x_rows = x.reshape(slabs * n, n, count)
-    row_starts = np.repeat(n * np.arange(n)[:, None], k, axis=1)
-    cols_at = np.empty((2, n, k), dtype=np.intp)
-    # The row and the column update take turns on the same three buffers,
-    # _rotate's old, new and tmp.
-    buffers = np.empty((3, 2 * slabs * k * n * count), dtype=x.dtype)
-    rows = [b.reshape(2, slabs, k, n, count) for b in buffers]
-    cols = [b[: 2 * n * k * count].reshape(2, n, k, count) for b in buffers]
-    # [c, s] as complex numbers, so the updates' products need no casts;
-    # their imaginary parts stay 0.  It is updated in place, so its views
-    # below stay valid for the whole sweep.
-    cs = np.zeros((2, k, count), dtype=x.dtype)
-    c, s = cs.real
-    sc_conj, sc = np.empty_like(cs), np.empty_like(cs)
-    reversed_cs = cs[::-1]
-    row_rotation = _rotation_operands(*rows), cs[:, None, :, None], sc_conj[:, None, :, None]
-    col_rotation = _rotation_operands(*cols), cs[:, None], sc[:, None]
-    # A step's A[p,p], A[q,q] and A[p,q].  mode="clip" lets take write
-    # straight into out, here and below; the indices are in range.
-    got = np.empty((3 * k, count), dtype=x.dtype)
-    app, aqq, apq = got[:k].real, got[k : 2 * k].real, got[2 * k :]
-    for rows_at, first, read, pivots, diagonals in steps:
-        flat.take(read, axis=0, out=got, mode="clip")
+    count, n, _ = a.shape
+    parts = [a] if vecs is None else [a, vecs]
+    diagonal_imag = a.reshape(count, n * n).imag[:, :: n + 1]  # a view: a is C-contiguous
+    for pairs in steps:
+        p, q = pairs
+        app, aqq, apq = a[:, p, p].real, a[:, q, q].real, a[:, p, q]
         r = np.abs(apq)
         zero = r == 0.0  # already annihilated: identity rotation
         r[zero] = 1.0
@@ -255,49 +189,44 @@ def _sweep(x: np.ndarray, steps) -> None:
         tau = (aqq - app) / (2.0 * r)
         tau[zero] = np.inf  # so that t = 0
         t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-        np.divide(1.0, np.hypot(1.0, t), out=c)
-        np.multiply(t, c, out=s)
+        c = 1.0 / np.hypot(1.0, t)
+        # [c, s] as complex numbers, so the products below need no casts;
+        # their imaginary parts are +0.
+        cs = np.array([c, t * c], dtype=np.complex128)
         # Unitaries on the (p,q) planes: [[c, s], [-s*conj(phase), c*conj(phase)]].
         # sc_conj = [s*conj(phase), c*conj(phase)], sc = [s*phase, c*phase].
-        np.multiply(reversed_cs, np.conj(phase), out=sc_conj)
-        np.multiply(reversed_cs, phase, out=sc)
-        # A <- AJ and Phi <- Phi J: rows p and q of x.
-        x_rows.take(rows_at, axis=0, out=rows[0], mode="clip")
-        _rotate(*row_rotation)
-        x_rows[rows_at] = rows[1]
-        # A <- J^H A: columns p and q of A^T.
-        np.add(row_starts, first, out=cols_at)
-        flat.take(cols_at, axis=0, out=cols[0], mode="clip")
-        _rotate(*col_rotation)
-        flat[cols_at] = cols[1]
-        # Exact post-conditions of the rotations.
-        flat[pivots] = 0.0
-        flat_imag[diagonals] = 0.0
+        sc_conj, sc = cs[::-1] * np.conj(phase), cs[::-1] * phase
+        for m in parts:  # A <- AJ and Phi <- Phi J: columns p and q
+            new, tmp = cs[:, :, None] * m[:, :, p], sc_conj[:, :, None] * m[:, :, q]
+            m[:, :, p] = new[0] - tmp[0]
+            m[:, :, q] = new[1] + tmp[1]
+        # A <- J^H A: rows p and q.
+        new, tmp = cs[..., None] * a[:, p], sc[..., None] * a[:, q]
+        a[:, p] = new[0] - tmp[0]
+        a[:, q] = new[1] + tmp[1]
+        a[:, pairs, pairs[::-1]] = 0.0
+        diagonal_imag[:, pairs] = 0.0
 
 
 def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int) -> np.ndarray:
-    """Run round-robin Jacobi sweeps in place on an ``(N, N, B)`` stack of B
+    """Run round-robin Jacobi sweeps in place on a ``(B, N, N)`` stack of B
     matrices until each one's off-diagonal norm is at most ``OFFDIAG_RTOL``
     times its own Frobenius norm; return the number of sweeps of each member
-    (one matrix ``a`` is the stack ``a[..., None]``, a view that the sweeps
-    write through).
+    (one matrix ``a`` is the stack ``a[None]``, a view that the sweeps write
+    through).
 
     The rotations are also applied to the columns of ``vecs`` (shaped like
     ``work``) unless it is None.  They never depend on ``vecs``, so ``work``
-    ends bit-identical either way.  Each sweep copies the members still
-    above their tolerance, ``work[..., active]`` and ``vecs[..., active]``,
-    transposed into one new C-contiguous array ``x = [A^T, Phi^T]``
-    (``(2, N, N, b)``, or ``(1, ...)`` without vectors), runs on it (see
-    :func:`_sweep`) and writes the result back, so any memory layout of the
-    caller's arrays gives the same bits.  The stack axis is last, so each
-    numpy call of a step serves all active members at once.  A member is
-    rotated only in the sweeps it would run alone, so every member ends
-    bit-identical to a solve of that matrix on its own.  Raises
-    :class:`NoConvergence` for the first member still above its tolerance
-    after ``max_sweeps`` sweeps, and ``ValueError`` before any rotation when
-    some member's Frobenius norm overflows or underflows (see
-    :func:`_norms`).  The step indices are built when the first sweep runs,
-    so a solve that needs none builds none.
+    ends bit-identical either way.  Each sweep runs (see :func:`_sweep`) on
+    copies ``work[active]`` and ``vecs[active]`` of the members still above
+    their tolerance and writes them back, so any memory layout of the
+    caller's arrays gives the same bits, and each numpy call of a step
+    serves all active members at once.  A member is rotated only in the
+    sweeps it would run alone, so every member ends bit-identical to a solve
+    of that matrix on its own.  Raises :class:`NoConvergence` for the first
+    member still above its tolerance after ``max_sweeps`` sweeps, and
+    ``ValueError`` before any rotation when some member's Frobenius norm
+    overflows or underflows (see :func:`_norms`).
     """
     norms = _norms(work)[0]
     # A member with a norm below 0.5 is scaled up by an exact power of two
@@ -306,11 +235,10 @@ def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int) -> 
     # with the scaling bit for bit.  None is scaled down, which could flush
     # tiny entries into subnormals; a finite norm keeps every square finite.
     scales = np.maximum(_unit_scales(norms), 1.0)
-    work *= scales
+    work *= scales[:, None, None]
     tol = OFFDIAG_RTOL * norms * scales  # ||A||_F is rotation-invariant
-    parts = [work] if vecs is None else [work, vecs]
     steps = None
-    sweeps = np.zeros(work.shape[-1], dtype=int)
+    sweeps = np.zeros(len(work), dtype=int)
     while True:
         off_norms = _norms(work)[1]
         active = np.flatnonzero(off_norms > tol)
@@ -318,18 +246,18 @@ def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int) -> 
             break
         first = active[0]
         if sweeps[first] >= max_sweeps:
-            work /= scales
+            work /= scales[:, None, None]
             raise NoConvergence(int(sweeps[first]), float(off_norms[first] / scales[first]))
-        if steps is None:
-            steps = _step_indices(work.shape[0], len(parts))
-        x = np.empty((len(parts),) + work.shape[:2] + active.shape, dtype=np.complex128)
-        for m, m_t in zip(parts, x):
-            m_t[...] = m[..., active].swapaxes(0, 1)
-        _sweep(x, steps)
-        for m, m_t in zip(parts, x):
-            m[..., active] = m_t.swapaxes(0, 1)
+        if steps is None:  # once per solve, and only for a solve that sweeps
+            steps = np.stack(_round_robin_steps(work.shape[1]), axis=1)
+        a = np.ascontiguousarray(work[active])  # a copy, C-ordered for _sweep
+        phi = None if vecs is None else vecs[active]
+        _sweep(a, phi, steps)
+        work[active] = a
+        if phi is not None:
+            vecs[active] = phi
         sweeps[active] += 1
-    work /= scales
+    work /= scales[:, None, None]
     return sweeps
 
 
@@ -529,17 +457,17 @@ def jacobi_eigendecompose(
     are, and keeps every square that counts clear of the subnormals.
     """
     work = np.array(a.array, dtype=np.complex128)
-    norm = _norms(work[..., None])[0][0]
+    norm = _norms(work[None])[0][0]
     scale = _unit_scales(norm)
     scaled = work * scale
     vecs = np.eye(a.dim, dtype=np.complex128)
-    if _norms(scaled[..., None])[1][0] > OFFDIAG_RTOL * norm * scale:
+    if _norms(scaled[None])[1][0] > OFFDIAG_RTOL * norm * scale:
         vecs = _start_basis(scaled)
         if not np.isfinite(vecs).all():
             raise ValueError("start basis is not finite")
         w = vecs.conj().T @ work @ vecs
         work = (w + w.conj().T) / 2.0
-    _diagonalize(work[..., None], vecs[..., None], max_sweeps)
+    _diagonalize(work[None], vecs[None], max_sweeps)
     eigenvalues = np.real(np.diag(work)).copy()
     order = np.argsort(eigenvalues, kind="stable")
     vecs = _fix_phases(vecs[:, order])

@@ -71,9 +71,15 @@ def random_hermitian(seed: int, n: int, scale: float = 1.0) -> HermitianMatrix:
     uniform on [-scale, scale]; strict-upper entries have real and imaginary
     parts uniform on [-scale/sqrt(2), scale/sqrt(2)] and are mirrored by
     conjugation.  Identical arguments give bit-identical matrices on one
-    platform.  ``ValueError`` when ``2 * scale`` overflows (scale above
-    about 8.99e307), as that range cannot be drawn from.
+    platform.  ``ValueError`` when ``n`` is not an integer of at least 1
+    (``operator.index`` rejects 2.5 and 3.0), or when ``2 * scale``
+    overflows (scale above about 8.99e307), as that range cannot be drawn
+    from.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"dimension must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError("dimension must be >= 1")
     # uniform(-scale, scale) draws from a range of width 2 * scale.

@@ -9,6 +9,8 @@ elements are conjugate-linear in the bra (physics convention):
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitianInput
@@ -16,6 +18,19 @@ from .errors import DimensionMismatch, NonHermitianInput
 # Relative tolerance for accepting raw entries as Hermitian, and for the
 # guaranteed realness of diagonal matrix elements.
 HERMITICITY_RTOL = 1e-12
+
+
+def checked_index(value, what: str, size: int | None = None) -> int:
+    """``operator.index(value)``, which must also lie in ``range(size)``
+    unless ``size`` is None; else :class:`DimensionMismatch`.  ``True``
+    reads as 1, and 1.5 or 3.0 are rejected."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise DimensionMismatch(f"{what} {value!r} is not an integer") from None
+    if size is not None and not 0 <= index < size:
+        raise DimensionMismatch(f"{what} {index} out of range for dim {size}")
+    return index
 
 
 def _as_square(entries) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import (
     NotNormalized,
     ZeroVector,
 )
-from .numkernel import HermitianMatrix, add_scaled
+from .numkernel import HermitianMatrix, add_scaled, checked_index
 
 # Unit-norm tolerance for StateVector coefficients.
 NORMALIZATION_ATOL = 1e-10
@@ -65,9 +65,11 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, dim: int, level: int) -> "StateVector":
-        """The n-th eigenbasis unit vector (eigenstate mode)."""
-        if not 0 <= level < dim:
-            raise DimensionMismatch(f"level {level} out of range for dim {dim}")
+        """The n-th eigenbasis unit vector (eigenstate mode).  Both arguments
+        must be integers with ``0 <= level < dim``, else
+        :class:`DimensionMismatch`."""
+        dim = checked_index(dim, "dim")
+        level = checked_index(level, "level", dim)
         b = np.zeros(dim, dtype=np.complex128)
         b[level] = 1.0
         return cls(b)
@@ -78,9 +80,12 @@ class StateVector:
 
         The coefficients are first scaled by the exact power of two that
         brings their largest real or imaginary magnitude into [0.5, 1), so
-        the squares in the norm neither overflow nor underflow to zero;
-        wherever those squares stay normal the result is bit-identical to
-        ``b / np.linalg.norm(b)``.
+        the squares in the norm neither overflow nor underflow to zero.  The
+        real and imaginary parts are then each divided by the norm.  (numpy
+        divides a complex array by a real scalar through the scalar's
+        reciprocal, which can leave a basis direction such as
+        ``[0.98828125, 0]`` one ulp short of the unit vector.)  So a single
+        nonzero entry normalizes to exactly the basis state.
         """
         b = np.array(coefficients, dtype=np.complex128)
         if not np.isfinite(b).all():
@@ -92,7 +97,8 @@ class StateVector:
         norm = float(np.linalg.norm(b))
         if norm == 0.0:
             raise ZeroVector("cannot normalize the zero vector")
-        return cls(b / norm)
+        b.real, b.imag = b.real / norm, b.imag / norm
+        return cls(b)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import eigensolver
 from .eigensolver import jacobi_eigendecompose
 from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
-from .numkernel import HermitianMatrix, add_scaled
+from .numkernel import HermitianMatrix, add_scaled, checked_index
 from .perturbation import StateVector, expected_energy
 
 # Two decades of strengths, inside the perturbative regime for O(1)-gap spectra.
@@ -171,12 +170,12 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     hermiticity.  That matrix is unitarily similar to H + x H' up to the
     roundoff of Phi and already nearly diagonal, so Jacobi needs two or three
     sweeps from the identity, with no start basis.  The whole grid is one
-    ``(N, N, B)`` stack, ``A0 + V x`` broadcast over the strengths, and is
-    diagonalized as one, so each numpy call of a Jacobi step serves every
-    strength; each spectrum is bit-identical to a values-only Jacobi solve
-    of ``A0 + V x`` on its own.  A stack entry that is not finite (an
-    overflowing H', or a strength large enough to overflow ``x V``) raises
-    ``ValueError`` before the oracle runs.
+    ``(B, N, N)`` stack, member b ``A0 + x_b V``, and is diagonalized as
+    one, so each numpy call of a Jacobi step serves every strength; each
+    spectrum is bit-identical to a values-only Jacobi solve of ``A0 + x V``
+    on its own.  A stack entry that is not finite (an overflowing H', or a
+    strength large enough to overflow ``x V``) raises ``ValueError`` before
+    the oracle runs.
     """
     decomp = jacobi_eigendecompose(hamiltonian)
     phi = decomp.eigenvectors
@@ -184,12 +183,12 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     base, coupling = [(w + w.conj().T) / 2.0 for w in products]
     shifts = np.diagonal(coupling).real.copy()
     strengths = np.array(grid)
-    stack = base[..., None] + coupling[..., None] * strengths
+    stack = base + coupling * strengths[:, None, None]
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
     eigensolver._diagonalize(stack, None, eigensolver.DEFAULT_MAX_SWEEPS)
     # One C-ordered row per x: a strided row would change the rounding of dot products.
-    exact = np.diagonal(stack).real.copy()
+    exact = np.diagonal(stack, axis1=1, axis2=2).real.copy()
     exact.sort(axis=1, kind="stable")
     first = np.sort(decomp.eigenvalues + strengths[:, None] * shifts, axis=1)
     for values in (shifts, first, exact):
@@ -223,17 +222,10 @@ def level_sweep(
     and an equal grid.
     """
     dim = hamiltonian.dim
-    selected = range(dim) if levels is None else list(levels)
-    for level in selected:
-        try:
-            operator.index(level)
-        except TypeError:
-            raise DimensionMismatch(f"level {level!r} is not an integer") from None
-        if not 0 <= level < dim:
-            raise DimensionMismatch(f"level {level} out of range for dim {dim}")
+    selected = range(dim) if levels is None else [checked_index(n, "level", dim) for n in levels]
     grid, _, _, first, exact = _sweep(hamiltonian, perturbation, xs)
     return [
-        SweepRecord(x, operator.index(level), float(p[level]), float(e[level]))
+        SweepRecord(x, level, float(p[level]), float(e[level]))
         for x, p, e in zip(grid, first, exact) for level in selected
     ]
 

@@ -13,7 +13,7 @@ from qperturb.eigensolver import (
     _round_robin_steps,
     jacobi_eigendecompose,
 )
-from qperturb.errors import NoConvergence
+from qperturb.errors import DimensionMismatch, NoConvergence
 from qperturb.models import random_hermitian
 from qperturb.numkernel import HermitianMatrix, add_scaled
 
@@ -165,7 +165,7 @@ class TestJacobi:
         # the same check on a strided view of a stack and on a Fortran-ordered matrix
         for kind in ("strided-stack", "fortran"):
             _, work, _, _ = _layout(kind, False)
-            work[..., work.shape[-1] // 2] *= 1e-160  # the view's middle member
+            work[len(work) // 2] *= 1e-160  # the view's middle member
             stacks.append(work)
         for stack in stacks:
             before = stack.copy()
@@ -214,7 +214,7 @@ class TestJacobi:
 
     def test_eigenvalues_only_no_convergence_error(self):
         with pytest.raises(NoConvergence) as exc:
-            _diagonalize(np.array([[0, 1], [1, 0]], dtype=np.complex128)[..., None], None, 0)
+            _diagonalize(np.array([[0, 1], [1, 0]], dtype=np.complex128)[None], None, 0)
         assert exc.value.sweeps == 0
 
     @pytest.mark.parametrize("n", [*range(1, 10), 32, 33])
@@ -238,17 +238,17 @@ def _solo(matrix, with_vectors, max_sweeps=100):
     or None, sweeps)."""
     work = np.array(matrix, dtype=np.complex128)
     vecs = np.eye(work.shape[0], dtype=np.complex128) if with_vectors else None
-    sweeps = _diagonalize(work[..., None], None if vecs is None else vecs[..., None], max_sweeps)
+    sweeps = _diagonalize(work[None], None if vecs is None else vecs[None], max_sweeps)
     return work, vecs, sweeps[0]
 
 
 def _stack(matrices):
-    """An (N, N, B) stack, member b at ``[..., b]``."""
-    return np.stack([np.asarray(m, dtype=np.complex128) for m in matrices], axis=-1)
+    """A (B, N, N) stack, member b at ``[b]``."""
+    return np.stack([np.asarray(m, dtype=np.complex128) for m in matrices])
 
 
 class TestStackedJacobi:
-    """``_diagonalize`` on an (N, N, B) stack against one solve per member."""
+    """``_diagonalize`` on a (B, N, N) stack against one solve per member."""
 
     # Sweep counts of the single-matrix solve at N = 1, 2, 3, 16, 33 before it
     # learned stacks; the single-matrix path must keep them.
@@ -265,9 +265,9 @@ class TestStackedJacobi:
         stack_vecs = _stack([np.eye(n)] * 3) if with_vectors else None
         stack_sweeps = _diagonalize(stack, stack_vecs, 100)
         assert stack_sweeps[1] == sweeps
-        assert np.array_equal(stack[..., 1], work)
+        assert np.array_equal(stack[1], work)
         if with_vectors:
-            assert np.array_equal(stack_vecs[..., 1], vecs)
+            assert np.array_equal(stack_vecs[1], vecs)
 
     @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
     def test_members_with_different_sweep_counts(self, with_vectors):
@@ -287,16 +287,16 @@ class TestStackedJacobi:
         for b, matrix in enumerate(matrices):
             work, vecs, solo_sweeps = _solo(matrix, with_vectors)
             assert sweeps[b] == solo_sweeps
-            assert np.array_equal(stack[..., b], work)
+            assert np.array_equal(stack[b], work)
             if with_vectors:
-                assert np.array_equal(stack_vecs[..., b], vecs)
+                assert np.array_equal(stack_vecs[b], vecs)
 
     def test_diagonal_member_takes_no_sweep(self):
         diagonal = np.diag([2.0, -1.0, 0.5 + 0j])
         stack = _stack([diagonal, random_hermitian(80, 3).array])
         sweeps = _diagonalize(stack, None, 100)
         assert sweeps[0] == 0 and sweeps[1] > 0
-        assert np.array_equal(stack[..., 0], diagonal)
+        assert np.array_equal(stack[0], diagonal)
 
     def test_all_diagonal_stack_takes_no_sweep(self):
         stack = _stack([np.diag([1.0, 2.0]), np.diag([3.0, -3.0])])
@@ -329,19 +329,19 @@ def _layout(kind, with_vectors):
     if kind == "strided-stack":
         base = _stack([random_hermitian(110 + b, n).array for b in range(5)])
         base_vecs = _stack([np.eye(n)] * 5)
-        step = (..., slice(None, None, 2))  # members 0, 2 and 4
-        return base, base[step], base_vecs, base_vecs[step] if with_vectors else None
+        # members 0, 2 and 4
+        return base, base[::2], base_vecs, base_vecs[::2] if with_vectors else None
     matrix = random_hermitian(110, n).array
     eye = np.eye(n, dtype=np.complex128)
     if kind == "fortran":
         work, vecs = np.asfortranarray(matrix), np.asfortranarray(eye)
-        return work, work[..., None], vecs, vecs[..., None] if with_vectors else None
+        return work, work[None], vecs, vecs[None] if with_vectors else None
     work_t, vecs_t = np.ascontiguousarray(matrix.T), eye.T.copy()
-    return work_t, work_t.T[..., None], vecs_t, vecs_t.T[..., None] if with_vectors else None
+    return work_t, work_t.T[None], vecs_t, vecs_t.T[None] if with_vectors else None
 
 
 class TestSweepLayout:
-    """``_diagonalize`` works on a transposed C-contiguous copy of its input,
+    """``_diagonalize`` sweeps a C-contiguous copy of the members it rotates,
     so the caller's memory layout must not change a bit of the result."""
 
     @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
@@ -363,16 +363,16 @@ class TestSweepLayout:
             assert np.ascontiguousarray(vecs).tobytes() == c_vecs.tobytes()
         assert np.shares_memory(work, base) and (vecs is None or np.shares_memory(vecs, base_vecs))
         if kind == "strided-stack":  # members left out of the view stay as they were
-            assert np.array_equal(base[..., 1::2], untouched[0][..., 1::2])
-            assert np.array_equal(base_vecs[..., 1::2], untouched[1][..., 1::2])
+            assert np.array_equal(base[1::2], untouched[0][1::2])
+            assert np.array_equal(base_vecs[1::2], untouched[1][1::2])
 
     @pytest.mark.parametrize("kind", ["fortran", "transposed", "strided-stack"])
     def test_norms_match_per_member_reference(self, kind):
         # each member's norms equal np.linalg.norm of its own C-ordered copy, bit for bit
         _, stack, _, _ = _layout(kind, False)
         frobenius, off = eigensolver._norms(stack)
-        for b in range(stack.shape[-1]):
-            member = np.ascontiguousarray(stack[..., b])
+        for b in range(len(stack)):
+            member = np.ascontiguousarray(stack[b])
             assert frobenius[b] == np.linalg.norm(member)
             assert off[b] == np.linalg.norm(member - np.diag(np.diag(member)))
 
@@ -387,7 +387,7 @@ class TestSweepLayout:
         rng = np.random.default_rng(121)
         u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         started = u.copy()
-        _diagonalize(np.array(matrix)[..., None], started[..., None], 100)
+        _diagonalize(np.array(matrix)[None], started[None], 100)
         np.testing.assert_allclose(started, u @ phi, rtol=0, atol=1e-12)
         assert np.linalg.norm(started - phi @ u) > 1e-3
 
@@ -545,8 +545,14 @@ class TestSpectralDecomposition:
         b[2] = 1.0
         np.testing.assert_array_equal(dec.synthesize(b), dec.eigenvector(2))
 
-    def test_shape_validation(self):
-        from qperturb.errors import DimensionMismatch
+    def test_eigenvector_index_checked(self):
+        dec = jacobi_eigendecompose(random_hermitian(5, 3))
+        for m in (3, 5, -1, 1.0, 1.5):
+            with pytest.raises(DimensionMismatch):
+                dec.eigenvector(m)
+        for m in (0, 2, np.int64(1), True):
+            assert np.array_equal(dec.eigenvector(m), dec.eigenvectors[:, int(m)])
 
+    def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             SpectralDecomposition(np.zeros(2), np.zeros((3, 3)))

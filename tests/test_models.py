@@ -66,6 +66,10 @@ class TestRandomHermitian:
             random_hermitian(0, 0)
         with pytest.raises(ValueError):
             random_hermitian(0, 3, -1.0)
+        for n in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                random_hermitian(0, n)
+        assert random_hermitian(0, np.int64(3)).dim == 3
         # 2 * scale overflows, so uniform(-scale, scale) has no finite range
         for scale in (1e308, np.float64(8.99e307), math.inf, math.nan):
             with pytest.raises(ValueError, match="2 \\* scale finite"):

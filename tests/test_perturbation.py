@@ -81,8 +81,14 @@ class TestStateVector:
         np.testing.assert_array_equal(s.coefficients, [0, 1, 0])
 
     def test_basis_state_range_check(self):
-        with pytest.raises(DimensionMismatch):
-            StateVector.basis_state(3, 3)
+        for dim, level in [(3, 3), (3, -1), (3, 1.5), (3.0, 1), (3, "1")]:
+            with pytest.raises(DimensionMismatch):
+                StateVector.basis_state(dim, level)
+        # True is the integer 1, as in level_sweep; it is not a boolean mask
+        np.testing.assert_array_equal(StateVector.basis_state(3, True).coefficients, [0, 1, 0])
+        np.testing.assert_array_equal(
+            StateVector.basis_state(np.int64(3), np.int32(2)).coefficients, [0, 0, 1]
+        )
 
     def test_from_unnormalized(self):
         s = StateVector.from_unnormalized([3.0, 4.0])
@@ -98,14 +104,32 @@ class TestStateVector:
             s = StateVector.from_unnormalized([tiny_or_huge, tiny_or_huge])
             np.testing.assert_allclose(s.coefficients, [INV_SQRT2, INV_SQRT2], rtol=0, atol=1e-15)
         subnormal = StateVector.from_unnormalized([1e-320, 0.0])
-        np.testing.assert_allclose(subnormal.coefficients, [1.0, 0.0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(subnormal.coefficients, [1.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
             StateVector.from_unnormalized([math.inf, 1.0])
 
     def test_from_unnormalized_matches_plain_division(self):
+        # each part divided by the norm, not b / norm, which multiplies by 1 / norm
         b = [1e3, 1e3j] @ np.random.default_rng(5).normal(size=(2, 9))
         s = StateVector.from_unnormalized(b)
-        np.testing.assert_array_equal(s.coefficients, b / np.linalg.norm(b))
+        norm = np.linalg.norm(b)
+        np.testing.assert_array_equal(s.coefficients.real, b.real / norm)
+        np.testing.assert_array_equal(s.coefficients.imag, b.imag / norm)
+
+    def test_from_unnormalized_single_entry_is_basis_state(self):
+        # 0.98828125 / 0.98828125 is 1, but 0.98828125 * (1 / 0.98828125) is not
+        dim = 4
+        dec = jacobi_eigendecompose(random_hermitian(13, dim))
+        rng = np.random.default_rng(14)
+        entries = [0.98828125, 1e-320, *(10.0 ** rng.uniform(-300, 300, size=500))]
+        for k, entry in enumerate(entries):
+            level = k % dim
+            b = np.zeros(dim)
+            b[level] = entry
+            state = StateVector.from_unnormalized(b)
+            basis = StateVector.basis_state(dim, level)
+            assert state.coefficients.tobytes() == basis.coefficients.tobytes()  # signed zeros too
+            assert expected_energy(state, dec) == dec.eigenvalues[level]
 
 
 class TestExpectedEnergy:

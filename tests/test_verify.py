@@ -138,7 +138,7 @@ class TestWarmStartedOracle:
         assert max(oracle_sweeps) <= 3
         for x in DEFAULT_X_GRID:
             cold = np.array(add_scaled(h, hp, x).array)
-            assert diagonalize(cold[..., None], None, eigensolver.DEFAULT_MAX_SWEEPS)[0] >= 6
+            assert diagonalize(cold[None], None, eigensolver.DEFAULT_MAX_SWEEPS)[0] >= 6
 
     @pytest.mark.parametrize("name", ORACLE_PAIRS)
     @pytest.mark.parametrize(
@@ -169,7 +169,7 @@ def _solo_levels(base, coupling, x):
     """The stack member for x solved on its own: a values-only Jacobi solve of
     ``A0 + x V`` from the identity, its diagonal sorted."""
     work = np.array(add_scaled(base, coupling, x).array)
-    eigensolver._diagonalize(work[..., None], None, eigensolver.DEFAULT_MAX_SWEEPS)
+    eigensolver._diagonalize(work[None], None, eigensolver.DEFAULT_MAX_SWEEPS)
     return np.sort(np.diagonal(work).real, kind="stable")
 
 
@@ -383,6 +383,8 @@ class TestLevelSweep:
         recs = level_sweep(H_2x2, HP_2x2, levels=[1])
         assert {r.level for r in recs} == {1}
         assert len(recs) == len(DEFAULT_X_GRID)
+        # True is the integer level 1, not a boolean mask over the levels
+        assert pickle.dumps(level_sweep(H_2x2, HP_2x2, levels=[True])) == pickle.dumps(recs)
         # A fresh restricted pass gives the full sweep's records for those
         # levels, bit for bit and in the requested order.
         for name in ("dense-24", "box-12"):
