@@ -1,37 +1,38 @@
 """Full spectral decomposition of Hermitian matrices: a Householder /
 multisection start, finished and certified by parallel-order Jacobi rotations.
 
-No external eigensolver is used.  A cold solve first builds a near-exact
+No external eigensolver is used.  A solve first builds a near-exact
 eigenbasis Phi0: a complex Householder reduction to a tridiagonal T
 (Golub & Van Loan, *Matrix Computations*, section 8.3), a diagonal phase
 that makes T real symmetric, every eigenvalue of T from one vectorized
 Sturm-count multisection (Lo, Philippe & Sameh, 1987), eigenvectors from two
 steps of inverse iteration over all shifts at once with a QR
-re-orthonormalization after each, and the back-transform.  Jacobi then
-finishes ``W = Phi0^H A Phi0`` from Phi0 and is the convergence test: its
-sweeps of 2x2 complex rotations in the round-robin ordering of Brent & Luk
-(1985), each step rotating up to N/2 disjoint index pairs at once, run
-until the off-diagonal Frobenius norm is at most ``OFFDIAG_RTOL * ||A||_F``.
-From a good start that holds with no sweep at all; a poor one (clusters,
-pivot trouble) is rotated until it holds, so it is never returned as is.
-The finish certifies only the off-diagonal of W, so Phi0 must be unitary to
-roundoff, and is by construction: reflectors kept unitary (a negligible
-sub-column counts as reduced), a diagonal phase and QR factors.
-A matrix that already meets the tolerance (a diagonal one) skips the start
-and comes back bit for bit.
+re-orthonormalization after each (Golub & Van Loan, section 8.4), and the
+back-transform.  The multisection stops each eigenvalue once it is good
+enough as an inverse-iteration shift, not at machine precision: the
+returned eigenvalues come from the Rayleigh quotients on the diagonal of
+``W = Phi0^H A Phi0``.  Jacobi then finishes W from Phi0 and is the
+convergence test: its sweeps of 2x2 complex rotations in the round-robin
+ordering of Brent & Luk (1985), each step rotating up to N/2 disjoint index
+pairs at once, run until the off-diagonal Frobenius norm is at most
+``OFFDIAG_RTOL * ||A||_F``.  From a good start that holds with no sweep at
+all; a poor one (clusters, pivot trouble) is rotated until it holds, so it
+is never returned as is.  The finish certifies only the off-diagonal of W,
+so Phi0 must be unitary to roundoff, and is by construction: reflectors
+kept unitary (a negligible sub-column counts as reduced), a diagonal phase
+and QR factors.  A matrix that already meets the tolerance (a diagonal one)
+skips the start and comes back bit for bit.
 
 Eigenvalues are returned ascending, eigenvector columns permuted in
 lockstep, and each column's phase is fixed so results are deterministic and
-comparable.  :func:`jacobi_eigendecompose` is the one cold solve; a caller
-that needs only eigenvalues reads its ``eigenvalues``.  The sweep loop also
-serves the sweeps' oracle, which starts from H's eigenbasis instead: on a
-nearly diagonal matrix (an operator written in the eigenbasis of a nearby
-one) cyclic Jacobi converges quadratically, in two or three sweeps.  That
-loop takes a ``(B, N, N)`` stack of B matrices, member b at ``stack[b]``,
-so that each numpy call of a step serves all B members; every member ends
-bit-identical to a solve of its own, because each member's norms are
-summed over its own C-ordered entries and a step's arithmetic is
-elementwise.
+comparable.  Every step takes a ``(B, N, N)`` stack of B matrices, member b
+at ``stack[b]``, so that each numpy call serves all B members, and every
+member ends bit-identical to a solve of its own: a step's arithmetic is
+batched matmuls and QR factorizations (each one a separate BLAS or LAPACK
+call per member), elementwise or per-member scalar arithmetic, and each
+member's norms are summed over its own C-ordered entries.
+:func:`jacobi_eigendecompose` is the B = 1 case; the sweeps' oracle solves
+H and every ``H + x H'`` of its grid as one stack.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ OFFDIAG_RTOL = 1e-12
 DEFAULT_MAX_SWEEPS = 100
 # Sturm-count points per interval in a multisection pass (4 bits per pass).
 _POINTS = 15
-# Seed of inverse iteration's start vectors.
-_START_SEED = 0
 # The smallest Frobenius norm whose square is a normal float.
 _SMALLEST_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
@@ -60,7 +59,8 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     ``eigenvectors[:, m]`` is the m-th eigenvector, phase-fixed so that its
-    largest-magnitude entry is real and strictly positive.
+    largest-magnitude entry is real and strictly positive (see
+    :func:`_fix_phases` for ties).
     """
 
     eigenvalues: np.ndarray
@@ -95,16 +95,23 @@ class SpectralDecomposition:
 
 
 def _fix_phases(columns: np.ndarray) -> np.ndarray:
-    """Multiply each column of an orthonormal basis by the unit scalar that
-    makes its largest-magnitude entry real and strictly positive (magnitude
-    ties broken by lowest index)."""
-    mags = np.abs(columns)
-    rows = np.argmax(mags, axis=0)  # lowest index on magnitude ties
-    cols = np.arange(columns.shape[1])
-    pivot_mags = mags[rows, cols]
-    out = columns * np.conj(columns[rows, cols] / pivot_mags)
-    out[rows, cols] = pivot_mags  # exact: kill the pivots' roundoff imaginary parts
-    return out
+    """Multiply each column of an orthonormal basis (or of each basis in a
+    ``(B, N, N)`` stack) by the unit scalar that makes its largest-magnitude
+    entry real and strictly positive.  Magnitudes are compared rounded to
+    single precision, ties broken by lowest index, so that entries of equal
+    magnitude in exact arithmetic (as in both eigenvectors of
+    ``[[0, 1], [1, 0]]``) are not told apart by the solver's roundoff."""
+    n = columns.shape[-1]
+    flat = columns.reshape(-1, n * n)
+    mags = np.abs(flat)
+    # Each column's pivot, as a flat index; lowest row on magnitude ties.
+    pivots = np.argmax(mags.reshape(-1, n, n).astype(np.float32), axis=1) * n + np.arange(n)
+    member = np.arange(len(flat))[:, None]
+    pivot_mags = mags[member, pivots]
+    out = flat.reshape(-1, n, n) * np.conj(flat[member, pivots] / pivot_mags)[:, None]
+    # exact: kill the pivots' roundoff imaginary parts
+    out.reshape(-1, n * n)[member, pivots] = pivot_mags
+    return out.reshape(columns.shape)
 
 
 def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,151 +268,217 @@ def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int) -> 
     return sweeps
 
 
-def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Householder reduction of a Hermitian matrix to tridiagonal form
-    (Golub & Van Loan, *Matrix Computations*, section 8.3).
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder reduction of every member of a ``(B, N, N)`` stack of
+    Hermitian matrices to tridiagonal form (Golub & Van Loan, *Matrix
+    Computations*, section 8.3).
 
-    Returns the real diagonal ``d``, the complex subdiagonal ``e`` and the
-    unit reflector vectors ``u_k`` (None where column k needs none), so that
-    ``A = Q T Q^H`` with ``Q = P_0 P_1 ... P_{N-3}``, where
-    ``P_k = I - 2 u_k u_k^H`` acts on indices ``k+1:``.  ``||A||_F`` must
-    be in [0.5, 1), so that no squared norm overflows and none that counts
-    is subnormal.
+    Returns the real diagonals ``d`` ``(B, N)``, the complex subdiagonals
+    ``e`` ``(B, N - 1)`` and the unit reflector vectors ``u`` ``(B, N, N)``:
+    row k of a member holds its ``u_k`` in entries ``k+1:`` and zeros
+    elsewhere, so that ``A = Q T Q^H`` with ``Q = P_0 P_1 ... P_{N-3}``, where
+    ``P_k = I - 2 u_k u_k^H``.  Every ``||A||_F`` must be in [0.5, 1), so
+    that no squared norm overflows and none that counts is subnormal.
 
     A sub-column ``x = A[k+1:, k]`` with ``||x|| <= eps * ||A||_F`` counts
-    as reduced: it is set to 0, which moves A by at most eps relative.
-    Every other x has ``||x||^2`` far above the subnormals, so the squares
-    that make up ``||x||`` and ``||u_k||`` lose nothing that counts and
-    ``P_k`` is unitary to roundoff.
+    as reduced: it is set to 0 and its reflector is 0, which moves A by at
+    most eps relative.  Every other x has ``||x||^2`` far above the
+    subnormals, so the squares that make up ``||x||`` and ``||u_k||`` lose
+    nothing that counts and ``P_k`` is unitary to roundoff.  A zero
+    reflector still runs its (null) update, and a step is batched matmuls,
+    elementwise arithmetic and each member's own scalars, so each member
+    ends bit-identical to a reduction of its own.
     """
     a = a.copy()
-    small = np.finfo(np.float64).eps * np.linalg.norm(a)
-    reflectors = []
-    for k in range(a.shape[0] - 2):
-        x = a[k + 1 :, k]
-        alpha = math.sqrt(np.vdot(x, x).real)
-        if alpha <= small:
-            x[0] = 0.0  # the subdiagonal entry; the rest of column k is never read
-            reflectors.append(None)
-            continue
-        head = complex(x[0])
-        phase = head / abs(head) if head else 1.0
-        u = x.copy()
-        u[0] += phase * alpha  # no cancellation: |u_0| = |x_0| + alpha
-        u *= 1.0 / math.sqrt(2.0 * alpha * (alpha + abs(head)))  # ||u|| = 1
-        x[0] = -phase * alpha  # P_k x; the rest of column k is never read again
+    count, n, _ = a.shape
+    pairs = a.reshape(count, 1, -1).view(np.float64)  # (re, im) pairs of each member
+    small = (np.finfo(np.float64).eps * np.sqrt(pairs @ pairs.swapaxes(1, 2))).ravel().tolist()
+    reflectors = np.zeros_like(a)
+    for k in range(n - 2):
+        x = a[:, k + 1 :, k]
+        u = reflectors[:, k, k + 1 :]
+        u[:] = x
+        pairs = u.view(np.float64)  # (re, im) pairs: ||x||^2 is one real dot
+        squares = (pairs[:, None] @ pairs[:, :, None]).ravel().tolist()
+        # Per member: u_0 = x_0 + phase * alpha, 1 / ||u|| (0 where x counts
+        # as reduced, so that u is 0) and P_k x's head, -phase * alpha.
+        steps = []
+        for head, square, tol in zip(x[:, 0].tolist(), squares, small):
+            alpha = math.sqrt(square)
+            if alpha <= tol:
+                steps.append((0j, 0.0, 0j))
+                continue
+            mag = abs(head)
+            shift = (head / mag if mag else 1.0) * alpha
+            # no cancellation: |u_0| = |x_0| + alpha
+            steps.append((head + shift, 1.0 / math.sqrt(2.0 * alpha * (alpha + mag)), -shift))
+        first, inverse, head = np.array(steps).T
+        u[:, 0] = first
+        u *= inverse.real[:, None]  # ||u|| = 1
+        x[:, 0] = head  # P_k x; the rest of column k is never read again
         # P A P = A - u w^H - w u^H on the trailing block, one rank-2 product.
-        rest = a[k + 1 :, k + 1 :]
-        p = rest @ u
-        w = 2.0 * (p - np.vdot(u, p).real * u)
-        uw = np.array([u, w])
-        rest -= uw.T @ uw[::-1].conj()
-        reflectors.append(u)
-    return np.diagonal(a).real.copy(), np.diagonal(a, -1).copy(), reflectors
+        rest = a[:, k + 1 :, k + 1 :]
+        column = u[:, :, None]
+        p = rest @ column
+        w = 2.0 * (p - (column.conj().swapaxes(1, 2) @ p).real * column)
+        uw = np.concatenate([column, w], axis=2)
+        rest -= uw @ uw[:, :, ::-1].conj().swapaxes(1, 2)
+    diagonal, subdiagonal = np.diagonal(a, axis1=1, axis2=2), np.diagonal(a, -1, axis1=1, axis2=2)
+    return diagonal.real.copy(), subdiagonal.copy(), reflectors
 
 
-def _sturm_counts(d: np.ndarray, b2: np.ndarray, points: np.ndarray):
-    """How many eigenvalues of the real symmetric tridiagonal matrix with
-    diagonal ``d`` and squared off-diagonal ``b2``, scaled as for
-    :func:`_multisection`, lie below each point: the negative pivots of
-    ``T - x I`` (Golub & Van Loan, section 8.4), all points at once.
+def _sturm_counts(d: np.ndarray, b2: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """How many eigenvalues of member m lie below each point ``points[m]``:
+    the negative pivots of ``T - x I`` (Golub & Van Loan, section 8.4),
+    all points at once.
 
-    Every pivot q is moved away from 0 by the smallest normal float
-    ``pivmin`` with its own sign (-0 counting as negative), so no pivot is
-    smaller than ``pivmin`` in magnitude, and ``b2 / q`` cannot overflow
-    because ``b2 < 1``; a pivot above ``2**53 * pivmin`` in magnitude does
-    not change.  Each row's signs are added into one count per point, so
-    no ``(N, points)`` array is built.
+    Member m is the real symmetric tridiagonal matrix with diagonal
+    ``d[m]`` and squared off-diagonal ``b2[m]``, scaled as for
+    :func:`_multisection`, every ``b2`` entry at least the smallest normal
+    float.  So no ``b2 / q`` is 0/0: a zero pivot ``q = +-0`` gives the
+    next pivot -+inf and the one after it the plain ``d - x``, which counts
+    as a pivot of tiny magnitude and the same sign would (Kahan's IEEE
+    Sturm count, as in LAPACK's ``dlaebz``), and a quotient past the
+    largest float counts as an infinite one.
     """
-    pivmin = np.finfo(np.float64).tiny
-    counts = np.zeros(points.size, dtype=np.intp)
+    d, b2 = d.T[:, :, None], b2.T[:, :, None]  # row i of every member: (B, 1)
     q, tmp = d[0] - points, np.empty_like(points)
-    below = np.empty(points.size, dtype=bool)
-    d, b2 = d.tolist(), b2.tolist()  # Python floats: cheaper scalar operands
-    for i in range(len(d)):
-        if i:  # q = d_i - (x + b2_{i-1} / q)
+    below = np.empty((len(d), *points.shape), dtype=bool)
+    np.signbit(q, out=below[0])
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, len(d)):  # q = (d_i - x) - b2_{i-1} / q
             np.divide(b2[i - 1], q, out=tmp)
-            np.add(tmp, points, out=tmp)
-            np.subtract(d[i], tmp, out=q)
-        np.copysign(pivmin, q, out=tmp)
-        np.add(q, tmp, out=q)
-        np.signbit(q, out=below)
-        counts += below
-    return counts
+            np.subtract(d[i], points, out=q)
+            np.subtract(q, tmp, out=q)
+            np.signbit(q, out=below[i])
+    return below.sum(axis=0)
 
 
 def _multisection(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every eigenvalue, ascending, of the real symmetric tridiagonal matrix
-    with diagonal ``d`` and off-diagonal ``b >= 0``, scaled to a Frobenius
-    norm below 1.
+    """Every eigenvalue, ascending, of each real symmetric tridiagonal
+    matrix with diagonal ``d[m]`` and off-diagonal ``b[m] >= 0`` (``d`` is
+    ``(B, N)``), each scaled to a Frobenius norm below 1.
 
-    Eigenvalue j starts in the Gershgorin interval.  Each pass places
-    ``_POINTS`` equally spaced points in every interval, counts with one
-    vectorized Sturm sequence how many eigenvalues lie below each point, and
-    keeps the subinterval where the count passes j (Lo, Philippe & Sameh,
-    *SIAM J. Sci. Stat. Comput.* 8(2), 1987), until every interval is a few
-    ulps of the matrix scale wide.
+    A pass places ``_POINTS`` equally spaced points in every bracket,
+    counts with one vectorized Sturm sequence how many eigenvalues lie below
+    each point, and keeps the subinterval where the count passes j for
+    eigenvalue j (Lo, Philippe & Sameh, *SIAM J. Sci. Stat. Comput.* 8(2),
+    1987).  The first pass splits one bracket per member, the Gershgorin
+    interval.  Eigenvalue j then keeps its bracket once that is at most
+    ``max(2 eps scale, sqrt(eps scale gap_j))`` wide, ``scale`` the
+    member's Gershgorin bound on ``|lambda|`` and ``gap_j`` the distance to
+    the neighbouring brackets: the midpoint is only a shift for
+    :func:`_inverse_iteration`, and after its two steps a shift error delta
+    leaves ``off(W)`` about ``delta**2 / gap``, here under ``eps scale``.
+    Brackets that never separate (clusters) refine to 2 eps scale.  The
+    squared off-diagonal is floored at the smallest normal float for the
+    counts (see :func:`_sturm_counts`), which moves no eigenvalue by more
+    than 1.5e-154.  A bracket's arithmetic reads only its own member, so
+    each member's eigenvalues are bit-identical to a multisection of its
+    own.
     """
-    n, b2 = d.size, b * b
+    count, n = d.shape
+    b2 = np.maximum(b * b, np.finfo(np.float64).tiny)
     eps = np.finfo(np.float64).eps
-    radius = np.zeros(n)
-    radius[:-1] += b
-    radius[1:] += b
-    lo, hi = float((d - radius).min()), float((d + radius).max())
-    scale = max(abs(lo), abs(hi))
+    radius = np.zeros((count, n))
+    radius[:, :-1] += b
+    radius[:, 1:] += b
+    lo, hi = (d - radius).min(axis=1), (d + radius).max(axis=1)
+    scale = np.maximum(np.abs(lo), np.abs(hi))[:, None]
     pad = 4.0 * n * eps * scale  # room for the counts' roundoff
-    grid = np.empty((n, _POINTS + 2))
-    grid[:, 0], grid[:, -1] = lo - pad, hi + pad
     fractions = np.arange(1, _POINTS + 1) / (_POINTS + 1)
-    levels, rows = np.arange(n)[:, None], np.arange(n)
-    while (grid[:, -1] - grid[:, 0]).max() > 2.0 * eps * scale:
-        lower, upper = grid[:, :1], grid[:, -1:]
-        grid[:, 1:-1] = lower + (upper - lower) * fractions
-        counts = _sturm_counts(d, b2, grid[:, 1:-1].ravel()).reshape(n, _POINTS)
+    members, levels = np.arange(count)[:, None], np.arange(n)
+
+    def refine(lower, upper, brackets):
+        """The subinterval of each ``(B, K)`` bracket where the count passes
+        j, for eigenvalue j in bracket ``brackets[j]``."""
+        points = lower[..., None] + (upper - lower)[..., None] * fractions
+        counts = _sturm_counts(d, b2, points.reshape(count, -1)).reshape(points.shape)
+        grid = np.empty((*lower.shape, _POINTS + 2))
+        grid[..., 0], grid[..., 1:-1], grid[..., -1] = lower, points, upper
         # The last point with at most j eigenvalues below it, and the next.
-        at = (counts <= levels).sum(axis=1)
-        grid[:, 0], grid[:, -1] = grid[rows, at], grid[rows, at + 1]
-    return (grid[:, 0] + grid[:, -1]) / 2.0
+        at = (counts <= levels[:, None]).sum(axis=2)
+        return grid[members, brackets, at], grid[members, brackets, at + 1]
+
+    # The first pass shares one bracket per member, the Gershgorin interval.
+    lower, upper = refine(lo[:, None] - pad, hi[:, None] + pad, np.zeros(n, dtype=np.intp))
+    gaps = np.full((count, n + 1), np.inf)
+    floor, unit = 2.0 * eps * scale, eps * scale
+    while True:
+        gaps[:, 1:-1] = lower[:, 1:] - upper[:, :-1]
+        gap = np.maximum(np.minimum(gaps[:, :-1], gaps[:, 1:]), 0.0)
+        active = upper - lower > np.maximum(floor, np.sqrt(unit * gap))
+        if not active.any():
+            return (lower + upper) / 2.0
+        refined = refine(lower, upper, levels)
+        lower, upper = np.where(active, refined[0], lower), np.where(active, refined[1], upper)
+
+
+def _start_vectors(n: int) -> np.ndarray:
+    """Inverse iteration's start vectors, the columns of an ``(N, N)``
+    matrix: splitmix64 (Steele, Lea & Flood, OOPSLA 2014) of the counters
+    1 to N^2, mapped to [-0.5, 0.5).  Seeded and distinct, exact integer
+    arithmetic, and no ``numpy.random``, whose first use costs a fresh
+    process about 12 ms."""
+    z = np.arange(1, n * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) * 2.0**-53 - 0.5).reshape(n, n)
 
 
 def _inverse_iteration(d: np.ndarray, b: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors, one column per shift, of the real symmetric
-    tridiagonal matrix with diagonal ``d`` and off-diagonal ``b``, scaled as
-    for :func:`_multisection`.
+    """Orthonormal eigenvectors, one column per shift, of each real
+    symmetric tridiagonal matrix with diagonal ``d[m]`` and off-diagonal
+    ``b[m]`` (``d`` and ``shifts`` are ``(B, N)``), scaled as for
+    :func:`_multisection`.
 
     Two steps of inverse iteration, each solving ``(T - shift_j I) y_j = x_j``
-    for every shift at once by the Thomas recurrences and then
-    re-orthonormalizing the columns by QR, so that vectors of close or equal
-    eigenvalues span their eigenspace instead of collapsing onto one vector.
-    The start vectors are seeded and distinct.  A pivot smaller than
-    ``eps * ||T||`` in magnitude is replaced by that bound with its sign.
+    for every shift of every member at once by the Thomas recurrences and
+    then re-orthonormalizing the columns by a batched QR, so that vectors of
+    close or equal eigenvalues span their eigenspace instead of collapsing
+    onto one vector, starting from :func:`_start_vectors`.  A pivot smaller
+    than ``eps * ||T||`` in magnitude is replaced by that bound with its
+    sign.
     """
-    n = d.size
-    guard = np.finfo(np.float64).eps * max(np.abs(d).max(), b.max(initial=0.0))
+    count, n = d.shape
+    norms = np.maximum(np.abs(d).max(axis=1), b.max(axis=1, initial=0.0))  # ||T|| to a factor 3
+    bound = np.finfo(np.float64).eps * norms
+    # Index-major, (N, B, N): entry [i, m, j] belongs to member m's shift j.
+    shifted = d.T[:, :, None] - shifts
+    b = np.repeat(b.T[:, :, None], n, axis=2)
+    guard, tmp = np.repeat(bound[:, None], n, axis=1), np.empty((count, n))
     # LU factors of every T - shift I: pivots and multipliers, one row per index.
-    pivots, multipliers = np.empty((n, n)), np.zeros((n, n))
-    pivots[0] = d[0] - shifts
+    pivots, multipliers = np.empty_like(shifted), np.zeros_like(shifted)
+    pivots[0] = shifted[0]
     for i in range(n):
         if i:
             np.divide(b[i - 1], pivots[i - 1], out=multipliers[i])
-            pivots[i] = (d[i] - shifts) - multipliers[i] * b[i - 1]
-        pivots[i] = np.copysign(np.maximum(np.abs(pivots[i]), guard), pivots[i])
-    x = np.random.default_rng(_START_SEED).standard_normal((n, n))
+            np.multiply(multipliers[i], b[i - 1], out=tmp)
+            np.subtract(shifted[i], tmp, out=pivots[i])
+        np.abs(pivots[i], out=tmp)
+        np.maximum(tmp, guard, out=tmp)
+        np.copysign(tmp, pivots[i], out=pivots[i])
+    x = np.repeat(_start_vectors(n)[:, None], count, axis=1)
     for _ in range(2):
         for i in range(1, n):
-            x[i] -= multipliers[i] * x[i - 1]
+            np.multiply(multipliers[i], x[i - 1], out=tmp)
+            np.subtract(x[i], tmp, out=x[i])
         x[n - 1] /= pivots[n - 1]
         for i in range(n - 2, -1, -1):
-            x[i] -= b[i] * x[i + 1]
-            x[i] /= pivots[i]
-        x = np.linalg.qr(x)[0]
-    return x
+            np.multiply(b[i], x[i + 1], out=tmp)
+            np.subtract(x[i], tmp, out=x[i])
+            np.divide(x[i], pivots[i], out=x[i])
+        x = np.linalg.qr(x.transpose(1, 0, 2))[0].transpose(1, 0, 2)
+    return x.transpose(1, 0, 2)
 
 
 def _start_basis(a: np.ndarray) -> np.ndarray:
-    """Near-exact orthonormal eigenvectors of a Hermitian matrix with
-    ``||A||_F`` in [0.5, 1), columns in ascending eigenvalue order, for the
-    finishing Jacobi sweeps to start from.
+    """Near-exact orthonormal eigenvectors of every member of a ``(B, N, N)``
+    stack of Hermitian matrices with ``||A||_F`` in [0.5, 1), columns in
+    ascending eigenvalue order, for the finishing Jacobi sweeps to start
+    from; each member bit-identical to a start of its own.
 
     A Householder reduction gives
     ``A = Q T Q^H`` with T Hermitian tridiagonal; a diagonal unitary D makes
@@ -417,14 +490,52 @@ def _start_basis(a: np.ndarray) -> np.ndarray:
     b = np.abs(e)
     # D = diag(delta) with delta_{k+1} = delta_k e_k / |e_k| (1 where e_k = 0).
     units = np.divide(e, b, out=np.ones_like(e), where=b > 0)
-    delta = np.concatenate([[1.0 + 0j], np.cumprod(units)])
+    delta = np.concatenate([np.ones_like(units[:, :1]), np.cumprod(units, axis=1)], axis=1)
     delta /= np.abs(delta)
-    basis = delta[:, None] * _inverse_iteration(d, b, _multisection(d, b))
-    for k, u in reversed(list(enumerate(reflectors))):  # basis <- P_k basis
-        if u is not None:
-            tail = basis[k + 1 :]
-            tail -= np.outer(2.0 * u, u.conj() @ tail)
+    basis = delta[:, :, None] * _inverse_iteration(d, b, _multisection(d, b))
+    twice, adjoint = 2.0 * reflectors[:, :, :, None], reflectors.conj()[:, :, None]
+    for k in range(a.shape[1] - 3, -1, -1):  # basis <- P_k basis
+        tail = basis[:, k + 1 :]
+        tail -= twice[:, k, k + 1 :] * (adjoint[:, k, :, k + 1 :] @ tail)
     return basis
+
+
+def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
+    """Ascending eigenvalues ``(B, N)`` and phase-fixed eigenvector columns
+    ``(B, N, N)`` of every member of a ``(B, N, N)`` stack of Hermitian
+    matrices: the one solve path, of which :func:`jacobi_eigendecompose` is
+    the B = 1 case.
+
+    The members that do not already meet the tolerance get one batched
+    start basis Phi0 (see the module docstring), which turns each into
+    ``W = (Phi0^H A Phi0 + h.c.) / 2``, nearly diagonal; one
+    :func:`_diagonalize` call then finishes and certifies every member, with
+    Phi0 (or the identity) as its eigenvectors.  Every step serves all
+    members at once and reads only each member's own entries, so each member
+    ends bit-identical to a solve of its own.  Errors as for
+    :func:`jacobi_eigendecompose`, for the first member that has one.
+    """
+    work = np.array(stack, dtype=np.complex128)
+    count, n, _ = work.shape
+    norms = _norms(work)[0]
+    scales = _unit_scales(norms)
+    scaled = work * scales[:, None, None]
+    vecs = np.zeros_like(work)
+    vecs.reshape(count, n * n)[:, :: n + 1] = 1.0
+    need = np.flatnonzero(_norms(scaled)[1] > OFFDIAG_RTOL * norms * scales)
+    if need.size:
+        start = _start_basis(scaled[need])
+        if not np.isfinite(start).all():
+            raise ValueError("start basis is not finite")
+        w = start.conj().swapaxes(1, 2) @ work[need] @ start
+        work[need] = (w + w.conj().swapaxes(1, 2)) / 2.0
+        vecs[need] = start
+    _diagonalize(work, vecs, max_sweeps)
+    eigenvalues = np.diagonal(work, axis1=1, axis2=2).real
+    order = np.argsort(eigenvalues, axis=1, kind="stable")
+    member = np.arange(count)[:, None]
+    vecs = _fix_phases(vecs[member[:, None], np.arange(n)[:, None], order[:, None]])
+    return eigenvalues[member, order], vecs
 
 
 def jacobi_eigendecompose(
@@ -454,22 +565,9 @@ def jacobi_eigendecompose(
     ``W = (Phi0^H A Phi0 + h.c.) / 2``.  The tolerance test and the start
     see A scaled by an exact power of two to ``||A||_F`` in [0.5, 1), which
     scales the eigenvalues the same way, leaves the eigenvectors as they
-    are, and keeps every square that counts clear of the subnormals.
+    are, and keeps every square that counts clear of the subnormals.  This
+    is the B = 1 case of the stack solve that the sweeps' oracle runs, and
+    gives the same bits as a member of such a stack.
     """
-    work = np.array(a.array, dtype=np.complex128)
-    norm = _norms(work[None])[0][0]
-    scale = _unit_scales(norm)
-    scaled = work * scale
-    vecs = np.eye(a.dim, dtype=np.complex128)
-    if _norms(scaled[None])[1][0] > OFFDIAG_RTOL * norm * scale:
-        vecs = _start_basis(scaled)
-        if not np.isfinite(vecs).all():
-            raise ValueError("start basis is not finite")
-        w = vecs.conj().T @ work @ vecs
-        work = (w + w.conj().T) / 2.0
-    _diagonalize(work[None], vecs[None], max_sweeps)
-    eigenvalues = np.real(np.diag(work)).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    vecs = _fix_phases(vecs[:, order])
-    return SpectralDecomposition(eigenvalues=eigenvalues[order], eigenvectors=vecs)
-
+    eigenvalues, eigenvectors = _eigensystems(a.array[None], max_sweeps)
+    return SpectralDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigensolver
-from .eigensolver import jacobi_eigendecompose
+from .eigensolver import SpectralDecomposition, jacobi_eigendecompose
 from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
 from .numkernel import HermitianMatrix, add_scaled, checked_index
@@ -75,9 +75,10 @@ def exact_levels(
     """Ascending eigenvalues of H + x H', diagonalized exactly at finite x.
 
     A writable copy of ``jacobi_eigendecompose(add_scaled(H, H', x))``'s
-    eigenvalues: a cold solve builds its eigenvectors in the start basis
-    anyway, and the finishing rotations never read them.  Not cached: only
-    the sweeps' pass is.
+    eigenvalues: a solve builds its eigenvectors in the start basis anyway,
+    and the finishing rotations never read them.  Bit for bit the row for x
+    of the sweeps' oracle, which solves the same member inside its stack.
+    Not cached: only the sweeps' pass is.
     """
     return jacobi_eigendecompose(add_scaled(hamiltonian, perturbation, x)).eigenvalues.copy()
 
@@ -148,13 +149,13 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     """One sweep pass over a checked grid, kept for the last completed call.
 
     Returns H's decomposition, its first-order shifts E'_n (the diagonal of
-    V below, which agrees with :func:`level_shifts` to within a few ulps of
-    ``||H'||_F`` and equals it where Phi is the identity), and two
-    ``(B, N)`` arrays with one row per strength: the first-order levels
-    E_n + x E'_n and the oracle spectrum.  Each row is sorted ascending, so
-    column n pairs the n-th first-order level with the n-th exact one; this
-    is the only place where levels are paired.  The arrays are read-only, as
-    every caller shares them.
+    ``V = Phi^dagger H' Phi``, which agrees with :func:`level_shifts` to
+    within a few ulps of ``||H'||_F`` and equals it where Phi is the
+    identity), and two ``(B, N)`` arrays with one row per strength: the
+    first-order levels E_n + x E'_n and the oracle spectrum.  Each row is
+    sorted ascending, so column n pairs the n-th first-order level with the
+    n-th exact one; this is the only place where levels are paired.  The
+    arrays are read-only, as every caller shares them.
 
     ``HermitianMatrix`` compares and hashes by identity, so the cache returns
     the pass for the same H and H' objects and an equal grid: a level sweep
@@ -162,35 +163,25 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     pass that raises is not kept.  Call it positionally: a keyword call is a
     different cache key.
 
-    The oracle is warm-started in H's eigenbasis Phi: at each x it takes the
-    eigenvalues of ``Phi^dagger (H + x H') Phi = A0 + x V``, with
-    ``A0 = Phi^dagger H Phi`` (not ``diag(E)``, so the Jacobi remainder of H
-    is kept) and ``V = Phi^dagger H' Phi``, both symmetrized as
-    ``(W + W^dagger)/2`` so that the roundoff of the products cannot break
-    hermiticity.  That matrix is unitarily similar to H + x H' up to the
-    roundoff of Phi and already nearly diagonal, so Jacobi needs two or three
-    sweeps from the identity, with no start basis.  The whole grid is one
-    ``(B, N, N)`` stack, member b ``A0 + x_b V``, and is diagonalized as
-    one, so each numpy call of a Jacobi step serves every strength; each
-    spectrum is bit-identical to a values-only Jacobi solve of ``A0 + x V``
-    on its own.  A stack entry that is not finite (an overflowing H', or a
-    strength large enough to overflow ``x V``) raises ``ValueError`` before
-    the oracle runs.
+    The oracle and H's decomposition are one solve: the ``(B + 1, N, N)``
+    stack ``[H, H + x_1 H', ..., H + x_B H']``, each member built by
+    :func:`add_scaled`, gets one batched start basis and one finishing
+    Jacobi call (see :mod:`.eigensolver`).  Every member is bit-identical
+    to a solve of its own, so member 0 is ``jacobi_eigendecompose(H)`` and
+    each spectrum row is ``exact_levels(H, H', x)``.  A member that is not
+    finite raises ``ValueError`` before the solve, as :func:`add_scaled`
+    does, and so do shifts that overflow after it.
     """
-    decomp = jacobi_eigendecompose(hamiltonian)
+    members = [hamiltonian] + [add_scaled(hamiltonian, perturbation, x) for x in grid]
+    eigenvalues, eigenvectors = eigensolver._eigensystems(np.stack([m.array for m in members]))
+    decomp = SpectralDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
     phi = decomp.eigenvectors
-    products = [phi.conj().T @ m.array @ phi for m in (hamiltonian, perturbation)]
-    base, coupling = [(w + w.conj().T) / 2.0 for w in products]
-    shifts = np.diagonal(coupling).real.copy()
-    strengths = np.array(grid)
-    stack = base + coupling * strengths[:, None, None]
-    if not np.isfinite(stack).all():
+    shifts = np.diagonal(phi.conj().T @ perturbation.array @ phi).real.copy()
+    if not np.isfinite(shifts).all():
         raise ValueError("matrix entries must be finite")
-    eigensolver._diagonalize(stack, None, eigensolver.DEFAULT_MAX_SWEEPS)
     # One C-ordered row per x: a strided row would change the rounding of dot products.
-    exact = np.diagonal(stack, axis1=1, axis2=2).real.copy()
-    exact.sort(axis=1, kind="stable")
-    first = np.sort(decomp.eigenvalues + strengths[:, None] * shifts, axis=1)
+    exact = eigenvalues[1:]
+    first = np.sort(decomp.eigenvalues + np.array(grid)[:, None] * shifts, axis=1)
     for values in (shifts, first, exact):
         values.setflags(write=False)
     return decomp, shifts, first, exact

@@ -473,13 +473,19 @@ class TestStartBasis:
     )
     def test_random_hermitian_property(self, n, seed, exponent):
         matrix = HermitianMatrix(2.0**exponent * random_hermitian(seed, n).array)
-        _assert_gates(matrix, jacobi_eigendecompose(matrix))
+        with pytest.MonkeyPatch.context() as patch:
+            sweeps = _counting_finish(patch)
+            _assert_gates(matrix, jacobi_eigendecompose(matrix))
+        assert sweeps == [0]  # the start already meets the tolerance
 
     @settings(max_examples=20, deadline=None)
     @given(levels=st.lists(st.integers(-3, 3), min_size=1, max_size=40), seed=st.integers(0, 99))
     def test_degenerate_spectra_property(self, levels, seed):
         matrix = _prescribed(levels, seed)
-        _assert_gates(matrix, jacobi_eigendecompose(matrix))
+        with pytest.MonkeyPatch.context() as patch:
+            sweeps = _counting_finish(patch)
+            _assert_gates(matrix, jacobi_eigendecompose(matrix))
+        assert sweeps == [0]
 
     @pytest.mark.parametrize("n", [5, 24])
     def test_poor_start_is_finished_by_sweeps(self, monkeypatch, n):
@@ -509,6 +515,81 @@ class TestStartBasis:
             jacobi_eigendecompose(random_hermitian(5, 4))
 
 
+def _batch_members(n):
+    """Hermitian matrices of dim n that exercise every per-member branch of
+    the batched solve: a diagonal member (no start), clusters, a split of
+    1e-9, members whose Householder sub-columns count as reduced (exact
+    zeros of a block-diagonal matrix, and a first sub-column of 1e-160),
+    dense members and members scaled by 1e100 and 1e-100."""
+    cluster = np.repeat(np.arange(n // 4) - 2.5, 4) if n % 4 == 0 else [0.5, 0.5, 0.5, -1, 2, 3]
+    split = np.linspace(-1.0, 3.0, n)
+    split[1:3] = 0.5, 0.5 + 1e-9
+    split[-1] = 0.5 - 1e-9
+    chain = np.diag(np.arange(1.0, n + 1)) + np.eye(n, k=1) + np.eye(n, k=-1)
+    chain[0, 1] = chain[1, 0] = 1e-160
+    dense = random_hermitian(900 + n, n).array
+    return [
+        HermitianMatrix(np.diag(np.arange(n, 0, -1.0))),
+        _prescribed(cluster, seed=3),
+        _prescribed(split, seed=2),
+        HermitianMatrix(np.kron(np.eye(n // 3), _BLOCK)),
+        HermitianMatrix(chain),
+        random_hermitian(901 + n, n),
+        HermitianMatrix(1e100 * dense),
+        HermitianMatrix(1e-100 * dense),
+        random_hermitian(902 + n, n),
+    ]
+
+
+class TestBatchedSolve:
+    """``_eigensystems`` on a (B, N, N) stack against one solve per member."""
+
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_members_bit_identical_to_solo(self, monkeypatch, n):
+        members = _batch_members(n)
+        sweeps = _counting_finish(monkeypatch)
+        solo = [jacobi_eigendecompose(m) for m in members]
+        solo_sweeps = list(sweeps)
+        sweeps.clear()
+        values, vectors = eigensolver._eigensystems(np.stack([m.array for m in members]))
+        assert sweeps == solo_sweeps  # one finishing call, every member's own count
+        assert solo_sweeps[0] == 0
+        for b, dec in enumerate(solo):
+            # bit for bit: tobytes tells -0.0 from 0.0
+            assert values[b].tobytes() == dec.eigenvalues.tobytes()
+            assert vectors[b].tobytes() == dec.eigenvectors.tobytes()
+        _assert_gates(members[3], SpectralDecomposition(values[3], vectors[3]))
+
+    def test_start_runs_once_for_the_members_that_need_it(self, monkeypatch):
+        members = _batch_members(24)
+        start = eigensolver._start_basis
+        batches = []
+
+        def recording(a):
+            batches.append(len(a))
+            return start(a)
+
+        monkeypatch.setattr(eigensolver, "_start_basis", recording)
+        eigensolver._eigensystems(np.stack([m.array for m in members]))
+        assert batches == [len(members) - 1]  # all but the diagonal member
+
+
+class TestMultisection:
+    def test_stops_where_inverse_iteration_no_longer_needs_it(self):
+        # separated eigenvalues stop near sqrt(eps * gap) instead of 2 eps
+        d, b = np.array([[0.1, 0.3, 0.5]]), np.array([[0.01, 0.02]])
+        values = eigensolver._multisection(d, b)[0]
+        reference = np.linalg.eigvalsh(np.diag(d[0]) + np.diag(b[0], 1) + np.diag(b[0], -1))
+        error = np.abs(values - reference).max()
+        assert 1e-14 < error <= np.sqrt(np.finfo(float).eps * 0.6 * 0.2)
+
+    def test_clusters_refine_to_machine_precision(self):
+        # three equal eigenvalues: brackets never separate
+        d, b = np.array([[0.25, 0.25, 0.25, 0.6]]), np.zeros((1, 3))
+        values = eigensolver._multisection(d, b)[0]
+        assert np.abs(values[:3] - 0.25).max() <= 2 * np.finfo(float).eps * 0.6
+
+
 class TestFixPhase:
     """``_fix_phases`` on orthonormal bases, one column per vector."""
 
@@ -528,6 +609,10 @@ class TestFixPhase:
         s = math.sqrt(0.5)
         out = _fix_phases(np.array([[-s, s], [s, s]], dtype=np.complex128))
         np.testing.assert_allclose(out, [[s, s], [-s, s]])
+        # a tie broken only by roundoff (one ulp) is still a tie
+        larger = np.nextafter(s, 1.0)
+        out = _fix_phases(np.array([[-s, s], [larger, larger]], dtype=np.complex128))
+        np.testing.assert_array_equal(out.real, [[s, s], [-larger, larger]])
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(5)
