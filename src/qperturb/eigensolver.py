@@ -1,27 +1,30 @@
 """Full spectral decomposition of Hermitian matrices: a Householder /
 multisection start, finished and certified by parallel-order Jacobi rotations.
 
-No external eigensolver is used.  A solve first builds a near-exact
-eigenbasis Phi0: a complex Householder reduction to a tridiagonal T
-(Golub & Van Loan, *Matrix Computations*, section 8.3), a diagonal phase
-that makes T real symmetric, every eigenvalue of T from one vectorized
-Sturm-count multisection (Lo, Philippe & Sameh, 1987), eigenvectors from two
-steps of inverse iteration over all shifts at once with a QR
-re-orthonormalization after each (Golub & Van Loan, section 8.4), and the
-back-transform.  The multisection stops each eigenvalue once it is good
-enough as an inverse-iteration shift, not at machine precision: the
-returned eigenvalues come from the Rayleigh quotients on the diagonal of
-``W = Phi0^H A Phi0``.  Jacobi then finishes W from Phi0 and is the
-convergence test: its sweeps of 2x2 complex rotations in the round-robin
-ordering of Brent & Luk (1985), each step rotating up to N/2 disjoint index
-pairs at once, run until the off-diagonal Frobenius norm is at most
-``OFFDIAG_RTOL * ||A||_F``.  From a good start that holds with no sweep at
-all; a poor one (clusters, pivot trouble) is rotated until it holds, so it
-is never returned as is.  The finish certifies only the off-diagonal of W,
-so Phi0 must be unitary to roundoff, and is by construction: reflectors
-kept unitary (a negligible sub-column counts as reduced), a diagonal phase
-and QR factors.  A matrix that already meets the tolerance (a diagonal one)
-skips the start and comes back bit for bit.
+No external eigensolver is used.  A solve first scales A by the power of
+two that puts ``||A||_F`` in [0.5, 1), exactly barring subnormals, so that
+every square that counts is clear of overflow and of the subnormals.  A
+matrix that already meets the tolerance below (a diagonal one) stops here,
+unscaled: its diagonal and the identity come back bit for bit.  Any other
+gets a near-exact eigenbasis Phi0 of the scaled matrix: a complex
+Householder reduction to a tridiagonal T (Golub & Van Loan, *Matrix
+Computations*, section 8.3), a diagonal phase that makes T real symmetric,
+every eigenvalue of T from one vectorized Sturm-count multisection (Lo,
+Philippe & Sameh, 1987), eigenvectors from two steps of inverse iteration
+over all shifts at once with a QR re-orthonormalization after each (Golub &
+Van Loan, section 8.4), and the back-transform.  The multisection stops
+each eigenvalue once it is good enough as an inverse-iteration shift, not
+at machine precision: the returned eigenvalues come from the Rayleigh
+quotients on the diagonal of ``W = Phi0^H (sA) Phi0``, divided by the
+scale s.  Jacobi then finishes W from Phi0 and is the convergence test: its
+sweeps of 2x2 complex rotations in the round-robin ordering of Brent & Luk
+(1985), each step rotating up to N/2 disjoint index pairs at once, run
+until the off-diagonal Frobenius norm is at most ``OFFDIAG_RTOL * ||sA||_F``.
+From a good start that holds with no sweep at all; a poor one (clusters,
+pivot trouble) is rotated until it holds, so it is never returned as is.
+The finish certifies only the off-diagonal of W, so Phi0 must be unitary to
+roundoff, and is by construction: reflectors kept unitary (a negligible
+sub-column counts as reduced), a diagonal phase and QR factors.
 
 Eigenvalues are returned ascending, eigenvector columns permuted in
 lockstep, and each column's phase is fixed so results are deterministic and
@@ -146,16 +149,10 @@ def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return frobenius, norms()
 
 
-def _unit_scales(norms):
-    """The powers of two that scale Frobenius norms into [0.5, 1) (1 for a
-    norm of 0): multiplying by them is exact, barring subnormals."""
-    return np.ldexp(1.0, -np.frexp(norms)[1])
-
-
-def _round_robin_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One sweep of the round-robin ordering of Brent & Luk (1985): arrays
-    ``p`` and ``q`` shaped ``(steps, N // 2)``, row ``i`` holding step ``i``'s
-    disjoint index pairs ``(p, q)`` with ``p < q``.
+def _round_robin_steps(n: int) -> np.ndarray:
+    """One sweep of the round-robin ordering of Brent & Luk (1985): a
+    ``(steps, 2, N // 2)`` array whose row ``i`` holds step ``i``'s disjoint
+    index pairs as ``[p, q]``, with ``p < q``.
 
     Index 0 stays put while the others rotate one place per step, so the
     N - 1 steps (N with a dummy index for odd N, its pairs left out) visit
@@ -168,14 +165,14 @@ def _round_robin_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
     ends = players[:, : m // 2], players[:, : m // 2 - 1 : -1]
     p, q = np.minimum(*ends), np.maximum(*ends)
     real = q < n
-    return p[real].reshape(steps, n // 2), q[real].reshape(steps, n // 2)
+    return np.stack([p[real].reshape(steps, n // 2), q[real].reshape(steps, n // 2)], axis=1)
 
 
-def _sweep(a: np.ndarray, vecs: np.ndarray | None, steps: np.ndarray) -> None:
+def _sweep(a: np.ndarray, vecs: np.ndarray, steps: np.ndarray) -> None:
     """One round-robin sweep in place on a C-contiguous ``(B, N, N)`` stack
     ``a``, its rotations also applied to the columns of ``vecs`` (shaped
-    like ``a``) unless it is None.  ``steps[i]`` is step i's ``[p, q]``, a
-    ``(2, N // 2)`` array of its index pairs (see :func:`_round_robin_steps`).
+    like ``a``).  ``steps[i]`` is step i's ``[p, q]``, a ``(2, N // 2)``
+    array of its index pairs (see :func:`_round_robin_steps`).
 
     A step rotates columns p and q of A and Phi (``A <- AJ``,
     ``Phi <- Phi J``), then rows p and q of A (``A <- J^H A``), and then
@@ -183,7 +180,6 @@ def _sweep(a: np.ndarray, vecs: np.ndarray | None, steps: np.ndarray) -> None:
     A[q,q] to 0, the rotations' exact post-conditions.
     """
     count, n, _ = a.shape
-    parts = [a] if vecs is None else [a, vecs]
     diagonal_imag = a.reshape(count, n * n).imag[:, :: n + 1]  # a view: a is C-contiguous
     for pairs in steps:
         p, q = pairs
@@ -203,7 +199,7 @@ def _sweep(a: np.ndarray, vecs: np.ndarray | None, steps: np.ndarray) -> None:
         # Unitaries on the (p,q) planes: [[c, s], [-s*conj(phase), c*conj(phase)]].
         # sc_conj = [s*conj(phase), c*conj(phase)], sc = [s*phase, c*phase].
         sc_conj, sc = cs[::-1] * np.conj(phase), cs[::-1] * phase
-        for m in parts:  # A <- AJ and Phi <- Phi J: columns p and q
+        for m in (a, vecs):  # A <- AJ and Phi <- Phi J: columns p and q
             new, tmp = cs[:, :, None] * m[:, :, p], sc_conj[:, :, None] * m[:, :, q]
             m[:, :, p] = new[0] - tmp[0]
             m[:, :, q] = new[1] + tmp[1]
@@ -215,57 +211,40 @@ def _sweep(a: np.ndarray, vecs: np.ndarray | None, steps: np.ndarray) -> None:
         diagonal_imag[:, pairs] = 0.0
 
 
-def _diagonalize(work: np.ndarray, vecs: np.ndarray | None, max_sweeps: int) -> np.ndarray:
-    """Run round-robin Jacobi sweeps in place on a ``(B, N, N)`` stack of B
-    matrices until each one's off-diagonal norm is at most ``OFFDIAG_RTOL``
-    times its own Frobenius norm; return the number of sweeps of each member
-    (one matrix ``a`` is the stack ``a[None]``, a view that the sweeps write
-    through).
+def _diagonalize(
+    work: np.ndarray, vecs: np.ndarray, tol: np.ndarray, scales: np.ndarray, max_sweeps: int
+) -> np.ndarray:
+    """Run round-robin Jacobi sweeps in place on a C-contiguous
+    ``(B, N, N)`` stack of B matrices, their rotations also applied to the
+    columns of ``vecs`` (shaped like ``work``), until each member's
+    off-diagonal norm is at most its tolerance ``tol``; return the number
+    of sweeps of each member.  Member b is its matrix scaled by
+    ``scales[b]``, which only :class:`NoConvergence` reads.
 
-    The rotations are also applied to the columns of ``vecs`` (shaped like
-    ``work``) unless it is None.  They never depend on ``vecs``, so ``work``
-    ends bit-identical either way.  Each sweep runs (see :func:`_sweep`) on
-    copies ``work[active]`` and ``vecs[active]`` of the members still above
-    their tolerance and writes them back, so any memory layout of the
-    caller's arrays gives the same bits, and each numpy call of a step
-    serves all active members at once.  A member is rotated only in the
-    sweeps it would run alone, so every member ends bit-identical to a solve
-    of that matrix on its own.  Raises :class:`NoConvergence` for the first
-    member still above its tolerance after ``max_sweeps`` sweeps, and
-    ``ValueError`` before any rotation when some member's Frobenius norm
-    overflows or underflows (see :func:`_norms`).
+    Each sweep runs (see :func:`_sweep`) on copies ``work[active]`` and
+    ``vecs[active]`` of the members still above their tolerance and writes
+    them back, so each numpy call of a step serves all active members at
+    once.  A member is rotated only in the sweeps it would run alone, so
+    every member ends bit-identical to a solve of that matrix on its own.
+    Raises :class:`NoConvergence` for the first member still above its
+    tolerance after ``max_sweeps`` sweeps, its off-diagonal norm unscaled.
     """
-    norms = _norms(work)[0]
-    # A member with a norm below 0.5 is scaled up by an exact power of two
-    # to a norm in [0.5, 1) for the sweeps, so that the off-diagonal norms
-    # square no entry that counts into a subnormal; the rotations commute
-    # with the scaling bit for bit.  None is scaled down, which could flush
-    # tiny entries into subnormals; a finite norm keeps every square finite.
-    scales = np.maximum(_unit_scales(norms), 1.0)
-    work *= scales[:, None, None]
-    tol = OFFDIAG_RTOL * norms * scales  # ||A||_F is rotation-invariant
     steps = None
     sweeps = np.zeros(len(work), dtype=int)
     while True:
         off_norms = _norms(work)[1]
         active = np.flatnonzero(off_norms > tol)
         if active.size == 0:
-            break
+            return sweeps
         first = active[0]
         if sweeps[first] >= max_sweeps:
-            work /= scales[:, None, None]
             raise NoConvergence(int(sweeps[first]), float(off_norms[first] / scales[first]))
         if steps is None:  # once per solve, and only for a solve that sweeps
-            steps = np.stack(_round_robin_steps(work.shape[1]), axis=1)
-        a = np.ascontiguousarray(work[active])  # a copy, C-ordered for _sweep
-        phi = None if vecs is None else vecs[active]
+            steps = _round_robin_steps(work.shape[1])
+        a, phi = work[active], vecs[active]  # C-ordered copies
         _sweep(a, phi, steps)
-        work[active] = a
-        if phi is not None:
-            vecs[active] = phi
+        work[active], vecs[active] = a, phi
         sweeps[active] += 1
-    work /= scales[:, None, None]
-    return sweeps
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -506,32 +485,37 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     matrices: the one solve path, of which :func:`jacobi_eigendecompose` is
     the B = 1 case.
 
-    The members that do not already meet the tolerance get one batched
-    start basis Phi0 (see the module docstring), which turns each into
-    ``W = (Phi0^H A Phi0 + h.c.) / 2``, nearly diagonal; one
-    :func:`_diagonalize` call then finishes and certifies every member, with
-    Phi0 (or the identity) as its eigenvectors.  Every step serves all
-    members at once and reads only each member's own entries, so each member
-    ends bit-identical to a solve of its own.  Errors as for
+    Each member A is scaled once by the power of two s that puts
+    ``||sA||_F`` in [0.5, 1), exact barring subnormals, and its tolerance is
+    ``OFFDIAG_RTOL * ||A||_F * s``.  A member that already meets it comes
+    back as it is, its own diagonal with the identity as eigenvectors: its
+    scaled copy served the test only.  The others get one batched start
+    basis Phi0 (see the module docstring) and
+    ``W = (Phi0^H (sA) Phi0 + h.c.) / 2``, nearly diagonal; one
+    :func:`_diagonalize` call finishes and certifies them all, and their
+    eigenvalues are ``diag(W) / s``.  Every step serves all members at once
+    and reads only each member's own entries, so each member ends
+    bit-identical to a solve of its own.  Errors as for
     :func:`jacobi_eigendecompose`, for the first member that has one.
     """
-    work = np.array(stack, dtype=np.complex128)
-    count, n, _ = work.shape
-    norms = _norms(work)[0]
-    scales = _unit_scales(norms)
-    scaled = work * scales[:, None, None]
-    vecs = np.zeros_like(work)
-    vecs.reshape(count, n * n)[:, :: n + 1] = 1.0
-    need = np.flatnonzero(_norms(scaled)[1] > OFFDIAG_RTOL * norms * scales)
+    a = np.array(stack, dtype=np.complex128)
+    count, n, _ = a.shape
+    norms = _norms(a)[0]
+    scales = np.ldexp(1.0, -np.frexp(norms)[1])  # 1 for a norm of 0
+    scaled = a * scales[:, None, None]
+    tol = OFFDIAG_RTOL * norms * scales
+    need = np.flatnonzero(_norms(scaled)[1] > tol)
+    eigenvalues = np.diagonal(a, axis1=1, axis2=2).real.copy()
+    vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
     if need.size:
         start = _start_basis(scaled[need])
         if not np.isfinite(start).all():
             raise ValueError("start basis is not finite")
-        w = start.conj().swapaxes(1, 2) @ work[need] @ start
-        work[need] = (w + w.conj().swapaxes(1, 2)) / 2.0
+        w = start.conj().swapaxes(1, 2) @ scaled[need] @ start
+        w = (w + w.conj().swapaxes(1, 2)) / 2.0
+        _diagonalize(w, start, tol[need], scales[need], max_sweeps)
+        eigenvalues[need] = np.diagonal(w, axis1=1, axis2=2).real / scales[need, None]
         vecs[need] = start
-    _diagonalize(work, vecs, max_sweeps)
-    eigenvalues = np.diagonal(work, axis1=1, axis2=2).real
     order = np.argsort(eigenvalues, axis=1, kind="stable")
     member = np.arange(count)[:, None]
     vecs = _fix_phases(vecs[member[:, None], np.arange(n)[:, None], order[:, None]])
@@ -541,33 +525,17 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
 def jacobi_eigendecompose(
     a: HermitianMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix: a Householder/multisection start
-    basis, finished by round-robin complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix (see the module docstring).
 
-    Unless A already meets the tolerance, the start basis Phi0 (see the
-    module docstring) turns A into ``W = Phi0^H A Phi0``, nearly diagonal,
-    and the Jacobi sweeps run on W with Phi0 as the eigenvectors.  Each
-    rotation annihilates one off-diagonal entry W[p,q] with the unitary that
-    diagonalizes the (p,q) 2x2 block.  A sweep is the round-robin ordering
-    of Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985): N - 1 steps (N
-    for odd N), each applying up to N/2 rotations on disjoint index pairs at
-    once, which equals applying them one after another because no rotation
-    touches another's 2x2 block.  ``max_sweeps`` bounds these finishing
-    sweeps; from a good start none runs.  Raises :class:`NoConvergence` if
-    the off-diagonal norm is still above ``OFFDIAG_RTOL * ||W||_F`` after
-    ``max_sweeps`` sweeps, and ``ValueError`` before any work if ``||A||_F``
-    overflows, or underflows while A is not 0 (see :func:`_norms`), and
-    before any rotation if the start basis is not finite or W overflows.
-    Deterministic: identical input gives bit-identical output.
-
-    A that already meets the tolerance keeps the identity as its start, so
-    diagonal input comes back bit for bit; otherwise the sweeps start from
-    ``W = (Phi0^H A Phi0 + h.c.) / 2``.  The tolerance test and the start
-    see A scaled by an exact power of two to ``||A||_F`` in [0.5, 1), which
-    scales the eigenvalues the same way, leaves the eigenvectors as they
-    are, and keeps every square that counts clear of the subnormals.  This
-    is the B = 1 case of the stack solve that the sweeps' oracle runs, and
-    gives the same bits as a member of such a stack.
+    In the returned eigenbasis, A's off-diagonal Frobenius norm is at most
+    ``OFFDIAG_RTOL * ||A||_F``; :class:`NoConvergence` is raised if that
+    takes more than ``max_sweeps`` finishing sweeps.  ``ValueError`` is
+    raised before any work if ``||A||_F`` overflows, or underflows while A
+    is not 0 (see :func:`_norms`), and before any rotation if the start
+    basis is not finite.  Deterministic: identical input gives bit-identical
+    output, the same as a member of an :func:`_eigensystems` stack.  A
+    matrix that already meets the tolerance, such as a diagonal one, comes
+    back bit for bit: its diagonal, and identity columns in the same order.
     """
     eigenvalues, eigenvectors = _eigensystems(a.array[None], max_sweeps)
     return SpectralDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])

@@ -165,8 +165,10 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
 
     The oracle and H's decomposition are one solve: the ``(B + 1, N, N)``
     stack ``[H, H + x_1 H', ..., H + x_B H']``, each member built by
-    :func:`add_scaled`, gets one batched start basis and one finishing
-    Jacobi call (see :mod:`.eigensolver`).  Every member is bit-identical
+    :func:`add_scaled`, goes through one ``eigensolver._eigensystems`` call:
+    the members above the tolerance get one batched start basis and one
+    finishing Jacobi call, and one that meets it (the box model's diagonal
+    H) comes back as it is.  Every member is bit-identical
     to a solve of its own, so member 0 is ``jacobi_eigendecompose(H)`` and
     each spectrum row is ``exact_levels(H, H', x)``.  A member that is not
     finite raises ``ValueError`` before the solve, as :func:`add_scaled`

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qperturb import eigensolver
 from qperturb.eigensolver import (
     SpectralDecomposition,
-    _diagonalize,
     _fix_phases,
     _round_robin_steps,
     jacobi_eigendecompose,
@@ -128,9 +127,10 @@ class TestJacobi:
         np.testing.assert_array_equal(dec.eigenvalues, [1.0, 1.0])
         np.testing.assert_array_equal(dec.eigenvectors, np.eye(2, dtype=complex))
 
-    def test_no_convergence_error(self):
+    def test_no_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
         with pytest.raises(NoConvergence) as exc:
-            _solo([[0, 1], [1, 0]], True, max_sweeps=0)
+            jacobi_eigendecompose(HermitianMatrix([[0, 1], [1, 0]]), max_sweeps=0)
         assert exc.value.sweeps == 0
 
     @pytest.mark.parametrize("solve", [jacobi_eigendecompose], ids=["vectors"])
@@ -147,7 +147,7 @@ class TestJacobi:
         with pytest.raises(ValueError, match="matrix norm underflows"):
             solve(HermitianMatrix([[0.0, 1e-200], [1e-200, 0.0]]))
 
-    def test_norm_just_above_underflow_is_solved(self):
+    def test_norm_just_above_underflow_is_solved(self, monkeypatch):
         # ||A||_F passes the underflow check, but unscaled the off-diagonal
         # entries square to 0: taken as converged, the identity vectors would
         # leave a residual of 5e-10 ||A||_F
@@ -156,22 +156,20 @@ class TestJacobi:
         scale = 2.0**520  # exact; keeps the gates' own squares normal
         scaled = SpectralDecomposition(scale * dec.eigenvalues, dec.eigenvectors)
         _assert_gates(HermitianMatrix(scale * tiny), scaled)
-        stack = _stack([random_hermitian(97, 2).array, tiny])
-        assert _diagonalize(stack, None, 100)[1] == 1
+        # swept from the identity, it takes one sweep
+        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        calls = _counting_finish(monkeypatch)
+        eigensolver._eigensystems(_stack([random_hermitian(97, 2).array, tiny]))
+        assert calls[0][1] == 1
 
-    def test_underflowing_stack_member_rejected_before_any_rotation(self):
+    def test_underflowing_stack_member_rejected_before_any_rotation(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_start_basis", _no_start)
         dense = random_hermitian(96, 6).array
-        stacks = [_stack([dense, 1e-160 * dense])]
-        # the same check on a strided view of a stack and on a Fortran-ordered matrix
-        for kind in ("strided-stack", "fortran"):
-            _, work, _, _ = _layout(kind, False)
-            work[len(work) // 2] *= 1e-160  # the view's middle member
-            stacks.append(work)
-        for stack in stacks:
-            before = stack.copy()
-            with pytest.raises(ValueError, match="matrix norm underflows"):
-                _diagonalize(stack, None, 100)
-            assert np.array_equal(stack, before)
+        stack = _stack([dense, 1e-160 * dense])
+        before = stack.copy()
+        with pytest.raises(ValueError, match="matrix norm underflows"):
+            eigensolver._eigensystems(stack)
+        assert np.array_equal(stack, before)
 
     def test_zero_matrix(self):
         dec = jacobi_eigendecompose(HermitianMatrix(np.zeros((3, 3))))
@@ -212,15 +210,11 @@ class TestJacobi:
         np.testing.assert_allclose(lam, np.linalg.eigvalsh(matrix.array), rtol=0, atol=1e-12)
         assert np.linalg.norm(matrix.array @ v - v * lam) <= 1e-10 * np.linalg.norm(entries)
 
-    def test_eigenvalues_only_no_convergence_error(self):
-        with pytest.raises(NoConvergence) as exc:
-            _diagonalize(np.array([[0, 1], [1, 0]], dtype=np.complex128)[None], None, 0)
-        assert exc.value.sweeps == 0
-
     @pytest.mark.parametrize("n", [*range(1, 10), 32, 33])
     def test_round_robin_schedule(self, n):
-        ps, qs = _round_robin_steps(n)
-        assert ps.shape == qs.shape == (n - 1 + n % 2 if n > 1 else 0, n // 2)
+        steps = _round_robin_steps(n)
+        assert steps.shape == (n - 1 + n % 2 if n > 1 else 0, 2, n // 2)
+        ps, qs = steps[:, 0], steps[:, 1]
         # the same steps, pairs in the same order, as one rotation per step in a loop
         reference = _loop_round_robin_steps(n)
         assert [(p.tolist(), q.tolist()) for p, q in zip(ps, qs)] == reference
@@ -233,163 +227,167 @@ class TestJacobi:
         assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
-def _solo(matrix, with_vectors, max_sweeps=100):
-    """``_diagonalize`` on one matrix as a one-member stack: (work, vectors
-    or None, sweeps)."""
-    work = np.array(matrix, dtype=np.complex128)
-    vecs = np.eye(work.shape[0], dtype=np.complex128) if with_vectors else None
-    sweeps = _diagonalize(work[None], None if vecs is None else vecs[None], max_sweeps)
-    return work, vecs, sweeps[0]
-
-
 def _stack(matrices):
     """A (B, N, N) stack, member b at ``[b]``."""
     return np.stack([np.asarray(m, dtype=np.complex128) for m in matrices])
 
 
+def _identity_start(a):
+    """In place of the start basis: identities, so the finish sweeps from them."""
+    return np.broadcast_to(np.eye(a.shape[1], dtype=np.complex128), a.shape).copy()
+
+
+def _no_start(a):
+    raise AssertionError("the start ran")
+
+
+def _counting_finish(monkeypatch):
+    """Record, for every ``_diagonalize`` call, the sweep count of each
+    member it finishes (the members above their tolerance)."""
+    diagonalize = eigensolver._diagonalize
+    calls = []
+
+    def counting(*args):
+        done = diagonalize(*args)
+        calls.append(done.tolist())
+        return done
+
+    monkeypatch.setattr(eigensolver, "_diagonalize", counting)
+    return calls
+
+
 class TestStackedJacobi:
-    """``_diagonalize`` on a (B, N, N) stack against one solve per member."""
+    """The finish on a (B, N, N) stack against one solve per member, with
+    the start patched to the identity so that the members sweep from it."""
 
     # Sweep counts of the single-matrix solve at N = 1, 2, 3, 16, 33 before it
     # learned stacks; the single-matrix path must keep them.
     SOLO_SWEEPS = {1: 0, 2: 1, 3: 3, 16: 6, 33: 7}
 
     @pytest.mark.parametrize("n", sorted(SOLO_SWEEPS))
-    @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
-    def test_single_matrix_unchanged(self, n, with_vectors):
-        matrix = random_hermitian(500 + n, n).array
-        work, vecs, sweeps = _solo(matrix, with_vectors)
-        assert sweeps == self.SOLO_SWEEPS[n]
+    @pytest.mark.parametrize("solve", [jacobi_eigendecompose], ids=["vectors"])
+    def test_single_matrix_unchanged(self, monkeypatch, n, solve):
+        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        calls = _counting_finish(monkeypatch)
+        matrix = random_hermitian(500 + n, n)
+        solo = solve(matrix)
+        finished = [[self.SOLO_SWEEPS[n]]] if n > 1 else []  # 1x1 already meets the tolerance
+        assert calls == finished
         # the same matrix as the middle member of a stack ends bit-identical
-        stack = _stack([random_hermitian(600 + n, n).array, matrix, np.diag(np.arange(n, 0, -1.0))])
-        stack_vecs = _stack([np.eye(n)] * 3) if with_vectors else None
-        stack_sweeps = _diagonalize(stack, stack_vecs, 100)
-        assert stack_sweeps[1] == sweeps
-        assert np.array_equal(stack[1], work)
-        if with_vectors:
-            assert np.array_equal(stack_vecs[1], vecs)
+        calls.clear()
+        stack = _stack([random_hermitian(600 + n, n).array, matrix.array,
+                        np.diag(np.arange(n, 0, -1.0))])
+        values, vectors = eigensolver._eigensystems(stack)
+        assert [sweeps[1:] for sweeps in calls] == finished  # after the dense member 0
+        assert values[1].tobytes() == solo.eigenvalues.tobytes()
+        assert vectors[1].tobytes() == solo.eigenvectors.tobytes()
 
-    @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
-    def test_members_with_different_sweep_counts(self, with_vectors):
+    @pytest.mark.parametrize("solve", [jacobi_eigendecompose], ids=["vectors"])
+    def test_members_with_different_sweep_counts(self, monkeypatch, solve):
         # A diagonal member, a nearly diagonal one and dense ones of very
         # different norms: members drop out after different sweeps, so the
         # others are gathered, and each keeps its own tolerance.
+        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        calls = _counting_finish(monkeypatch)
         n = 12
         near = np.diag(np.arange(n, dtype=float)) + 1e-3 * random_hermitian(71, n).array
         matrices = [random_hermitian(70, n).array, np.diag(np.arange(n, 0, -1.0)), near,
                     random_hermitian(72, n, 0.05).array, random_hermitian(73, n, 1e6).array]
-        stack = _stack(matrices)
-        stack_vecs = _stack([np.eye(n)] * len(matrices)) if with_vectors else None
-        sweeps = _diagonalize(stack, stack_vecs, 100)
-        assert sweeps.shape == (len(matrices),)
-        assert sweeps[1] == 0
-        assert len(set(sweeps.tolist())) >= 3
+        values, vectors = eigensolver._eigensystems(_stack(matrices))
+        # one call for every member but the diagonal one
+        (sweeps,) = calls
+        assert len(sweeps) == len(matrices) - 1
+        assert len(set(sweeps)) >= 3
+        calls.clear()
         for b, matrix in enumerate(matrices):
-            work, vecs, solo_sweeps = _solo(matrix, with_vectors)
-            assert sweeps[b] == solo_sweeps
-            assert np.array_equal(stack[b], work)
-            if with_vectors:
-                assert np.array_equal(stack_vecs[b], vecs)
+            solo = solve(HermitianMatrix(matrix))
+            assert values[b].tobytes() == solo.eigenvalues.tobytes()
+            assert vectors[b].tobytes() == solo.eigenvectors.tobytes()
+        assert calls == [[count] for count in sweeps]
 
-    def test_diagonal_member_takes_no_sweep(self):
-        diagonal = np.diag([2.0, -1.0, 0.5 + 0j])
-        stack = _stack([diagonal, random_hermitian(80, 3).array])
-        sweeps = _diagonalize(stack, None, 100)
-        assert sweeps[0] == 0 and sweeps[1] > 0
-        assert np.array_equal(stack[0], diagonal)
+    def test_diagonal_member_takes_no_sweep(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        calls = _counting_finish(monkeypatch)
+        diagonal = np.diag([2.0, -1.0, 0.5])
+        values, vectors = eigensolver._eigensystems(_stack([diagonal, random_hermitian(80, 3).array]))
+        # only the dense member reaches the finish, and it sweeps
+        assert len(calls) == 1 and len(calls[0]) == 1 and calls[0][0] > 0
+        assert values[0].tolist() == [-1.0, 0.5, 2.0]
+        assert np.array_equal(vectors[0], np.eye(3)[:, [1, 2, 0]])
 
-    def test_all_diagonal_stack_takes_no_sweep(self):
-        stack = _stack([np.diag([1.0, 2.0]), np.diag([3.0, -3.0])])
-        assert _diagonalize(stack, None, 0).tolist() == [0, 0]
+    def test_all_diagonal_stack_takes_no_sweep(self, monkeypatch):
+        calls = _counting_finish(monkeypatch)
+        values, _ = eigensolver._eigensystems(_stack([np.diag([1.0, 2.0]), np.diag([3.0, -3.0])]), 0)
+        assert values.tolist() == [[1.0, 2.0], [-3.0, 3.0]]
+        assert calls == []
 
-    def test_overflowing_member_rejected_before_any_rotation(self):
+    def test_overflowing_member_rejected_before_any_rotation(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_start_basis", _no_start)
         dense = random_hermitian(95, 6).array
         stack = _stack([dense, 1e154 * dense])
         before = stack.copy()
         with pytest.raises(ValueError, match="matrix norm overflows"):
-            _diagonalize(stack, None, 100)
+            eigensolver._eigensystems(stack)
         assert np.array_equal(stack, before)
 
-    def test_member_that_cannot_converge(self):
+    def test_member_that_cannot_converge(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
         dense = random_hermitian(90, 8).array
         with pytest.raises(NoConvergence) as solo:
-            _solo(dense, False, max_sweeps=2)
+            jacobi_eigendecompose(HermitianMatrix(dense), max_sweeps=2)
         stack = _stack([np.diag(np.arange(8.0)), dense, dense[::-1, ::-1]])
         with pytest.raises(NoConvergence) as stacked:
-            _diagonalize(stack, None, 2)
+            eigensolver._eigensystems(stack, 2)
         # the first member above its tolerance, with its own off-diagonal norm
         assert stacked.value.sweeps == solo.value.sweeps == 2
         assert stacked.value.off_norm == solo.value.off_norm
+        # in the matrix's own units, not those of its scaled copy
+        with pytest.raises(NoConvergence) as small:
+            jacobi_eigendecompose(HermitianMatrix(2.0**-40 * dense), max_sweeps=2)
+        assert small.value.off_norm == 2.0**-40 * solo.value.off_norm
 
 
-def _layout(kind, with_vectors):
-    """``work`` and ``vecs`` (or None), stacks laid out as ``kind`` says, with
-    the array each one is a view of."""
+def _layout(kind):
+    """A stack that is not C-contiguous, laid out as ``kind`` says."""
     n = 9
-    if kind == "strided-stack":
-        base = _stack([random_hermitian(110 + b, n).array for b in range(5)])
-        base_vecs = _stack([np.eye(n)] * 5)
-        # members 0, 2 and 4
-        return base, base[::2], base_vecs, base_vecs[::2] if with_vectors else None
+    if kind == "strided-stack":  # members 0, 2 and 4 of a stack
+        return _stack([random_hermitian(110 + b, n).array for b in range(5)])[::2]
     matrix = random_hermitian(110, n).array
-    eye = np.eye(n, dtype=np.complex128)
     if kind == "fortran":
-        work, vecs = np.asfortranarray(matrix), np.asfortranarray(eye)
-        return work, work[None], vecs, vecs[None] if with_vectors else None
-    work_t, vecs_t = np.ascontiguousarray(matrix.T), eye.T.copy()
-    return work_t, work_t.T[None], vecs_t, vecs_t.T[None] if with_vectors else None
+        return np.asfortranarray(matrix)[None]
+    return np.ascontiguousarray(matrix.T).T[None]
 
 
 class TestSweepLayout:
-    """``_diagonalize`` sweeps a C-contiguous copy of the members it rotates,
-    so the caller's memory layout must not change a bit of the result."""
-
-    @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
-    @pytest.mark.parametrize("kind", ["fortran", "transposed", "strided-stack"])
-    def test_any_layout_bit_identical_to_c_order(self, kind, with_vectors):
-        base, work, base_vecs, vecs = _layout(kind, with_vectors)
-        assert not work.flags.c_contiguous
-        assert vecs is None or not vecs.flags.c_contiguous
-        untouched = base.copy(), base_vecs.copy()
-        c_work = np.array(work, order="C")
-        c_vecs = None if vecs is None else np.array(vecs, order="C")
-        c_sweeps = _diagonalize(c_work, c_vecs, 100)
-        sweeps = _diagonalize(work, vecs, 100)
-        assert np.all(np.asarray(sweeps) > 0)
-        assert np.array_equal(sweeps, c_sweeps)
-        # bit for bit (tobytes tells -0.0 from 0.0), and in the caller's arrays
-        assert np.ascontiguousarray(work).tobytes() == c_work.tobytes()
-        if vecs is not None:
-            assert np.ascontiguousarray(vecs).tobytes() == c_vecs.tobytes()
-        assert np.shares_memory(work, base) and (vecs is None or np.shares_memory(vecs, base_vecs))
-        if kind == "strided-stack":  # members left out of the view stay as they were
-            assert np.array_equal(base[1::2], untouched[0][1::2])
-            assert np.array_equal(base_vecs[1::2], untouched[1][1::2])
+    """Each member's norms read its own C-ordered entries whatever the
+    stack's layout, and the finish accumulates its rotations on the right."""
 
     @pytest.mark.parametrize("kind", ["fortran", "transposed", "strided-stack"])
     def test_norms_match_per_member_reference(self, kind):
         # each member's norms equal np.linalg.norm of its own C-ordered copy, bit for bit
-        _, stack, _, _ = _layout(kind, False)
+        stack = _layout(kind)
+        assert not stack.flags.c_contiguous
         frobenius, off = eigensolver._norms(stack)
         for b in range(len(stack)):
             member = np.ascontiguousarray(stack[b])
             assert frobenius[b] == np.linalg.norm(member)
             assert off[b] == np.linalg.norm(member - np.diag(np.diag(member)))
 
-    def test_vectors_accumulate_on_the_right(self):
+    def test_vectors_accumulate_on_the_right(self, monkeypatch):
+        # Swept from the identity and from a random unitary U, the result
+        # diagonalizes the matrix only if each rotation J is accumulated as
+        # Phi <- Phi J: J^T, J^H or J Phi would not.
         n = 12
         matrix = random_hermitian(120, n).array
-        work, phi, _ = _solo(matrix, True)
-        # phi diagonalizes the matrix, which an accumulation of J^T or J^H would not
-        residual = matrix @ phi - phi * np.diag(work).real
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(matrix)
-        # started from a unitary U, the rotations give U @ phi, not phi @ U
         rng = np.random.default_rng(121)
         u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        started = u.copy()
-        _diagonalize(np.array(matrix)[None], started[None], 100)
-        np.testing.assert_allclose(started, u @ phi, rtol=0, atol=1e-12)
-        assert np.linalg.norm(started - phi @ u) > 1e-3
+        calls = _counting_finish(monkeypatch)
+        for start in (np.eye(n, dtype=np.complex128), u):
+            monkeypatch.setattr(eigensolver, "_start_basis", lambda a, start=start: start[None].copy())
+            dec = jacobi_eigendecompose(HermitianMatrix(matrix))
+            residual = matrix @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+            assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(matrix)
+        assert len(calls) == 2 and all(sweeps[0] > 0 for sweeps in calls)
 
 
 def _prescribed(levels, seed=0):
@@ -436,20 +434,6 @@ def _assert_gates(matrix, dec):
     assert np.linalg.norm(v.conj().T @ v - np.eye(matrix.dim)) <= 1e-10
 
 
-def _counting_finish(monkeypatch):
-    """Record the sweep count of every member of every ``_diagonalize`` call."""
-    diagonalize = eigensolver._diagonalize
-    sweeps = []
-
-    def counting(work, vecs, max_sweeps):
-        done = diagonalize(work, vecs, max_sweeps)
-        sweeps.extend(done.tolist())
-        return done
-
-    monkeypatch.setattr(eigensolver, "_diagonalize", counting)
-    return sweeps
-
-
 class TestStartBasis:
     """The cold solve starts from a Householder/multisection basis and Jacobi
     only finishes it."""
@@ -457,10 +441,10 @@ class TestStartBasis:
     @pytest.mark.parametrize("name", HARD_SPECTRA)
     def test_gates_and_repeatability(self, monkeypatch, name):
         matrix = HARD_SPECTRA[name]()
-        sweeps = _counting_finish(monkeypatch)
+        calls = _counting_finish(monkeypatch)
         dec = jacobi_eigendecompose(matrix)
         _assert_gates(matrix, dec)
-        assert sweeps == [0]  # the start already meets the tolerance
+        assert calls in ([], [[0]])  # the start (or the matrix) already meets the tolerance
         again = jacobi_eigendecompose(matrix)
         assert np.array_equal(again.eigenvalues, dec.eigenvalues)
         assert np.array_equal(again.eigenvectors, dec.eigenvectors)
@@ -474,18 +458,18 @@ class TestStartBasis:
     def test_random_hermitian_property(self, n, seed, exponent):
         matrix = HermitianMatrix(2.0**exponent * random_hermitian(seed, n).array)
         with pytest.MonkeyPatch.context() as patch:
-            sweeps = _counting_finish(patch)
+            calls = _counting_finish(patch)
             _assert_gates(matrix, jacobi_eigendecompose(matrix))
-        assert sweeps == [0]  # the start already meets the tolerance
+        assert calls in ([], [[0]])  # the start (or the matrix) already meets the tolerance
 
     @settings(max_examples=20, deadline=None)
     @given(levels=st.lists(st.integers(-3, 3), min_size=1, max_size=40), seed=st.integers(0, 99))
     def test_degenerate_spectra_property(self, levels, seed):
         matrix = _prescribed(levels, seed)
         with pytest.MonkeyPatch.context() as patch:
-            sweeps = _counting_finish(patch)
+            calls = _counting_finish(patch)
             _assert_gates(matrix, jacobi_eigendecompose(matrix))
-        assert sweeps == [0]
+        assert calls in ([], [[0]])
 
     @pytest.mark.parametrize("n", [5, 24])
     def test_poor_start_is_finished_by_sweeps(self, monkeypatch, n):
@@ -496,18 +480,32 @@ class TestStartBasis:
             return np.linalg.qr(rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))[0]
 
         monkeypatch.setattr(eigensolver, "_start_basis", random_unitary)
-        sweeps = _counting_finish(monkeypatch)
+        calls = _counting_finish(monkeypatch)
         matrix = random_hermitian(800 + n, n)
         _assert_gates(matrix, jacobi_eigendecompose(matrix))
-        assert sweeps[0] >= 1
+        assert calls[0][0] >= 1
 
     def test_diagonal_input_skips_the_start(self, monkeypatch):
-        def no_start(a):
-            raise AssertionError("the start ran on a diagonal matrix")
-
-        monkeypatch.setattr(eigensolver, "_start_basis", no_start)
+        monkeypatch.setattr(eigensolver, "_start_basis", _no_start)
         dec = jacobi_eigendecompose(HermitianMatrix(np.diag([2.0, -1.0, 0.5])))
         np.testing.assert_array_equal(dec.eigenvalues, [-1.0, 0.5, 2.0])
+
+    def test_extreme_range_diagonal_comes_back_bit_for_bit(self, monkeypatch):
+        # Scaled to a unit norm (by 2^-500), 1e-160 would be subnormal and
+        # lose digits: a member that meets the tolerance must come back as
+        # it is, never scaled and never rotated, alone or in a stack.
+        extreme = np.diag([1e150, 1e-160, -3.0])
+        solo = jacobi_eigendecompose(HermitianMatrix(extreme))
+        assert solo.eigenvalues.tobytes() == np.array([-3.0, 1e-160, 1e150]).tobytes()
+        assert solo.eigenvectors.tobytes() == np.eye(3, dtype=np.complex128)[:, ::-1].tobytes()
+        dense = random_hermitian(81, 3).array
+        calls = _counting_finish(monkeypatch)
+        values, vectors = eigensolver._eigensystems(
+            _stack([dense, extreme, 1e100 * dense, 1e-100 * dense])
+        )
+        assert values[1].tobytes() == solo.eigenvalues.tobytes()
+        assert vectors[1].tobytes() == solo.eigenvectors.tobytes()
+        assert [len(sweeps) for sweeps in calls] == [3]  # the dense members only
 
     def test_non_finite_start_rejected(self, monkeypatch):
         monkeypatch.setattr(eigensolver, "_start_basis", lambda a: np.full(a.shape, np.nan + 0j))
@@ -547,13 +545,14 @@ class TestBatchedSolve:
     @pytest.mark.parametrize("n", [6, 24])
     def test_members_bit_identical_to_solo(self, monkeypatch, n):
         members = _batch_members(n)
-        sweeps = _counting_finish(monkeypatch)
+        calls = _counting_finish(monkeypatch)
         solo = [jacobi_eigendecompose(m) for m in members]
-        solo_sweeps = list(sweeps)
-        sweeps.clear()
+        solo_calls = list(calls)
+        calls.clear()
         values, vectors = eigensolver._eigensystems(np.stack([m.array for m in members]))
-        assert sweeps == solo_sweeps  # one finishing call, every member's own count
-        assert solo_sweeps[0] == 0
+        # one finishing call for every member but the diagonal one, each with its own count
+        assert len(solo_calls) == len(members) - 1
+        assert calls == [[sweeps for (sweeps,) in solo_calls]]
         for b, dec in enumerate(solo):
             # bit for bit: tobytes tells -0.0 from 0.0
             assert values[b].tobytes() == dec.eigenvalues.tobytes()

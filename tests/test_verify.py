@@ -130,11 +130,21 @@ class TestWarmStartedOracle:
     def test_one_finishing_call_runs_no_sweep(self, monkeypatch):
         h, hp = ORACLE_PAIRS["dense-24"]()
         verify._eigenbasis_pass.cache_clear()
-        solves = _counting_diagonalize(monkeypatch)
+        solves = _counting_solves(monkeypatch)
+        diagonalize = eigensolver._diagonalize
+        finishes = []
+
+        def counting(*args):
+            done = diagonalize(*args)
+            finishes.append(done.tolist())
+            return done
+
+        monkeypatch.setattr(eigensolver, "_diagonalize", counting)
         level_sweep(h, hp)
-        # H and one member per strength, finished by one call, from a start
-        # basis good enough that no sweep runs
-        assert solves == [("vectors", [0] * (len(DEFAULT_X_GRID) + 1))]
+        # H and one member per strength, solved and finished by one call each,
+        # from a start basis good enough that no sweep runs
+        assert solves == [len(DEFAULT_X_GRID) + 1]
+        assert finishes == [[0] * (len(DEFAULT_X_GRID) + 1)]
 
     @pytest.mark.parametrize("name", ORACLE_PAIRS)
     @pytest.mark.parametrize(
@@ -156,18 +166,18 @@ class TestWarmStartedOracle:
             assert record.exact == float(weights @ exact_levels(h, hp, x))
 
 
-def _counting_diagonalize(monkeypatch):
-    """Record every Jacobi solve that runs as ``(kind, sweeps)``: kind
-    ``"vectors"`` or ``"values"``, and one sweep count per member."""
-    diagonalize = eigensolver._diagonalize
+def _counting_solves(monkeypatch):
+    """Record the member count of every ``_eigensystems`` call that returns:
+    one per solve of a matrix or of a sweep pass's stack."""
+    eigensystems = eigensolver._eigensystems
     solves = []
 
-    def counting(work, vecs, max_sweeps):
-        sweeps = diagonalize(work, vecs, max_sweeps)
-        solves.append(("values" if vecs is None else "vectors", sweeps.tolist()))
-        return sweeps
+    def counting(stack, *args):
+        result = eigensystems(stack, *args)
+        solves.append(len(stack))
+        return result
 
-    monkeypatch.setattr(eigensolver, "_diagonalize", counting)
+    monkeypatch.setattr(eigensolver, "_eigensystems", counting)
     return solves
 
 
@@ -177,14 +187,12 @@ class TestSharedPass:
     def test_three_sweeps_one_pass(self, monkeypatch):
         verify._eigenbasis_pass.cache_clear()
         h, hp = ORACLE_PAIRS["dense-24"]()
-        solves = _counting_diagonalize(monkeypatch)
+        solves = _counting_solves(monkeypatch)
         level_sweep(h, hp)
         superposition_sweep(h, hp, StateVector.basis_state(h.dim, 3))
         level_sweep(h, hp, list(DEFAULT_X_GRID), levels=[0])
         # one solve: a stack of H and a member per strength
-        assert [(kind, len(sweeps)) for kind, sweeps in solves] == [
-            ("vectors", len(DEFAULT_X_GRID) + 1),
-        ]
+        assert solves == [len(DEFAULT_X_GRID) + 1]
 
     @pytest.mark.parametrize(
         "change",
@@ -199,10 +207,10 @@ class TestSharedPass:
         verify._eigenbasis_pass.cache_clear()
         h, hp = ORACLE_PAIRS["dense-6"]()
         level_sweep(h, hp)
-        solves = _counting_diagonalize(monkeypatch)
+        solves = _counting_solves(monkeypatch)
         h2, hp2, xs = change(h, hp, DEFAULT_X_GRID)
         level_sweep(h2, hp2, xs)
-        assert [(kind, len(sweeps)) for kind, sweeps in solves] == [("vectors", len(xs) + 1)]
+        assert solves == [len(xs) + 1]
 
     @pytest.mark.parametrize("name", ["dense-6", "dense-24", "box-12"])
     def test_shared_records_bit_identical_to_fresh(self, monkeypatch, name):
@@ -221,19 +229,19 @@ class TestSharedPass:
     def test_failed_pass_leaves_memo_unchanged(self, monkeypatch):
         verify._eigenbasis_pass.cache_clear()
         kept = pickle.dumps(level_sweep(H_2x2, HP_2x2))
-        diagonalize = eigensolver._diagonalize
+        eigensystems = eigensolver._eigensystems
 
-        def oracle_fails(work, vecs, max_sweeps):
-            if len(work) > 1:  # the oracle's stack, not a solve of one matrix
-                raise NoConvergence(max_sweeps, 1.0)
-            return diagonalize(work, vecs, max_sweeps)
+        def oracle_fails(stack, *args):
+            if len(stack) > 1:  # the oracle's stack, not a solve of one matrix
+                raise NoConvergence(0, 1.0)
+            return eigensystems(stack, *args)
 
-        monkeypatch.setattr(eigensolver, "_diagonalize", oracle_fails)
+        monkeypatch.setattr(eigensolver, "_eigensystems", oracle_fails)
         h, hp = ORACLE_PAIRS["dense-6"]()
         with pytest.raises(NoConvergence):
             level_sweep(h, hp)
         # the earlier pass is still the cached one: repeating it solves nothing
-        solves = _counting_diagonalize(monkeypatch)
+        solves = _counting_solves(monkeypatch)
         assert pickle.dumps(level_sweep(H_2x2, HP_2x2)) == kept
         assert solves == []
 
@@ -405,7 +413,7 @@ class TestLevelSweep:
 
         verify._eigenbasis_pass.cache_clear()
         monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
-        monkeypatch.setattr(eigensolver, "_diagonalize", no_solve)
+        monkeypatch.setattr(eigensolver, "_eigensystems", no_solve)
         with pytest.raises(InsufficientData, match="at least one strength"):
             if superposition:
                 superposition_sweep(H_2x2, HP_2x2, StateVector.basis_state(2, 0), [])
@@ -418,7 +426,7 @@ class TestLevelSweep:
         # passes HermitianMatrix's checks, but H + 2 H' overflows, and so does
         # the Frobenius norm of H + 0.1 H'
         hp = HermitianMatrix(1.5e308 * (np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)))
-        solves = _counting_diagonalize(monkeypatch)
+        solves = _counting_solves(monkeypatch)
         for xs, message in [
             ((0.1, 2.0), "matrix entries must be finite"),
             (DEFAULT_X_GRID, "matrix norm overflows"),
@@ -436,12 +444,12 @@ class TestLevelSweep:
         h = random_hermitian(45, 4)
         hp = HermitianMatrix(np.full((4, 4), 1.7e308))
         verify._eigenbasis_pass.cache_clear()
-        solves = _counting_diagonalize(monkeypatch)
+        solves = _counting_solves(monkeypatch)
         with np.errstate(all="ignore"), pytest.raises(
             ValueError, match="matrix entries must be finite"
         ):
             level_sweep(h, hp, [1e-300])
-        assert [kind for kind, _ in solves] == ["vectors"]
+        assert solves == [2]  # the solve completed; its shifts overflow
 
     @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
     def test_overflowing_oracle_norm_rejected(self, superposition):
