@@ -229,8 +229,7 @@ def _diagonalize(
     Raises :class:`NoConvergence` for the first member still above its
     tolerance after ``max_sweeps`` sweeps, its off-diagonal norm unscaled.
     """
-    steps = None
-    sweeps = np.zeros(len(work), dtype=int)
+    steps, sweeps = None, np.zeros(len(work), dtype=int)
     while True:
         off_norms = _norms(work)[1]
         active = np.flatnonzero(off_norms > tol)
@@ -419,23 +418,23 @@ def _inverse_iteration(d: np.ndarray, b: np.ndarray, shifts: np.ndarray) -> np.n
     close or equal eigenvalues span their eigenspace instead of collapsing
     onto one vector, starting from :func:`_start_vectors`.  A pivot smaller
     than ``eps * ||T||`` in magnitude is replaced by that bound with its
-    sign.
+    sign.  The pivots are formed in place in one ``(N, B, N)`` array that
+    starts as the diagonals of every ``T - shift I``.
     """
     count, n = d.shape
-    norms = np.maximum(np.abs(d).max(axis=1), b.max(axis=1, initial=0.0))  # ||T|| to a factor 3
-    bound = np.finfo(np.float64).eps * norms
+    # eps * ||T||, ||T|| to a factor 3
+    bound = np.finfo(np.float64).eps * np.maximum(np.abs(d).max(axis=1), b.max(axis=1, initial=0.0))
     # Index-major, (N, B, N): entry [i, m, j] belongs to member m's shift j.
-    shifted = d.T[:, :, None] - shifts
     b = np.repeat(b.T[:, :, None], n, axis=2)
     guard, tmp = np.repeat(bound[:, None], n, axis=1), np.empty((count, n))
-    # LU factors of every T - shift I: pivots and multipliers, one row per index.
-    pivots, multipliers = np.empty_like(shifted), np.zeros_like(shifted)
-    pivots[0] = shifted[0]
+    # LU factors of every T - shift I: pivots and multipliers, one row per
+    # index; row i of the pivots holds row i of T - shift I until step i.
+    pivots, multipliers = d.T[:, :, None] - shifts, np.zeros((n, count, n))
     for i in range(n):
         if i:
             np.divide(b[i - 1], pivots[i - 1], out=multipliers[i])
             np.multiply(multipliers[i], b[i - 1], out=tmp)
-            np.subtract(shifted[i], tmp, out=pivots[i])
+            np.subtract(pivots[i], tmp, out=pivots[i])
         np.abs(pivots[i], out=tmp)
         np.maximum(tmp, guard, out=tmp)
         np.copysign(tmp, pivots[i], out=pivots[i])
@@ -463,7 +462,9 @@ def _start_basis(a: np.ndarray) -> np.ndarray:
     ``A = Q T Q^H`` with T Hermitian tridiagonal; a diagonal unitary D makes
     ``D^H T D`` real symmetric with off-diagonal ``|e|``.  That matrix gets
     its eigenvalues by :func:`_multisection` and its eigenvectors Y by
-    :func:`_inverse_iteration`, and the start basis is ``Q D Y``.
+    :func:`_inverse_iteration`, and the start basis is ``Q D Y``, the
+    reflectors applied from one conjugated and one doubled copy (doubling is
+    exact).
     """
     d, e, reflectors = _tridiagonalize(a)
     b = np.abs(e)
@@ -472,10 +473,10 @@ def _start_basis(a: np.ndarray) -> np.ndarray:
     delta = np.concatenate([np.ones_like(units[:, :1]), np.cumprod(units, axis=1)], axis=1)
     delta /= np.abs(delta)
     basis = delta[:, :, None] * _inverse_iteration(d, b, _multisection(d, b))
-    twice, adjoint = 2.0 * reflectors[:, :, :, None], reflectors.conj()[:, :, None]
+    adjoint, reflectors = reflectors.conj()[:, :, None], 2.0 * reflectors  # 2u: exact
     for k in range(a.shape[1] - 3, -1, -1):  # basis <- P_k basis
         tail = basis[:, k + 1 :]
-        tail -= twice[:, k, k + 1 :] * (adjoint[:, k, :, k + 1 :] @ tail)
+        tail -= reflectors[:, k, k + 1 :, None] * (adjoint[:, k, :, k + 1 :] @ tail)
     return basis
 
 
@@ -485,37 +486,44 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     matrices: the one solve path, of which :func:`jacobi_eigendecompose` is
     the B = 1 case.
 
-    Each member A is scaled once by the power of two s that puts
-    ``||sA||_F`` in [0.5, 1), exact barring subnormals, and its tolerance is
-    ``OFFDIAG_RTOL * ||A||_F * s``.  A member that already meets it comes
-    back as it is, its own diagonal with the identity as eigenvectors: its
-    scaled copy served the test only.  The others get one batched start
-    basis Phi0 (see the module docstring) and
-    ``W = (Phi0^H (sA) Phi0 + h.c.) / 2``, nearly diagonal; one
-    :func:`_diagonalize` call finishes and certifies them all, and their
-    eigenvalues are ``diag(W) / s``.  Every step serves all members at once
-    and reads only each member's own entries, so each member ends
-    bit-identical to a solve of its own.  Errors as for
-    :func:`jacobi_eigendecompose`, for the first member that has one.
+    The stack is read where it lies, in any layout, and never written.
+    Each member A has the power of two s that puts ``||sA||_F`` in [0.5, 1),
+    exact barring subnormals, and the tolerance
+    ``OFFDIAG_RTOL * ||A||_F * s``.  A member whose sA already meets it
+    comes back as it is, its own diagonal with the identity as eigenvectors
+    (the scaled stack of the test is a temporary).  The others are scaled
+    once, into one array, and get one batched start basis Phi0 (see the
+    module docstring) and ``W = (Phi0^H (sA) Phi0 + h.c.) / 2``, nearly
+    diagonal; one :func:`_diagonalize` call finishes and certifies them all
+    in W and Phi0 in place, and their eigenvalues are ``diag(W) / s``.
+    Identity columns are built only when some member skips the start.  Every
+    step serves all members at once and reads only each member's own
+    entries, so each member ends bit-identical to a solve of its own.
+    Errors as for :func:`jacobi_eigendecompose`, for the first member that
+    has one.
     """
-    a = np.array(stack, dtype=np.complex128)
+    a = np.asarray(stack, dtype=np.complex128)  # read only, never written
     count, n, _ = a.shape
     norms = _norms(a)[0]
     scales = np.ldexp(1.0, -np.frexp(norms)[1])  # 1 for a norm of 0
-    scaled = a * scales[:, None, None]
     tol = OFFDIAG_RTOL * norms * scales
-    need = np.flatnonzero(_norms(scaled)[1] > tol)
+    need = np.flatnonzero(_norms(a * scales[:, None, None])[1] > tol)
     eigenvalues = np.diagonal(a, axis1=1, axis2=2).real.copy()
-    vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
+    vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape)  # a view, not a copy
     if need.size:
-        start = _start_basis(scaled[need])
+        scaled = a[need] * scales[need, None, None]
+        start = _start_basis(scaled)
         if not np.isfinite(start).all():
             raise ValueError("start basis is not finite")
-        w = start.conj().swapaxes(1, 2) @ scaled[need] @ start
+        w = start.conj().swapaxes(1, 2) @ scaled @ start
         w = (w + w.conj().swapaxes(1, 2)) / 2.0
         _diagonalize(w, start, tol[need], scales[need], max_sweeps)
         eigenvalues[need] = np.diagonal(w, axis1=1, axis2=2).real / scales[need, None]
-        vecs[need] = start
+        if need.size < count:  # identity columns for the members that skipped the start
+            vecs = vecs.copy()
+            vecs[need] = start
+        else:
+            vecs = start
     order = np.argsort(eigenvalues, axis=1, kind="stable")
     member = np.arange(count)[:, None]
     vecs = _fix_phases(vecs[member[:, None], np.arange(n)[:, None], order[:, None]])

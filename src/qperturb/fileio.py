@@ -106,12 +106,16 @@ def format_matrix(matrix: HermitianMatrix) -> str:
 
 
 def parse_vector(text: str) -> StateVector:
-    """Parse a state-coefficient file; renormalize if close to unit norm."""
+    """Parse a state-coefficient file; renormalize if close to unit norm.
+
+    Renormalized by :meth:`StateVector.from_unnormalized`, so a file with
+    one nonzero entry reads as exactly that basis state.
+    """
     coeffs = _parse_entries(text, "vector", 1)
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > VECTOR_NORM_ATOL:
         raise NotNormalized(norm)
-    return StateVector(coeffs / norm)
+    return StateVector.from_unnormalized(coeffs)
 
 
 def format_vector(coefficients) -> str:

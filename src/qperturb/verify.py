@@ -20,7 +20,7 @@ from .eigensolver import SpectralDecomposition, jacobi_eigendecompose
 from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
 from .numkernel import HermitianMatrix, add_scaled, checked_index
-from .perturbation import StateVector, expected_energy
+from .perturbation import StateVector, expected_energy, level_shifts
 
 # Two decades of strengths, inside the perturbative regime for O(1)-gap spectra.
 DEFAULT_X_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -148,14 +148,14 @@ def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
 def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, grid):
     """One sweep pass over a checked grid, kept for the last completed call.
 
-    Returns H's decomposition, its first-order shifts E'_n (the diagonal of
-    ``V = Phi^dagger H' Phi``, which agrees with :func:`level_shifts` to
-    within a few ulps of ``||H'||_F`` and equals it where Phi is the
-    identity), and two ``(B, N)`` arrays with one row per strength: the
-    first-order levels E_n + x E'_n and the oracle spectrum.  Each row is
-    sorted ascending, so column n pairs the n-th first-order level with the
-    n-th exact one; this is the only place where levels are paired.  The
-    arrays are read-only, as every caller shares them.
+    Returns H's decomposition, its first-order shifts E'_n from
+    :func:`level_shifts`, so that every perturbative value equals
+    :func:`first_order`'s bit for bit, and two ``(B, N)`` arrays with one
+    row per strength: the first-order levels E_n + x E'_n and the oracle
+    spectrum.  Each row is sorted ascending, so column n pairs the n-th
+    first-order level with the n-th exact one; this is the only place where
+    levels are paired.  The arrays are read-only, as every caller shares
+    them.
 
     ``HermitianMatrix`` compares and hashes by identity, so the cache returns
     the pass for the same H and H' objects and an equal grid: a level sweep
@@ -164,21 +164,21 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     different cache key.
 
     The oracle and H's decomposition are one solve: the ``(B + 1, N, N)``
-    stack ``[H, H + x_1 H', ..., H + x_B H']``, each member built by
-    :func:`add_scaled`, goes through one ``eigensolver._eigensystems`` call:
-    the members above the tolerance get one batched start basis and one
-    finishing Jacobi call, and one that meets it (the box model's diagonal
-    H) comes back as it is.  Every member is bit-identical
-    to a solve of its own, so member 0 is ``jacobi_eigendecompose(H)`` and
-    each spectrum row is ``exact_levels(H, H', x)``.  A member that is not
-    finite raises ``ValueError`` before the solve, as :func:`add_scaled`
-    does, and so do shifts that overflow after it.
+    stack ``[H, H + x_1 H', ..., H + x_B H']``, each member's array built by
+    :func:`add_scaled` and released once stacked, goes through one
+    ``eigensolver._eigensystems`` call: the members above the tolerance get
+    one batched start basis and one finishing Jacobi call, and one that
+    meets it (the box model's diagonal H) comes back as it is.  Every member
+    is bit-identical to a solve of its own, so member 0 is
+    ``jacobi_eigendecompose(H)`` and each spectrum row is
+    ``exact_levels(H, H', x)``.  A member that is not finite raises
+    ``ValueError`` before the solve, as :func:`add_scaled` does, and so do
+    shifts that overflow after it.
     """
-    members = [hamiltonian] + [add_scaled(hamiltonian, perturbation, x) for x in grid]
-    eigenvalues, eigenvectors = eigensolver._eigensystems(np.stack([m.array for m in members]))
+    rows = (add_scaled(hamiltonian, perturbation, x).array for x in grid)  # none outlives the stack
+    eigenvalues, eigenvectors = eigensolver._eigensystems(np.stack([hamiltonian.array, *rows]))
     decomp = SpectralDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
-    phi = decomp.eigenvectors
-    shifts = np.diagonal(phi.conj().T @ perturbation.array @ phi).real.copy()
+    shifts = level_shifts(perturbation, decomp)
     if not np.isfinite(shifts).all():
         raise ValueError("matrix entries must be finite")
     # One C-ordered row per x: a strided row would change the rounding of dot products.

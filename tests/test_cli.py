@@ -89,6 +89,23 @@ class TestPerturbCommand:
         a = parse_pairs(report_value(out, "a"))
         assert a == pytest.approx([s, -s], abs=1e-14)
 
+    def test_one_hot_state_file_matches_level_mode(self, capsys, tmp_path):
+        # The file's one nonzero entry is 8e-9 short of 1, inside the
+        # renormalization tolerance: the state is exactly basis state 1.
+        h, hp, state = tmp_path / "H.txt", tmp_path / "Hp.txt", tmp_path / "b.txt"
+        run_cli(capsys, "model", "box", "--levels", "3", "--width", repr(math.pi),
+                "--potential", "linear:1", "--out-h", str(h), "--out-hp", str(hp))
+        state.write_text("3\n0 0.99999999235 0\n")
+        reports = [
+            run_cli(capsys, "perturb", str(h), str(hp), "--x", "0.1", *mode)[1].splitlines()
+            for mode in (["--state", str(state)], ["--level", "1"])
+        ]
+        by_state, by_level = (
+            [line for line in report if not line.startswith(("mode = ", "level = "))]
+            for report in reports
+        )
+        assert by_state == by_level
+
     def test_degenerate_exit_code(self, capsys, tmp_path):
         h = tmp_path / "H.txt"
         hp = tmp_path / "Hp.txt"

@@ -15,6 +15,7 @@ from qperturb.fileio import (
     parse_vector,
 )
 from qperturb.models import random_hermitian
+from qperturb.perturbation import StateVector
 
 
 class TestParseMatrix:
@@ -124,6 +125,13 @@ class TestParseVector:
     def test_slightly_off_norm_is_renormalized(self):
         v = parse_vector(f"2\n{1 + 1e-8} 0\n")
         assert np.linalg.norm(v.coefficients) == pytest.approx(1.0, rel=1e-15)
+
+    def test_one_hot_file_is_exactly_the_basis_state(self):
+        # Divided by its norm as numpy does it, through the reciprocal, about one
+        # such file in eight read 0.9999999999999999 where 1 was meant.
+        want = StateVector.basis_state(3, 1).coefficients.tobytes()
+        for v in [0.99999999235, *np.linspace(0.9999991, 1.0000009, 401).tolist()]:
+            assert parse_vector(f"3\n0 {v!r} 0\n").coefficients.tobytes() == want
 
     def test_complex_coefficients(self):
         v = parse_vector("2\n(0,1) 0\n")

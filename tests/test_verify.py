@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,52 @@ class TestSharedPass:
         solves = _counting_solves(monkeypatch)
         assert pickle.dumps(level_sweep(H_2x2, HP_2x2)) == kept
         assert solves == []
+
+
+class TestSweepMatchesFirstOrder:
+    """The sweeps' perturbative values are ``first_order``'s, bit for bit."""
+
+    PAIRS = {
+        **{name: ORACLE_PAIRS[name] for name in ("dense-6", "dense-24", "dense-64", "box-12")},
+        # With shifts of their own, from diag(Phi^H H' Phi), the sweeps gave
+        # 0.027122612058427375 for level 3 at x = 0.1, first_order 0.02712261205842738.
+        "dense-6-last-ulp": lambda: (random_hermitian(5, 6), random_hermitian(55, 6, 0.05)),
+    }
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_level_and_total_values(self, name):
+        h, hp = self.PAIRS[name]()
+        decomp = jacobi_eigendecompose(h)
+        state = StateVector.from_unnormalized(np.arange(1, h.dim + 1) * (1 - 0.5j))
+        basis = StateVector.basis_state(h.dim, 0)  # the levels do not depend on the state
+        verify._eigenbasis_pass.cache_clear()
+        levels = level_sweep(h, hp)
+        totals = superposition_sweep(h, hp, state)
+        for x, total in zip(DEFAULT_X_GRID, totals):
+            want = np.sort(first_order(decomp, hp, basis, x).perturbed_levels)
+            got = [r.perturbative for r in levels if r.x == x]
+            assert np.array(got).tobytes() == want.tobytes()
+            assert total.perturbative == first_order(decomp, hp, state, x).total_energy
+
+
+class TestSweepMemory:
+    def test_level_sweep_working_memory(self):
+        # The tracemalloc peak of a fresh level sweep at N = 64 with 20
+        # strengths, in copies of its (21, 64, 64) complex stack: 11.2 with a
+        # scaled copy of every member, mirror arrays and the members kept
+        # beside the stack, 6.7 without.
+        h, hp = ORACLE_PAIRS["dense-64"]()
+        strengths = np.geomspace(1e-1, 1e-3, 20)
+        stack_bytes = (len(strengths) + 1) * h.array.nbytes
+        verify._eigenbasis_pass.cache_clear()
+        tracemalloc.start()
+        try:
+            level_sweep(h, hp, strengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            verify._eigenbasis_pass.cache_clear()
+        assert peak <= 7.5 * stack_bytes
 
 
 class TestSweepRecord:
