@@ -36,7 +36,6 @@ from .verify import (
     DEFAULT_X_GRID,
     convergence_order,
     level_sweep,
-    records_for_level,
     superposition_sweep,
 )
 
@@ -133,13 +132,15 @@ def sweep_csv(args) -> str:
         levels = None if args.level is None else [args.level]
         records = level_sweep(hamiltonian, perturbation, xs, levels)
     lines = [CSV_HEADER]
+    by_level = {}
     for r in records:
         lines.append(
             f"{format_real(r.x)},{r.level},{format_real(r.perturbative)},"
             f"{format_real(r.exact)},{format_real(r.abs_error)}"
         )
-    for level in sorted({r.level for r in records}):
-        fit = convergence_order(records_for_level(records, level))
+        by_level.setdefault(r.level, []).append(r)
+    for level in sorted(by_level):
+        fit = convergence_order(by_level[level])
         slope = "floored" if fit.floored else format_real(fit.slope)
         lines.append(f"# order level={level} slope={slope}")
     return "\n".join(lines) + "\n"

@@ -10,11 +10,13 @@ gets a near-exact eigenbasis Phi0 of the scaled matrix: a complex
 Householder reduction to a tridiagonal T (Golub & Van Loan, *Matrix
 Computations*, section 8.3), a diagonal phase that makes T real symmetric,
 every eigenvalue of T from one vectorized Sturm-count multisection (Lo,
-Philippe & Sameh, 1987), eigenvectors from two steps of inverse iteration
-over all shifts at once with a QR re-orthonormalization after each (Golub &
-Van Loan, section 8.4), and the back-transform.  The multisection stops
-each eigenvalue once it is good enough as an inverse-iteration shift, not
-at machine precision: the returned eigenvalues come from the Rayleigh
+Philippe & Sameh, 1987), eigenvectors from three steps of inverse
+iteration over all shifts at once with a QR re-orthonormalization after each
+(Golub & Van Loan, section 8.4), and the back-transform.  The multisection
+stops each eigenvalue once it is good enough as an inverse-iteration shift,
+not at machine precision; a first pass of 15 N points and the wider
+stopping width that a third inverse-iteration step allows bring a dense
+solve to five passes.  The returned eigenvalues come from the Rayleigh
 quotients on the diagonal of ``W = Phi0^H (sA) Phi0``, divided by the
 scale s.  Jacobi then finishes W from Phi0 and is the convergence test: its
 sweeps of 2x2 complex rotations in the round-robin ordering of Brent & Luk
@@ -51,8 +53,11 @@ from .numkernel import HermitianMatrix, checked_index
 # Convergence threshold for the off-diagonal Frobenius norm, relative to ||A||_F.
 OFFDIAG_RTOL = 1e-12
 DEFAULT_MAX_SWEEPS = 100
-# Sturm-count points per interval in a multisection pass (4 bits per pass).
+# Sturm-count points per interval in a multisection pass (4 bits per pass);
+# the first pass puts _POINTS * N points in each member's one interval.
 _POINTS = 15
+# Inverse-iteration steps; the multisection's stopping width is set by them.
+_INVERSE_STEPS = 3
 # The smallest Frobenius norm whose square is a normal float.
 _SMALLEST_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
@@ -342,12 +347,14 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> np.ndarray:
     each point, and keeps the subinterval where the count passes j for
     eigenvalue j (Lo, Philippe & Sameh, *SIAM J. Sci. Stat. Comput.* 8(2),
     1987).  The first pass splits one bracket per member, the Gershgorin
-    interval.  Eigenvalue j then keeps its bracket once that is at most
-    ``max(2 eps scale, sqrt(eps scale gap_j))`` wide, ``scale`` the
-    member's Gershgorin bound on ``|lambda|`` and ``gap_j`` the distance to
-    the neighbouring brackets: the midpoint is only a shift for
-    :func:`_inverse_iteration`, and after its two steps a shift error delta
-    leaves ``off(W)`` about ``delta**2 / gap``, here under ``eps scale``.
+    interval, at ``_POINTS * N`` points, as many Sturm counts as a later
+    pass over N brackets.  Eigenvalue j then keeps its bracket once that is
+    at most ``max(2 eps scale, (eps scale gap_j**2) ** (1/3))`` wide,
+    ``scale`` the member's Gershgorin bound on ``|lambda|`` and ``gap_j``
+    the distance to the neighbouring brackets: the midpoint is only a shift
+    for :func:`_inverse_iteration`, and after its three steps
+    (``_INVERSE_STEPS``, which sets the exponents) a shift error delta
+    leaves ``off(W)`` about ``delta**3 / gap**2``, here under ``eps scale``.
     Brackets that never separate (clusters) refine to 2 eps scale.  The
     squared off-diagonal is floored at the smallest normal float for the
     counts (see :func:`_sturm_counts`), which moves no eigenvalue by more
@@ -364,31 +371,35 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> np.ndarray:
     lo, hi = (d - radius).min(axis=1), (d + radius).max(axis=1)
     scale = np.maximum(np.abs(lo), np.abs(hi))[:, None]
     pad = 4.0 * n * eps * scale  # room for the counts' roundoff
-    fractions = np.arange(1, _POINTS + 1) / (_POINTS + 1)
     members, levels = np.arange(count)[:, None], np.arange(n)
 
-    def refine(lower, upper, brackets):
-        """The subinterval of each ``(B, K)`` bracket where the count passes
-        j, for eigenvalue j in bracket ``brackets[j]``."""
+    def refine(lower, upper, brackets, inner):
+        """The subinterval of each ``(B, K)`` bracket, split by ``inner``
+        points, where the count passes j, for eigenvalue j in bracket
+        ``brackets[j]``."""
+        fractions = np.arange(1, inner + 1) / (inner + 1)
         points = lower[..., None] + (upper - lower)[..., None] * fractions
         counts = _sturm_counts(d, b2, points.reshape(count, -1)).reshape(points.shape)
-        grid = np.empty((*lower.shape, _POINTS + 2))
+        grid = np.empty((*lower.shape, inner + 2))
         grid[..., 0], grid[..., 1:-1], grid[..., -1] = lower, points, upper
         # The last point with at most j eigenvalues below it, and the next.
         at = (counts <= levels[:, None]).sum(axis=2)
         return grid[members, brackets, at], grid[members, brackets, at + 1]
 
-    # The first pass shares one bracket per member, the Gershgorin interval.
-    lower, upper = refine(lo[:, None] - pad, hi[:, None] + pad, np.zeros(n, dtype=np.intp))
+    # The first pass shares one bracket per member, the Gershgorin interval,
+    # and gives it as many points as a later pass gives all N brackets.
+    first = np.zeros(n, dtype=np.intp)
+    lower, upper = refine(lo[:, None] - pad, hi[:, None] + pad, first, _POINTS * n)
     gaps = np.full((count, n + 1), np.inf)
     floor, unit = 2.0 * eps * scale, eps * scale
     while True:
         gaps[:, 1:-1] = lower[:, 1:] - upper[:, :-1]
         gap = np.maximum(np.minimum(gaps[:, :-1], gaps[:, 1:]), 0.0)
-        active = upper - lower > np.maximum(floor, np.sqrt(unit * gap))
+        width = (unit * gap ** (_INVERSE_STEPS - 1)) ** (1.0 / _INVERSE_STEPS)
+        active = upper - lower > np.maximum(floor, width)
         if not active.any():
             return (lower + upper) / 2.0
-        refined = refine(lower, upper, levels)
+        refined = refine(lower, upper, levels, _POINTS)
         lower, upper = np.where(active, refined[0], lower), np.where(active, refined[1], upper)
 
 
@@ -412,14 +423,16 @@ def _inverse_iteration(d: np.ndarray, b: np.ndarray, shifts: np.ndarray) -> np.n
     ``b[m]`` (``d`` and ``shifts`` are ``(B, N)``), scaled as for
     :func:`_multisection`.
 
-    Two steps of inverse iteration, each solving ``(T - shift_j I) y_j = x_j``
-    for every shift of every member at once by the Thomas recurrences and
-    then re-orthonormalizing the columns by a batched QR, so that vectors of
-    close or equal eigenvalues span their eigenspace instead of collapsing
-    onto one vector, starting from :func:`_start_vectors`.  A pivot smaller
-    than ``eps * ||T||`` in magnitude is replaced by that bound with its
-    sign.  The pivots are formed in place in one ``(N, B, N)`` array that
-    starts as the diagonals of every ``T - shift I``.
+    Three steps (``_INVERSE_STEPS``) of inverse iteration, each solving
+    ``(T - shift_j I) y_j = x_j`` for every shift of every member at once by
+    the Thomas recurrences and then re-orthonormalizing the columns by a
+    batched QR, so that vectors of close or equal eigenvalues span their
+    eigenspace instead of collapsing onto one vector, starting from
+    :func:`_start_vectors`.  The third step lets :func:`_multisection` stop
+    at a wider bracket, and costs less than the passes it saves.  A pivot
+    smaller than ``eps * ||T||`` in magnitude is replaced by that bound with
+    its sign.  The pivots are formed in place in one ``(N, B, N)`` array
+    that starts as the diagonals of every ``T - shift I``.
     """
     count, n = d.shape
     # eps * ||T||, ||T|| to a factor 3
@@ -439,7 +452,7 @@ def _inverse_iteration(d: np.ndarray, b: np.ndarray, shifts: np.ndarray) -> np.n
         np.maximum(tmp, guard, out=tmp)
         np.copysign(tmp, pivots[i], out=pivots[i])
     x = np.repeat(_start_vectors(n)[:, None], count, axis=1)
-    for _ in range(2):
+    for _ in range(_INVERSE_STEPS):
         for i in range(1, n):
             np.multiply(multipliers[i], x[i - 1], out=tmp)
             np.subtract(x[i], tmp, out=x[i])

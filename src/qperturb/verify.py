@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ MIN_GAP_FRACTION = 0.1
 MAX_ATTEMPTS = 1000
 
 SUPERPOSITION_LEVEL = -1  # level tag for weighted-total records
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class SweepRecord:
     abs_error: float = field(init=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.x) and self.x > 0):
+        if not (math.isfinite(self.x) and self.x > 0):
             raise ValueError(f"sweep strength must be positive and finite, got {self.x}")
         object.__setattr__(self, "abs_error", abs(self.perturbative - self.exact))
 
@@ -83,13 +85,9 @@ def exact_levels(
     return jacobi_eigendecompose(add_scaled(hamiltonian, perturbation, x)).eigenvalues.copy()
 
 
-def _two_distinct(values: np.ndarray) -> bool:
-    """Whether a 1-D array of finite floats holds at least two distinct values.
-
-    Not ``np.unique``: in numpy 2.x its first call imports ``numpy.ma``, and
-    each later call costs about twice this minimum and maximum.
-    """
-    return bool(values.size) and bool(values.min() < values.max())
+def _two_distinct(values: list[float]) -> bool:
+    """Whether a list of finite floats holds at least two distinct values."""
+    return len(values) > 1 and min(values) < max(values)
 
 
 def fit_order(xs, errors) -> OrderFit:
@@ -98,22 +96,42 @@ def fit_order(xs, errors) -> OrderFit:
     Every strength must be positive and finite and every error non-negative
     and finite, else :class:`InsufficientData`: such a point can be neither
     fitted nor dropped as noise.
+
+    The line is ``np.polyfit(log10(x), log10(error), 1)`` with polyfit's
+    arithmetic inline: the matrix ``[log10 x, 1]`` with each column scaled
+    to unit norm, one ``np.linalg.lstsq`` with ``rcond = n * eps``, the
+    coefficients unscaled, and polyfit's ``RankWarning`` where the matrix is
+    rank deficient (strengths a few ulps apart).  So slope and intercept are
+    polyfit's bit for bit at about half the cost: a sweep fits every level
+    on a handful of points, where polyfit's argument handling and checks by
+    numpy reductions cost more than the fit.  The checks here run in plain
+    Python.
     """
     x_arr = np.asarray(xs, dtype=np.float64)
     e_arr = np.asarray(errors, dtype=np.float64)
     if x_arr.shape != e_arr.shape or x_arr.ndim != 1:
         raise DimensionMismatch("xs and errors must be 1-D and equally long")
-    if np.any(x_arr <= 0) or not np.isfinite(x_arr).all():
+    x_list, e_list = x_arr.tolist(), e_arr.tolist()
+    if not all(0.0 < x < math.inf for x in x_list):  # NaN fails too
         raise InsufficientData("all strengths must be positive and finite")
-    if np.any(e_arr < 0) or not np.isfinite(e_arr).all():
+    if not all(0.0 <= e < math.inf for e in e_list):
         raise InsufficientData("all errors must be non-negative and finite")
-    if not _two_distinct(x_arr):
+    if not _two_distinct(x_list):
         raise InsufficientData("need at least 2 distinct strengths to fit a slope")
-    keep = e_arr > ERROR_FLOOR
-    if not _two_distinct(x_arr[keep]):
-        return OrderFit(math.nan, math.nan, int(keep.sum()), True)
-    slope, intercept = np.polyfit(np.log10(x_arr[keep]), np.log10(e_arr[keep]), 1)
-    return OrderFit(float(slope), float(intercept), int(keep.sum()), False)
+    kept = [(x, e) for x, e in zip(x_list, e_list) if e > ERROR_FLOOR]
+    n = len(kept)
+    if not _two_distinct([x for x, _ in kept]):
+        return OrderFit(math.nan, math.nan, n, True)
+    logs = np.log10(np.array(kept).T)
+    lhs = np.ones((n, 2))
+    lhs[:, 0] = logs[0]
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    coefficients, _, rank, _ = np.linalg.lstsq(lhs, logs[1], n * _EPS)
+    slope, intercept = (coefficients / scale).tolist()
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    return OrderFit(slope, intercept, n, False)
 
 
 def convergence_order(records) -> OrderFit:
@@ -164,19 +182,26 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     different cache key.
 
     The oracle and H's decomposition are one solve: the ``(B + 1, N, N)``
-    stack ``[H, H + x_1 H', ..., H + x_B H']``, each member's array built by
-    :func:`add_scaled` and released once stacked, goes through one
+    stack ``[H, H + x_1 H', ..., H + x_B H']`` goes through one
     ``eigensolver._eigensystems`` call: the members above the tolerance get
     one batched start basis and one finishing Jacobi call, and one that
-    meets it (the box model's diagonal H) comes back as it is.  Every member
-    is bit-identical to a solve of its own, so member 0 is
-    ``jacobi_eigendecompose(H)`` and each spectrum row is
-    ``exact_levels(H, H', x)``.  A member that is not finite raises
-    ``ValueError`` before the solve, as :func:`add_scaled` does, and so do
-    shifts that overflow after it.
+    meets it (the box model's diagonal H) comes back as it is.  The members
+    are one broadcast ``s = H + grid * H'``, symmetrized as one
+    ``s / 2 + s^H / 2``: the arithmetic of :func:`add_scaled` and of
+    :class:`HermitianMatrix`, so each is bit-identical to
+    ``add_scaled(H, H', x).array``.  They are Hermitian by construction, so
+    only their finiteness is checked, once, with the same ``ValueError``.  Every member is bit-identical to a solve of its own, so
+    member 0 is ``jacobi_eigendecompose(H)`` and each spectrum row is
+    ``exact_levels(H, H', x)``.  Shifts that overflow after the solve raise
+    the same ``ValueError``.
     """
-    rows = (add_scaled(hamiltonian, perturbation, x).array for x in grid)  # none outlives the stack
-    eigenvalues, eigenvectors = eigensolver._eigensystems(np.stack([hamiltonian.array, *rows]))
+    members = hamiltonian.array + np.array(grid)[:, None, None] * perturbation.array
+    if not np.isfinite(members).all():
+        raise ValueError("matrix entries must be finite")
+    members = members / 2.0 + members.conj().swapaxes(1, 2) / 2.0
+    stack = np.concatenate([hamiltonian.array[None], members])
+    del members  # only the stack lives through the solve
+    eigenvalues, eigenvectors = eigensolver._eigensystems(stack)
     decomp = SpectralDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
     shifts = level_shifts(perturbation, decomp)
     if not np.isfinite(shifts).all():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperturb import eigensolver
+from qperturb import eigensolver, verify
 from qperturb.eigensolver import (
     SpectralDecomposition,
     _fix_phases,
@@ -624,12 +624,30 @@ class TestStackInput:
 
 class TestMultisection:
     def test_stops_where_inverse_iteration_no_longer_needs_it(self):
-        # separated eigenvalues stop near sqrt(eps * gap) instead of 2 eps
+        # separated eigenvalues stop near (eps * gap^2)^(1/3) instead of 2 eps:
+        # three inverse-iteration steps leave off(W) about delta^3 / gap^2
         d, b = np.array([[0.1, 0.3, 0.5]]), np.array([[0.01, 0.02]])
         values = eigensolver._multisection(d, b)[0]
         reference = np.linalg.eigvalsh(np.diag(d[0]) + np.diag(b[0], 1) + np.diag(b[0], -1))
         error = np.abs(values - reference).max()
-        assert 1e-14 < error <= np.sqrt(np.finfo(float).eps * 0.6 * 0.2)
+        assert 1e-14 < error <= np.cbrt(np.finfo(float).eps * 0.6 * 0.2**2)
+
+    @pytest.mark.parametrize("solve", ["dense-32", "oracle-24"])
+    def test_five_passes(self, monkeypatch, solve):
+        # one pass of 15 N points, then brackets stop at the three-step width
+        sturm_counts, passes = eigensolver._sturm_counts, []
+
+        def counting(*args):
+            passes.append(1)
+            return sturm_counts(*args)
+
+        monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+        if solve == "dense-32":
+            jacobi_eigendecompose(random_hermitian(1, 32))
+        else:
+            verify._eigenbasis_pass.cache_clear()
+            verify.level_sweep(random_hermitian(1, 24), random_hermitian(2, 24, 0.05))
+        assert len(passes) == 5
 
     def test_clusters_refine_to_machine_precision(self):
         # three equal eigenvalues: brackets never separate

@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,23 @@ class TestWarmStartedOracle:
         weights = np.abs(state.coefficients) ** 2
         for record, x in zip(superposition_sweep(h, hp, state, grid), grid):
             assert record.exact == float(weights @ exact_levels(h, hp, x))
+
+    @pytest.mark.parametrize("name", ORACLE_PAIRS)
+    def test_stack_bit_identical_to_add_scaled_members(self, monkeypatch, name):
+        # the broadcast H + x H' build, members symmetrized as HermitianMatrix does
+        verify._eigenbasis_pass.cache_clear()
+        h, hp = ORACLE_PAIRS[name]()
+        grid = (*DEFAULT_X_GRID, 0.7, 1.3e-5)
+        eigensystems, stacks = eigensolver._eigensystems, []
+
+        def capturing(stack, *args):
+            stacks.append(np.array(stack))
+            return eigensystems(stack, *args)
+
+        monkeypatch.setattr(eigensolver, "_eigensystems", capturing)
+        level_sweep(h, hp, grid)
+        members = [h.array, *(add_scaled(h, hp, x).array for x in grid)]
+        assert stacks[0].tobytes() == np.stack(members).tobytes()
 
 
 def _counting_solves(monkeypatch):
@@ -397,6 +415,44 @@ class TestConvergenceOrder:
         # errors = 0.05 x^2 -> intercept = log10(0.05)
         fit = fit_order([1e-1, 1e-2, 1e-3], [0.05 * x**2 for x in (1e-1, 1e-2, 1e-3)])
         assert fit.intercept == pytest.approx(math.log10(0.05), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e-9, max_value=10.0),
+                st.one_of(
+                    st.sampled_from([0.0, 1e-20, ERROR_FLOOR, np.nextafter(ERROR_FLOOR, 1.0)]),
+                    st.floats(min_value=1e-18, max_value=1.0),
+                ),
+            ),
+            min_size=2,
+            max_size=8,
+            unique_by=lambda point: point[0],
+        )
+    )
+    @example([(0.1, 3e-3), (0.01, 3e-5), (0.001, ERROR_FLOOR)])
+    def test_line_is_polyfit_bit_for_bit(self, points):
+        xs = np.array([x for x, _ in points])
+        errors = np.array([e for _, e in points])
+        keep = errors > ERROR_FLOOR
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            fit = fit_order(xs, errors)
+        assert fit.n_points == int(keep.sum())
+        assert fit.floored == (len(set(xs[keep].tolist())) < 2)
+        if fit.floored:
+            return
+        with warnings.catch_warnings(record=True) as theirs:
+            warnings.simplefilter("always")
+            slope, intercept = np.polyfit(np.log10(xs[keep]), np.log10(errors[keep]), 1)
+        assert np.float64(fit.slope).tobytes() == slope.tobytes()
+        assert np.float64(fit.intercept).tobytes() == intercept.tobytes()
+        assert [w.category for w in ours] == [w.category for w in theirs]
+
+    def test_strengths_an_ulp_apart_warn_as_polyfit_does(self):
+        with pytest.warns(np.exceptions.RankWarning):
+            fit_order([1e-2, np.nextafter(1e-2, 1)], [1e-4, 2e-4])
 
 
 class TestLevelSweep:
