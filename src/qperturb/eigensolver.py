@@ -42,6 +42,7 @@ H and every ``H + x H'`` of its grid as one stack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,15 +69,16 @@ class SpectralDecomposition:
 
     ``eigenvectors[:, m]`` is the m-th eigenvector, phase-fixed so that its
     largest-magnitude entry is real and strictly positive (see
-    :func:`_fix_phases` for ties).
+    :func:`_fix_phases` for ties).  Both arrays are stored C-ordered and
+    read-only; :attr:`adjoint` is computed once, on first use.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=np.float64)
-        vecs = np.array(self.eigenvectors, dtype=np.complex128)
+        vals = np.array(self.eigenvalues, dtype=np.float64, order="C")
+        vecs = np.array(self.eigenvectors, dtype=np.complex128, order="C")
         if vals.ndim != 1 or vecs.shape != (vals.shape[0], vals.shape[0]):
             raise DimensionMismatch(
                 f"inconsistent decomposition shapes {vals.shape} / {vecs.shape}"
@@ -89,6 +91,13 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @functools.cached_property
+    def adjoint(self) -> np.ndarray:
+        """Read-only ``eigenvectors.conj().T``: row m is the bra <phi_m|."""
+        adj = self.eigenvectors.conj().T
+        adj.setflags(write=False)
+        return adj
 
     def eigenvector(self, m: int) -> np.ndarray:
         """Column m; :class:`DimensionMismatch` unless ``0 <= m < dim``."""

@@ -55,10 +55,11 @@ class HermitianMatrix:
     else :class:`NonHermitianInput`.  They are then symmetrized as
     ``(A + A^dagger)/2``, which is idempotent and makes the stored array
     self-adjoint to the last bit (diagonal exactly real).  The array is
-    frozen after construction, so instances are safe to share.
+    frozen after construction, so instances are safe to share, and its
+    Frobenius norm is computed once, on first use.
     """
 
-    __slots__ = ("_array",)
+    __slots__ = ("_array", "_frobenius_norm")
 
     def __init__(self, entries):
         a = _as_square(entries)
@@ -71,6 +72,7 @@ class HermitianMatrix:
         sym = a / 2.0 + a.conj().T / 2.0
         sym.setflags(write=False)
         self._array = sym
+        self._frobenius_norm = None
 
     @property
     def dim(self) -> int:
@@ -80,6 +82,14 @@ class HermitianMatrix:
     def array(self) -> np.ndarray:
         """Read-only view of the stored complex matrix."""
         return self._array
+
+    @property
+    def frobenius_norm(self) -> float:
+        """``||A||_F`` as ``float(np.linalg.norm(array))``: ``inf`` when the
+        squares overflow, ``0.0`` when they all underflow."""
+        if self._frobenius_norm is None:
+            self._frobenius_norm = float(np.linalg.norm(self._array))
+        return self._frobenius_norm
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"

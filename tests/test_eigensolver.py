@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -707,3 +708,23 @@ class TestSpectralDecomposition:
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             SpectralDecomposition(np.zeros(2), np.zeros((3, 3)))
+
+    def test_adjoint_cached_and_read_only(self):
+        dec = jacobi_eigendecompose(random_hermitian(6, 7))
+        adjoint = dec.adjoint
+        assert adjoint.tobytes(order="A") == dec.eigenvectors.conj().T.tobytes(order="A")
+        assert dec.adjoint is adjoint
+        with pytest.raises(ValueError):
+            adjoint[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.adjoint = adjoint
+        assert [f.name for f in dataclasses.fields(dec)] == ["eigenvalues", "eigenvectors"]
+        assert "adjoint" not in repr(dec)
+
+    def test_arrays_stored_c_ordered(self):
+        dec = jacobi_eigendecompose(random_hermitian(6, 7))
+        fortran = SpectralDecomposition(
+            np.asfortranarray(dec.eigenvalues), np.asfortranarray(dec.eigenvectors)
+        )
+        assert fortran.eigenvectors.flags.c_contiguous
+        assert np.array_equal(fortran.eigenvectors, dec.eigenvectors)

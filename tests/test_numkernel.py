@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qperturb.errors import DimensionMismatch, NonHermitianInput
+from qperturb.models import BoxModelSpec, box_hamiltonian, random_hermitian
 from qperturb.numkernel import (
     HERMITICITY_RTOL,
     HermitianMatrix,
@@ -196,3 +197,30 @@ class TestHermitianMatrix:
         m = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_hermitian(3, 16),
+            lambda: box_hamiltonian(BoxModelSpec(12, math.pi, "linear", 1.0)),
+            lambda: HermitianMatrix(np.zeros((4, 4))),
+            *(
+                lambda e=e: HermitianMatrix(random_hermitian(4, 6).array * 2.0**e)
+                for e in (500, -500, 600, -600)
+            ),
+            lambda: add_scaled(random_hermitian(5, 8), random_hermitian(6, 8), 0.3),
+        ],
+        ids=["dense", "box", "zero", "2^500", "2^-500", "2^600", "2^-600", "add_scaled"],
+    )
+    def test_frobenius_norm_computed_once(self, build, monkeypatch):
+        m = build()
+        calls = []
+        norm = np.linalg.norm
+        with np.errstate(over="ignore"):  # at 2^600 the squares overflow to inf
+            expected = float(norm(m.array))
+            monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a) or norm(*a, **k))
+            first, second = m.frobenius_norm, m.frobenius_norm
+        assert len(calls) == 1
+        assert type(first) is float
+        assert first == expected
+        assert second is first

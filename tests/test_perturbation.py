@@ -167,13 +167,28 @@ class TestLevelShifts:
         shifts = level_shifts(box_potential_matrix(spec), dec)
         np.testing.assert_allclose(shifts, np.full(4, math.pi / 2), atol=1e-8)
 
-    @pytest.mark.parametrize("n", [1, 5, 24, 128])
-    def test_bitwise_equal_to_conjugated_eigenvector_form(self, n):
+    @pytest.mark.parametrize("n", [1, 5, 24, 128, 256])
+    def test_bitwise_equal_to_real_pair_form(self, n):
+        # Re(conj(phi) H'phi) per column as Re.Re + Im.Im, each a real column sum;
+        # within a few eps ||H'||_F of the complex einsum it replaced
         dec = jacobi_eigendecompose(random_hermitian(70 + n, n))
         hp = random_hermitian(80 + n, n, 0.05)
-        phi = dec.eigenvectors
-        expected = np.einsum("ij,ij->j", phi.conj(), hp.array @ phi).real
-        assert np.array_equal(level_shifts(hp, dec), expected)
+        phi, hp_phi = dec.eigenvectors, hp.array @ dec.eigenvectors
+        pairs = np.einsum("ij,ij->j", phi.real, hp_phi.real)
+        pairs += np.einsum("ij,ij->j", phi.imag, hp_phi.imag)
+        shifts = level_shifts(hp, dec)
+        assert np.array_equal(shifts, pairs)
+        complex_form = np.einsum("ij,ij->j", phi.conj(), hp_phi).real
+        bound = 4 * np.finfo(np.float64).eps * hp.frobenius_norm
+        assert np.abs(shifts - complex_form).max() <= bound
+
+    def test_fortran_ordered_decomposition(self):
+        dec = jacobi_eigendecompose(random_hermitian(3, 6))
+        hp = random_hermitian(4, 6, 0.1)
+        fortran = SpectralDecomposition(
+            np.asfortranarray(dec.eigenvalues), np.asfortranarray(dec.eigenvectors)
+        )
+        assert np.array_equal(level_shifts(hp, fortran), level_shifts(hp, dec))
 
 
 class TestTotalEnergy:
@@ -286,6 +301,31 @@ class TestCorrectionCoefficients:
                 rtol=0,
                 atol=1e-13,
             )
+
+    @pytest.mark.parametrize("level", [0, 7, None])
+    def test_byte_identical_to_explicit_formula(self, level):
+        # (Phi^dagger (H' Phi b) - E' b) / (E - E_m), with ||H'||_F and Phi^dagger
+        # read from the objects; a repeated call reads the same cached values
+        dec = jacobi_eigendecompose(random_hermitian(17, 12))
+        hp = random_hermitian(18, 12, 0.2)
+        rng = np.random.default_rng(5)
+        b = (
+            StateVector.from_unnormalized(rng.normal(size=12) + 1j * rng.normal(size=12))
+            if level is None
+            else StateVector.basis_state(12, level)
+        )
+        energy = expected_energy(b, dec)
+        eprime, _ = total_energy(energy, level_shifts(hp, dec), b, 0.05)
+        phi, coeffs = dec.eigenvectors, b.coefficients
+        numerators = phi.conj().T @ (hp.array @ (phi @ coeffs)) - eprime * coeffs
+        denominators = energy - dec.eigenvalues
+        expected = np.zeros(12, dtype=np.complex128)
+        spread = dec.eigenvalues[-1] - dec.eigenvalues[0] + 1.0
+        small = np.abs(denominators) <= DEFAULT_TOL_DEGEN * spread
+        np.divide(numerators, denominators, out=expected, where=~small)
+        for _ in range(2):
+            got = correction_coefficients(hp, dec, b, energy, eprime)
+            assert got.tobytes() == expected.tobytes()
 
     def test_degenerate_with_negligible_numerator_is_gauge_zero(self):
         # diagonal perturbation on degenerate levels: every numerator vanishes
