@@ -10,13 +10,16 @@ gets a near-exact eigenbasis Phi0 of the scaled matrix: a complex
 Householder reduction to a tridiagonal T (Golub & Van Loan, *Matrix
 Computations*, section 8.3), a diagonal phase that makes T real symmetric,
 every eigenvalue of T from one vectorized Sturm-count multisection (Lo,
-Philippe & Sameh, 1987), eigenvectors from three steps of inverse
-iteration over all shifts at once with a QR re-orthonormalization after each
-(Golub & Van Loan, section 8.4), and the back-transform.  The multisection
-stops each eigenvalue once it is good enough as an inverse-iteration shift,
-not at machine precision; a first pass of 15 N points and the wider
-stopping width that a third inverse-iteration step allows bring a dense
-solve to five passes.  The returned eigenvalues come from the Rayleigh
+Philippe & Sameh, 1987), eigenvectors from inverse iteration over all
+shifts at once (Golub & Van Loan, section 8.4), and the back-transform.
+Each eigenvalue is only as good as an inverse-iteration shift needs, on one
+of two paths.  A bracket well apart from its neighbours leaves the
+multisection and its midpoint is polished by safeguarded Newton steps on
+``det(T - x I)``; a member whose every shift is polished takes two
+inverse-iteration steps and one QR re-orthonormalization.  A dense solve
+takes two passes (the first of 15 N points) and three Newton steps.  A
+member with clusters refines them to machine precision and takes three
+steps with a QR after each.  The returned eigenvalues come from the Rayleigh
 quotients on the diagonal of ``W = Phi0^H (sA) Phi0``, divided by the
 scale s.  Jacobi then finishes W from Phi0 and is the convergence test: its
 sweeps of 2x2 complex rotations in the round-robin ordering of Brent & Luk
@@ -57,6 +60,12 @@ DEFAULT_MAX_SWEEPS = 100
 # Sturm-count points per interval in a multisection pass (4 bits per pass);
 # the first pass puts _POINTS * N points in each member's one interval.
 _POINTS = 15
+# A bracket is separated once _SEPARATION times its width is at most its
+# distance to each neighbouring bracket; Newton's method then polishes its
+# midpoint, and an entry still moving after _NEWTON_CAP steps goes back to
+# multisection.
+_SEPARATION = 16.0
+_NEWTON_CAP = 8
 # Inverse-iteration steps; the multisection's stopping width is set by them.
 _INVERSE_STEPS = 3
 # The smallest Frobenius norm whose square is a normal float.
@@ -346,10 +355,39 @@ def _sturm_counts(d: np.ndarray, b2: np.ndarray, points: np.ndarray) -> np.ndarr
     return below.sum(axis=0)
 
 
-def _multisection(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pivot_sums(d: np.ndarray, b2: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton evaluation at ``x[k]`` for K entries, entry k the
+    tridiagonal matrix with diagonal ``d[:, k]`` and squared off-diagonal
+    ``b2[:, k]`` (``d`` is ``(N, K)``): how many pivots of ``T - x I`` are
+    negative, and ``sum_i q_i' / q_i``, the derivative of
+    ``log |det(T - x I)|``, whose reciprocal is the Newton step.
+
+    The pivots are those of :func:`_sturm_counts`, by the same arithmetic,
+    ``q_i = (d_i - x) - b2_{i-1} / q_{i-1}``, and their derivatives follow
+    ``q_i' = (b2_{i-1} / q_{i-1}**2) q_{i-1}' - 1`` (Wilkinson, *The
+    Algebraic Eigenvalue Problem*, ch. 5), five elementwise calls per row.
+    A zero pivot makes the sum infinite or NaN.  The sum is accumulated row
+    by row, so each entry's value is the same for any K.
+    """
+    q, s, r = d - x, np.empty_like(d), np.empty_like(x)  # s_i = q_i' / q_i
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(-1.0, q[0], out=s[0])
+        for i in range(1, len(d)):  # q_i' = r s_{i-1} - 1 with r = b2_{i-1} / q_{i-1}
+            np.divide(b2[i - 1], q[i - 1], out=r)
+            np.subtract(q[i], r, out=q[i])
+            np.multiply(r, s[i - 1], out=r)
+            np.subtract(r, 1.0, out=r)
+            np.divide(r, q[i], out=s[i])
+        total = np.add.accumulate(s, axis=0)[-1]
+    return np.signbit(q).sum(axis=0), total
+
+
+def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every eigenvalue, ascending, of each real symmetric tridiagonal
     matrix with diagonal ``d[m]`` and off-diagonal ``b[m] >= 0`` (``d`` is
-    ``(B, N)``), each scaled to a Frobenius norm below 1.
+    ``(B, N)``), each scaled to a Frobenius norm below 1, as shifts for
+    :func:`_inverse_iteration`; and, per member, whether Newton's method
+    polished every one of its shifts.
 
     A pass places ``_POINTS`` equally spaced points in every bracket,
     counts with one vectorized Sturm sequence how many eigenvalues lie below
@@ -357,19 +395,29 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> np.ndarray:
     eigenvalue j (Lo, Philippe & Sameh, *SIAM J. Sci. Stat. Comput.* 8(2),
     1987).  The first pass splits one bracket per member, the Gershgorin
     interval, at ``_POINTS * N`` points, as many Sturm counts as a later
-    pass over N brackets.  Eigenvalue j then keeps its bracket once that is
+    pass over N brackets.  Eigenvalue j's bracket is good enough once it is
     at most ``max(2 eps scale, (eps scale gap_j**2) ** (1/3))`` wide,
     ``scale`` the member's Gershgorin bound on ``|lambda|`` and ``gap_j``
-    the distance to the neighbouring brackets: the midpoint is only a shift
-    for :func:`_inverse_iteration`, and after its three steps
-    (``_INVERSE_STEPS``, which sets the exponents) a shift error delta
+    the distance to the neighbouring brackets: after three inverse-iteration
+    steps (``_INVERSE_STEPS``, which sets the exponents) a shift error delta
     leaves ``off(W)`` about ``delta**3 / gap**2``, here under ``eps scale``.
+
+    Two paths.  A bracket is *separated* once ``_SEPARATION`` times its
+    width is at most gap_j; it then leaves the passes, and once no other
+    bracket needs one, every separated bracket's midpoint takes safeguarded
+    Newton steps on ``det(T - x I)`` (:func:`_pivot_sums`, all such entries
+    at once): the count of negative pivots at x moves one end of the
+    bracket to x, a step that is not finite or leaves the bracket bisects
+    instead, and an entry stops once a Newton step is at most the width
+    above.  Newton converges quadratically on a bracket that holds one
+    eigenvalue, so such a shift is far better than the width, and two
+    inverse-iteration steps suffice.  An entry still moving after
+    ``_NEWTON_CAP`` steps goes back to the passes, never to Newton again.
     Brackets that never separate (clusters) refine to 2 eps scale.  The
     squared off-diagonal is floored at the smallest normal float for the
     counts (see :func:`_sturm_counts`), which moves no eigenvalue by more
     than 1.5e-154.  A bracket's arithmetic reads only its own member, so
-    each member's eigenvalues are bit-identical to a multisection of its
-    own.
+    each member's shifts are bit-identical to a multisection of its own.
     """
     count, n = d.shape
     b2 = np.maximum(b * b, np.finfo(np.float64).tiny)
@@ -395,21 +443,60 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> np.ndarray:
         at = (counts <= levels[:, None]).sum(axis=2)
         return grid[members, brackets, at], grid[members, brackets, at + 1]
 
+    def polish(entries, lower, upper, tol):
+        """Newton's method from the midpoints of the brackets
+        ``[lower, upper]`` of eigenvalues ``entries = (member, j)``, each
+        ``(K,)``; returns which entries converged, their last iterates and
+        their narrowed brackets."""
+        member, level = entries
+        rows, squares = d.T[:, member], b2.T[:, member]  # (N, K): one entry per column
+        x = (lower + upper) / 2.0
+        converged, live = np.zeros(len(x), dtype=bool), np.arange(len(x))
+        for _ in range(_NEWTON_CAP):
+            at = x[live]
+            negatives, total = _pivot_sums(rows, squares, at)
+            above = negatives > level[live]  # eigenvalue j lies below x
+            low, high = np.where(above, lower[live], at), np.where(above, at, upper[live])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = at - 1.0 / total
+            newton = (low <= step) & (step <= high)  # else bisect, and go on
+            step = np.where(newton, step, (low + high) / 2.0)
+            lower[live], upper[live], x[live] = low, high, step
+            moving = ~newton | (np.abs(step - at) > tol[live])
+            converged[live[~moving]] = True
+            if not moving.all():  # drop the converged entries' columns
+                live, rows, squares = live[moving], rows[:, moving], squares[:, moving]
+            if not live.size:
+                break
+        return converged, x, lower, upper
+
     # The first pass shares one bracket per member, the Gershgorin interval,
     # and gives it as many points as a later pass gives all N brackets.
     first = np.zeros(n, dtype=np.intp)
     lower, upper = refine(lo[:, None] - pad, hi[:, None] + pad, first, _POINTS * n)
     gaps = np.full((count, n + 1), np.inf)
     floor, unit = 2.0 * eps * scale, eps * scale
+    shifts = np.empty((count, n))
+    polished, failed = np.zeros((count, n), dtype=bool), np.zeros((count, n), dtype=bool)
     while True:
         gaps[:, 1:-1] = lower[:, 1:] - upper[:, :-1]
         gap = np.maximum(np.minimum(gaps[:, :-1], gaps[:, 1:]), 0.0)
-        width = (unit * gap ** (_INVERSE_STEPS - 1)) ** (1.0 / _INVERSE_STEPS)
-        active = upper - lower > np.maximum(floor, width)
-        if not active.any():
-            return (lower + upper) / 2.0
-        refined = refine(lower, upper, levels, _POINTS)
-        lower, upper = np.where(active, refined[0], lower), np.where(active, refined[1], upper)
+        stop = np.maximum(floor, (unit * gap ** (_INVERSE_STEPS - 1)) ** (1.0 / _INVERSE_STEPS))
+        width = upper - lower
+        active = ~polished & (width > stop)
+        separated = active & ~failed & (_SEPARATION * width <= gap)
+        active &= ~separated
+        if active.any():
+            refined = refine(lower, upper, levels, _POINTS)
+            lower, upper = np.where(active, refined[0], lower), np.where(active, refined[1], upper)
+            continue
+        if not separated.any():
+            shifts[~polished] = (lower[~polished] + upper[~polished]) / 2.0
+            return shifts, polished.all(axis=1)
+        entries = np.nonzero(separated)
+        converged, x, low, high = polish(entries, lower[entries], upper[entries], stop[entries])
+        lower[entries], upper[entries], shifts[entries] = low, high, x
+        polished[entries], failed[entries] = converged, ~converged
 
 
 def _start_vectors(n: int) -> np.ndarray:
@@ -426,23 +513,61 @@ def _start_vectors(n: int) -> np.ndarray:
     return ((z >> np.uint64(11)) * 2.0**-53 - 0.5).reshape(n, n)
 
 
-def _inverse_iteration(d: np.ndarray, b: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _thomas_solve(multipliers: np.ndarray, b: np.ndarray, pivots: np.ndarray, x: np.ndarray) -> None:
+    """One inverse-iteration step in place: ``x <- (T - shift I)^{-1} x``
+    for every column of an index-major ``(N, B, N)`` stack ``x``, by the
+    Thomas recurrences over the LU factors of :func:`_inverse_iteration`."""
+    n, tmp = len(x), np.empty(x.shape[1:])
+    for i in range(1, n):
+        np.multiply(multipliers[i], x[i - 1], out=tmp)
+        np.subtract(x[i], tmp, out=x[i])
+    x[n - 1] /= pivots[n - 1]
+    for i in range(n - 2, -1, -1):
+        np.multiply(b[i], x[i + 1], out=tmp)
+        np.subtract(x[i], tmp, out=x[i])
+        np.divide(x[i], pivots[i], out=x[i])
+
+
+def _inverse_iteration(
+    d: np.ndarray, b: np.ndarray, shifts: np.ndarray, polished: np.ndarray
+) -> np.ndarray:
     """Orthonormal eigenvectors, one column per shift, of each real
     symmetric tridiagonal matrix with diagonal ``d[m]`` and off-diagonal
     ``b[m]`` (``d`` and ``shifts`` are ``(B, N)``), scaled as for
-    :func:`_multisection`.
+    :func:`_multisection`; ``polished[m]`` says that Newton's method
+    polished every shift of member m.
 
-    Three steps (``_INVERSE_STEPS``) of inverse iteration, each solving
-    ``(T - shift_j I) y_j = x_j`` for every shift of every member at once by
-    the Thomas recurrences and then re-orthonormalizing the columns by a
-    batched QR, so that vectors of close or equal eigenvalues span their
-    eigenspace instead of collapsing onto one vector, starting from
-    :func:`_start_vectors`.  The third step lets :func:`_multisection` stop
-    at a wider bracket, and costs less than the passes it saves.  A pivot
-    smaller than ``eps * ||T||`` in magnitude is replaced by that bound with
-    its sign.  The pivots are formed in place in one ``(N, B, N)`` array
-    that starts as the diagonals of every ``T - shift I``.
+    Each step solves ``(T - shift_j I) y_j = x_j`` for every shift of every
+    member at once (:func:`_thomas_solve`), starting from
+    :func:`_start_vectors`, and a batched QR makes the columns orthonormal.
+    A polished member's eigenvalues are all separated and its shifts near
+    exact, so it takes two steps, its columns scaled to a largest entry of
+    1 between them, and one QR at the end (as LAPACK's ``dstein``
+    re-orthogonalizes only inside clusters; Jessup & Ipsen, *SIAM J. Sci.
+    Stat. Comput.* 13(2), 1992).  Every other member takes three steps
+    (``_INVERSE_STEPS``) with a QR after each, so that vectors of close or
+    equal eigenvalues span their eigenspace instead of collapsing onto one
+    vector.  The two kinds of member are solved as separate batches, so each
+    member is bit-identical to a solve of its own.
+
+    A pivot smaller than ``eps * ||T||`` in magnitude is replaced by that
+    bound with its sign.  The pivots are formed in place in one
+    ``(N, B, N)`` array that starts as the diagonals of every
+    ``T - shift I``.
     """
+    if polished.all() or not polished.any():  # one kind of member: no gathers
+        return _inverse_steps(d, b, shifts, bool(polished[0]))
+    vectors = np.empty((*d.shape, d.shape[1]))
+    for members in (np.flatnonzero(polished), np.flatnonzero(~polished)):
+        vectors[members] = _inverse_steps(
+            d[members], b[members], shifts[members], bool(polished[members[0]])
+        )
+    return vectors
+
+
+def _inverse_steps(d: np.ndarray, b: np.ndarray, shifts: np.ndarray, polished: bool) -> np.ndarray:
+    """:func:`_inverse_iteration` for members of one kind: two steps and one
+    QR if ``polished``, else three steps with a QR after each."""
     count, n = d.shape
     # eps * ||T||, ||T|| to a factor 3
     bound = np.finfo(np.float64).eps * np.maximum(np.abs(d).max(axis=1), b.max(axis=1, initial=0.0))
@@ -461,16 +586,13 @@ def _inverse_iteration(d: np.ndarray, b: np.ndarray, shifts: np.ndarray) -> np.n
         np.maximum(tmp, guard, out=tmp)
         np.copysign(tmp, pivots[i], out=pivots[i])
     x = np.repeat(_start_vectors(n)[:, None], count, axis=1)
-    for _ in range(_INVERSE_STEPS):
-        for i in range(1, n):
-            np.multiply(multipliers[i], x[i - 1], out=tmp)
-            np.subtract(x[i], tmp, out=x[i])
-        x[n - 1] /= pivots[n - 1]
-        for i in range(n - 2, -1, -1):
-            np.multiply(b[i], x[i + 1], out=tmp)
-            np.subtract(x[i], tmp, out=x[i])
-            np.divide(x[i], pivots[i], out=x[i])
-        x = np.linalg.qr(x.transpose(1, 0, 2))[0].transpose(1, 0, 2)
+    steps = 2 if polished else _INVERSE_STEPS
+    for step in range(1, steps + 1):
+        _thomas_solve(multipliers, b, pivots, x)
+        if polished and step < steps:  # separated eigenvalues: no QR between steps
+            x /= np.abs(x).max(axis=0)
+        else:
+            x = np.linalg.qr(x.transpose(1, 0, 2))[0].transpose(1, 0, 2)
     return x.transpose(1, 0, 2)
 
 
@@ -494,7 +616,7 @@ def _start_basis(a: np.ndarray) -> np.ndarray:
     units = np.divide(e, b, out=np.ones_like(e), where=b > 0)
     delta = np.concatenate([np.ones_like(units[:, :1]), np.cumprod(units, axis=1)], axis=1)
     delta /= np.abs(delta)
-    basis = delta[:, :, None] * _inverse_iteration(d, b, _multisection(d, b))
+    basis = delta[:, :, None] * _inverse_iteration(d, b, *_multisection(d, b))
     adjoint, reflectors = reflectors.conj()[:, :, None], 2.0 * reflectors  # 2u: exact
     for k in range(a.shape[1] - 3, -1, -1):  # basis <- P_k basis
         tail = basis[:, k + 1 :]

@@ -85,10 +85,11 @@ class HermitianMatrix:
 
     @property
     def frobenius_norm(self) -> float:
-        """``||A||_F`` as ``float(np.linalg.norm(array))``: ``inf`` when the
-        squares overflow, ``0.0`` when they all underflow."""
+        """``||A||_F`` as ``float(np.linalg.norm(array))``: ``inf``, with no
+        warning, when the squares overflow, ``0.0`` when they all underflow."""
         if self._frobenius_norm is None:
-            self._frobenius_norm = float(np.linalg.norm(self._array))
+            with np.errstate(over="ignore"):
+                self._frobenius_norm = float(np.linalg.norm(self._array))
         return self._frobenius_norm
 
     def __repr__(self) -> str:

@@ -175,7 +175,9 @@ def correction_coefficients(
     0/0 (a_m = 0) when |nu_m| <= tol_num * ||H'||_F, and rejected with
     :class:`DegenerateDenominator` otherwise; when several levels qualify,
     the lowest offending index m is the one reported.  Both tolerances must
-    be finite and non-negative (``ValueError`` otherwise).
+    be finite and non-negative, and ``||H'||_F`` finite, since an infinite
+    one would let every numerator pass as negligible (``ValueError``
+    otherwise, before any product).
     """
     if not all(math.isfinite(tol) and tol >= 0 for tol in (tol_degen, tol_num)):
         raise ValueError(f"tol_degen={tol_degen}, tol_num={tol_num}: both must be finite and >= 0")
@@ -184,12 +186,14 @@ def correction_coefficients(
             f"dims disagree: perturbation {perturbation.dim}, basis {decomp.dim}, "
             f"state {state.dim}"
         )
+    hp_scale = perturbation.frobenius_norm
+    if not math.isfinite(hp_scale):
+        raise ValueError("||H'||_F overflows: entries of H' too large for the degeneracy test")
     b = state.coefficients
     hp_psi = perturbation.array @ decomp.synthesize(b)
     numerators = decomp.adjoint @ hp_psi - first_order_total * b
     denominators = energy - decomp.eigenvalues
     spread = float(decomp.eigenvalues[-1] - decomp.eigenvalues[0]) + 1.0
-    hp_scale = perturbation.frobenius_norm
     small = np.abs(denominators) <= tol_degen * spread
     offenders = np.flatnonzero(small & (np.abs(numerators) > tol_num * hp_scale))
     if offenders.size:

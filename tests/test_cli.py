@@ -116,18 +116,35 @@ class TestPerturbCommand:
         assert "DegenerateDenominator" in err
 
     def test_overflowing_state_norm_exit_code(self, capsys, tmp_path):
-        # H' passes the Hermitian checks, but ||b + x a|| overflows: no zero psi1_normalized
+        # ||H'||_F is finite, but ||b + x a|| overflows: no zero psi1_normalized
         h = tmp_path / "H.txt"
         hp = tmp_path / "Hp.txt"
         h.write_text("4\n1 0 0 0\n0 2 0 0\n0 0 3 0\n0 0 0 4\n")
         tridiagonal = np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
-        hp.write_text(format_matrix(HermitianMatrix(1.5e308 * tridiagonal)))
+        hp.write_text(format_matrix(HermitianMatrix(1e150 * tridiagonal)))
         with np.errstate(all="ignore"):
             code, out, err = run_cli(
-                capsys, "perturb", str(h), str(hp), "--x", "0.01", "--level", "0"
+                capsys, "perturb", str(h), str(hp), "--x", "1e10", "--level", "0"
             )
         assert code == 1 and out == ""
         assert err.startswith("error: ValueError: norm of b + x * corrections is not finite")
+
+    @pytest.mark.parametrize("exponent, error", [(600, "ValueError"), (500, "DegenerateDenominator")])
+    def test_overflowing_perturbation_norm_is_one_typed_error(self, tmp_path, exponent, error):
+        # Levels 0 and 1 of H are degenerate and H' couples them.  At 2^600
+        # ||H'||_F overflows, which would let every numerator pass as
+        # negligible: the run must fail fast, not print a = 0, and numpy's
+        # overflow warning must not reach stderr.
+        h = tmp_path / "H.txt"
+        hp = tmp_path / "Hp.txt"
+        h.write_text("3\n1 0 0\n0 1 0\n0 0 2\n")
+        coupling = np.zeros((3, 3))
+        coupling[0, 1] = coupling[1, 0] = 2.0**exponent
+        hp.write_text(format_matrix(HermitianMatrix(coupling)))
+        done = _run_module("perturb", str(h), str(hp), "--x", "1e-300", "--level", "0")
+        assert done.returncode == 1 and done.stdout == b""
+        lines = done.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
 
     @pytest.mark.parametrize("command", ["perturb", "sweep"])
     def test_overflow_error_is_all_of_stderr(self, tmp_path, command):

@@ -623,38 +623,136 @@ class TestStackInput:
         assert peak <= 6.5 * stack.nbytes
 
 
+def _counting_calls(monkeypatch, name):
+    """Record every call of ``eigensolver.<name>`` by its arguments' shapes."""
+    function, calls = getattr(eigensolver, name), []
+
+    def counting(*args):
+        calls.append(tuple(np.shape(arg) for arg in args))
+        return function(*args)
+
+    monkeypatch.setattr(eigensolver, name, counting)
+    return calls
+
+
 class TestMultisection:
     def test_stops_where_inverse_iteration_no_longer_needs_it(self):
-        # separated eigenvalues stop near (eps * gap^2)^(1/3) instead of 2 eps:
-        # three inverse-iteration steps leave off(W) about delta^3 / gap^2
+        # Separated eigenvalues take Newton steps from their brackets'
+        # midpoints, and an entry stops once its step is at most the
+        # three-step width (eps * scale * gap^2)^(1/3), not at 2 eps: the
+        # error is then bounded by that width (quadratic convergence makes
+        # it far smaller), and two inverse-iteration steps suffice.
         d, b = np.array([[0.1, 0.3, 0.5]]), np.array([[0.01, 0.02]])
-        values = eigensolver._multisection(d, b)[0]
+        values, polished = eigensolver._multisection(d, b)
         reference = np.linalg.eigvalsh(np.diag(d[0]) + np.diag(b[0], 1) + np.diag(b[0], -1))
-        error = np.abs(values - reference).max()
-        assert 1e-14 < error <= np.cbrt(np.finfo(float).eps * 0.6 * 0.2**2)
+        assert polished.tolist() == [True]
+        assert np.abs(values[0] - reference).max() <= np.cbrt(np.finfo(float).eps * 0.6 * 0.2**2)
 
     @pytest.mark.parametrize("solve", ["dense-32", "oracle-24"])
-    def test_five_passes(self, monkeypatch, solve):
-        # one pass of 15 N points, then brackets stop at the three-step width
-        sturm_counts, passes = eigensolver._sturm_counts, []
-
-        def counting(*args):
-            passes.append(1)
-            return sturm_counts(*args)
-
-        monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+    def test_two_passes_then_newton(self, monkeypatch, solve):
+        # one pass of 15 N points and one of 15 per bracket separate every
+        # bracket, and Newton's method polishes all midpoints at once
+        passes = _counting_calls(monkeypatch, "_sturm_counts")
+        newton = _counting_calls(monkeypatch, "_pivot_sums")
         if solve == "dense-32":
             jacobi_eigendecompose(random_hermitian(1, 32))
         else:
             verify._eigenbasis_pass.cache_clear()
             verify.level_sweep(random_hermitian(1, 24), random_hermitian(2, 24, 0.05))
-        assert len(passes) == 5
+        assert len(passes) == 2
+        assert 1 <= len(newton) <= 4
 
     def test_clusters_refine_to_machine_precision(self):
         # three equal eigenvalues: brackets never separate
         d, b = np.array([[0.25, 0.25, 0.25, 0.6]]), np.zeros((1, 3))
-        values = eigensolver._multisection(d, b)[0]
-        assert np.abs(values[:3] - 0.25).max() <= 2 * np.finfo(float).eps * 0.6
+        values, polished = eigensolver._multisection(d, b)
+        assert np.abs(values[0, :3] - 0.25).max() <= 2 * np.finfo(float).eps * 0.6
+        assert polished.tolist() == [False]
+
+    def test_failed_newton_steps_bisect_then_go_back_to_multisection(self, monkeypatch):
+        # Every Newton step NaN: each one bisects instead, and no entry
+        # counts as converged, however narrow bisection makes its bracket;
+        # after _NEWTON_CAP steps every bracket returns to the passes,
+        # refines to the three-step width and is not polished.
+        monkeypatch.setattr(eigensolver, "_NEWTON_CAP", 60)
+        pivot_sums = eigensolver._pivot_sums
+
+        def failing(*args):
+            negatives, total = pivot_sums(*args)
+            return negatives, np.full_like(total, np.nan)
+
+        monkeypatch.setattr(eigensolver, "_pivot_sums", failing)
+        newton = _counting_calls(monkeypatch, "_pivot_sums")
+        solves = _counting_calls(monkeypatch, "_thomas_solve")
+        calls = _counting_finish(monkeypatch)
+        matrix = random_hermitian(1, 12)
+        _assert_gates(matrix, jacobi_eigendecompose(matrix))
+        assert len(newton) == 60
+        assert len(solves) == eigensolver._INVERSE_STEPS
+        assert calls in ([], [[0]])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 24),
+        k=st.integers(1, 13),
+        at=st.integers(0, 23),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_close_pair_property(self, n, k, at, seed):
+        # One pair 10^-k apart among levels spread over [-1, 1]: the pair
+        # separates and takes Newton steps, or stays a cluster, and either
+        # path meets the gates with no finishing sweep.
+        levels = np.sort(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+        levels = np.append(levels, levels[at % n] + 10.0**-k)
+        matrix = _prescribed(levels, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _counting_finish(patch)
+            _assert_gates(matrix, jacobi_eigendecompose(matrix))
+        assert calls in ([], [[0]])
+
+
+class TestInverseIteration:
+    """Two steps and one QR for a member whose shifts Newton polished, three
+    of each for every other member, as separate batches."""
+
+    @staticmethod
+    def _counts(monkeypatch, stack):
+        """Thomas solves and QR factorizations, each as the number of
+        members it served, and the solve's eigenvalues and vectors."""
+        solves = _counting_calls(monkeypatch, "_thomas_solve")
+        qr, factorizations = np.linalg.qr, []
+
+        def counting_qr(a, *args, **kwargs):
+            factorizations.append(len(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        values, vectors = eigensolver._eigensystems(stack)
+        monkeypatch.undo()
+        # the solves' x is index-major, (N, B, N)
+        return [x[1] for *_, x in solves], factorizations, values, vectors
+
+    @pytest.mark.parametrize("name", ["dense-32", "six-4-fold"])
+    def test_counts_per_member(self, monkeypatch, name):
+        if name == "dense-32":
+            matrix, steps = random_hermitian(1, 32), ([1, 1], [1])
+        else:
+            matrix, steps = HARD_SPECTRA[name](), ([1, 1, 1], [1, 1, 1])
+        assert self._counts(monkeypatch, matrix.array[None])[:2] == steps
+
+    def test_mixed_stack_keeps_each_members_solo_counts_and_bytes(self, monkeypatch):
+        dense, cluster = random_hermitian(1, 24).array, HARD_SPECTRA["six-4-fold"]().array
+        members = [dense, cluster, 2.0 * dense + 0.25 * cluster]
+        solo = [self._counts(monkeypatch, member[None]) for member in members]
+        assert [(s[0], s[1]) for s in solo] == [
+            ([1, 1], [1]), ([1, 1, 1], [1, 1, 1]), ([1, 1], [1])
+        ]
+        solves, factorizations, values, vectors = self._counts(monkeypatch, _stack(members))
+        # the two polished members as one batch, then the cluster
+        assert solves == [2, 2, 1, 1, 1] and factorizations == [2, 1, 1, 1]
+        for b, (_, _, solo_values, solo_vectors) in enumerate(solo):
+            assert values[b].tobytes() == solo_values[0].tobytes()
+            assert vectors[b].tobytes() == solo_vectors[0].tobytes()
 
 
 class TestFixPhase:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,20 @@ class TestCorrectionCoefficients:
         for _ in range(2):
             got = correction_coefficients(hp, dec, b, energy, eprime)
             assert got.tobytes() == expected.tobytes()
+
+    def test_overflowing_perturbation_norm_rejected(self):
+        # ||H'||_F = inf would make tol_num * ||H'||_F infinite and pass the
+        # degenerate pair's numerator as negligible: a typed error instead,
+        # raised before any product and with no numpy warning.
+        decomp = jacobi_eigendecompose(HermitianMatrix(np.diag([1.0, 1.0, 2.0])))
+        coupling = np.zeros((3, 3))
+        coupling[0, 1] = coupling[1, 0] = 2.0**600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                correction_coefficients(
+                    HermitianMatrix(coupling), decomp, StateVector.basis_state(3, 0), 1.0, 0.0
+                )
 
     def test_degenerate_with_negligible_numerator_is_gauge_zero(self):
         # diagonal perturbation on degenerate levels: every numerator vanishes

@@ -1,15 +1,19 @@
-"""Print what the start basis costs per solve: multisection passes,
-inverse-iteration steps, finishing Jacobi sweeps and the best-of-k time.
+"""Print what the start basis costs per solve: multisection passes, Newton
+evaluations, inverse-iteration Thomas solves, QR factorizations, finishing
+Jacobi sweeps and the best-of-k time; exit 1 when any solve takes a
+finishing sweep.
 
 Solves: dense ``random_hermitian(1, N)`` at N = 2, 8, 32 and 128 (one
 matrix each), and the N = 24 oracle stack of a level sweep, H =
 ``random_hermitian(1, 24)`` and every ``H + x H'`` of the default grid with
 H' = ``random_hermitian(2, 24, 0.05)``.  Passes are calls of the Sturm
-counts, steps are the QR re-orthonormalizations of inverse iteration, and
-sweeps are the most that any member of the solve took.  Counts come from
-one wrapped solve; times from ``k`` unwrapped ones.
+counts, Newton steps calls of the pivot sums, solves calls of the Thomas
+recurrences and QR the batched factorizations; each call serves every
+member of its batch.  Sweeps are the most that any member of the solve
+took.  Counts come from one wrapped solve; times from ``k`` unwrapped ones.
 
-Reported, not gated.  Run from anywhere:
+A good start needs no finishing sweep, so one is a failure of the start
+basis.  Run from anywhere:
 ``python tools/start_counts.py [--repeats k]`` (k = 10 by default).
 """
 
@@ -28,31 +32,36 @@ from qperturb.models import random_hermitian
 from qperturb.numkernel import add_scaled
 from qperturb.verify import DEFAULT_X_GRID
 
+COUNTED = {"passes": "_sturm_counts", "newton": "_pivot_sums", "solves": "_thomas_solve"}
+
 
 def counted(solve):
-    """Passes, steps and the largest member's sweeps of one call of ``solve``."""
-    counts = {"passes": 0, "steps": 0, "sweeps": 0}
-    sturm_counts, diagonalize, qr = eigensolver._sturm_counts, eigensolver._diagonalize, np.linalg.qr
+    """Passes, Newton steps, solves, QR factorizations and the largest
+    member's sweeps of one call of ``solve``."""
+    counts = dict.fromkeys([*COUNTED, "qr", "sweeps"], 0)
+    originals = {name: getattr(eigensolver, name) for name in (*COUNTED.values(), "_diagonalize")}
+    qr = np.linalg.qr
 
-    def counting_sturm(*args):
-        counts["passes"] += 1
-        return sturm_counts(*args)
+    def counting(key, function):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
 
-    def counting_qr(*args, **kwargs):
-        counts["steps"] += 1
-        return qr(*args, **kwargs)
+        return wrapper
 
     def counting_finish(*args):
-        sweeps = diagonalize(*args)
+        sweeps = originals["_diagonalize"](*args)
         counts["sweeps"] = max(counts["sweeps"], int(sweeps.max(initial=0)))
         return sweeps
 
-    eigensolver._sturm_counts, eigensolver._diagonalize = counting_sturm, counting_finish
-    np.linalg.qr = counting_qr
+    for key, name in COUNTED.items():
+        setattr(eigensolver, name, counting(key, originals[name]))
+    eigensolver._diagonalize, np.linalg.qr = counting_finish, counting("qr", qr)
     try:
         solve()
     finally:
-        eigensolver._sturm_counts, eigensolver._diagonalize = sturm_counts, diagonalize
+        for name, function in originals.items():
+            setattr(eigensolver, name, function)
         np.linalg.qr = qr
     return counts
 
@@ -66,7 +75,7 @@ def best_time(solve, repeats):
     return best
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=10, help="timed solves per case (k)")
     args = parser.parse_args()
@@ -74,14 +83,22 @@ def main() -> None:
     h, hp = random_hermitian(1, 24), random_hermitian(2, 24, 0.05)
     members = [h.array, *(add_scaled(h, hp, x).array for x in DEFAULT_X_GRID)]
     solves[f"oracle N = 24, B = {len(members)}"] = np.stack(members)
-    print(f"{'solve':<22} {'passes':>6} {'steps':>5} {'sweeps':>6} {'best of ' + str(args.repeats):>11}")
+    columns = [*COUNTED, "qr", "sweeps"]
+    print(f"{'solve':<22} " + " ".join(f"{c:>6}" for c in columns)
+          + f" {'best of ' + str(args.repeats):>11}")
+    swept = []
     for name, stack in solves.items():
         solve = functools.partial(eigensolver._eigensystems, stack)
         counts = counted(solve)
         ms = best_time(solve, args.repeats) * 1e3
-        print(f"{name:<22} {counts['passes']:>6} {counts['steps']:>5} {counts['sweeps']:>6} "
-              f"{ms:>8.3f} ms")
+        print(f"{name:<22} " + " ".join(f"{counts[c]:>6}" for c in columns) + f" {ms:>8.3f} ms")
+        if counts["sweeps"]:
+            swept.append(name)
+    if swept:
+        print(f"finishing sweeps in: {', '.join(swept)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
