@@ -117,8 +117,8 @@ def _sweep_grid(args) -> tuple[float, ...]:
     x_max = 1e-1 if args.x_max is None else args.x_max
     if points < 2:
         raise InsufficientData(f"need at least 2 grid points, got {points}")
-    if not (0 < x_min <= x_max) or not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise InsufficientData("grid bounds must satisfy 0 < x-min <= x-max")
+    if not (0 < x_min < x_max) or not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise InsufficientData("grid bounds must satisfy 0 < x-min < x-max")
     # Descending, largest strength first, matching the default grid's order.
     return tuple(np.logspace(math.log10(x_max), math.log10(x_min), points))
 

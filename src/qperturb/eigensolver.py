@@ -1,35 +1,35 @@
 """Full spectral decomposition of Hermitian matrices: a Householder /
 multisection start, finished and certified by parallel-order Jacobi rotations.
 
-No external eigensolver is used.  A solve first scales A by the power of
-two that puts ``||A||_F`` in [0.5, 1), exactly barring subnormals, so that
-every square that counts is clear of overflow and of the subnormals.  A
-matrix that already meets the tolerance below (a diagonal one) stops here,
+No external eigensolver is used.  A solve first scales A by the power of two
+that puts ``||A||_F`` in [0.5, 1), exactly barring subnormals, so that every
+square that counts is clear of overflow and of the subnormals.  A matrix
+that already meets the tolerance below (a diagonal one) stops here,
 unscaled: its diagonal and the identity come back bit for bit.  Any other
 gets a near-exact eigenbasis Phi0 of the scaled matrix: a complex
 Householder reduction to a tridiagonal T (Golub & Van Loan, *Matrix
 Computations*, section 8.3), a diagonal phase that makes T real symmetric,
 every eigenvalue of T from one vectorized Sturm-count multisection (Lo,
-Philippe & Sameh, 1987), eigenvectors from inverse iteration over all
-shifts at once (Golub & Van Loan, section 8.4), and the back-transform.
-Each eigenvalue is only as good as an inverse-iteration shift needs, on one
-of two paths.  A bracket well apart from its neighbours leaves the
-multisection and its midpoint is polished by safeguarded Newton steps on
-``det(T - x I)``; a member whose every shift is polished takes two
-inverse-iteration steps and one QR re-orthonormalization.  A dense solve
-takes two passes (the first of 15 N points) and three Newton steps.  A
-member with clusters refines them to machine precision and takes three
-steps with a QR after each.  The returned eigenvalues come from the Rayleigh
-quotients on the diagonal of ``W = Phi0^H (sA) Phi0``, divided by the
-scale s.  Jacobi then finishes W from Phi0 and is the convergence test: its
-sweeps of 2x2 complex rotations in the round-robin ordering of Brent & Luk
-(1985), each step rotating up to N/2 disjoint index pairs at once, run
-until the off-diagonal Frobenius norm is at most ``OFFDIAG_RTOL * ||sA||_F``.
-From a good start that holds with no sweep at all; a poor one (clusters,
-pivot trouble) is rotated until it holds, so it is never returned as is.
-The finish certifies only the off-diagonal of W, so Phi0 must be unitary to
-roundoff, and is by construction: reflectors kept unitary (a negligible
-sub-column counts as reduced), a diagonal phase and QR factors.
+Philippe & Sameh, 1987), eigenvectors from inverse iteration over all shifts
+at once (Golub & Van Loan, section 8.4), and the back-transform.  Each
+eigenvalue is only as good as two inverse-iteration steps need.  A bracket
+well apart from its neighbours leaves the multisection and its midpoint is
+polished by safeguarded Newton steps on ``det(T - x I)``; a dense solve
+takes two passes (the first of 15 N points) and three Newton steps.
+Clusters refine to machine precision.  Every member takes the same two steps
+and a QR re-orthonormalization after them; a member with a shift that Newton
+did not polish also takes a QR between the steps.  The returned eigenvalues
+come from the Rayleigh quotients on the diagonal of
+``W = Phi0^H (sA) Phi0``, divided by the scale s.  Jacobi then finishes W
+from Phi0 and is the convergence test: its sweeps of 2x2 complex rotations
+in the round-robin ordering of Brent & Luk (1985), each step rotating up to
+N/2 disjoint index pairs at once, run until the off-diagonal Frobenius norm
+is at most ``OFFDIAG_RTOL * ||sA||_F``.  From a good start that holds with
+no sweep at all; a poor one (clusters, pivot trouble) is rotated until it holds, so it
+is never returned as is.  The finish certifies only the off-diagonal of W,
+so Phi0 must be unitary to roundoff, and is by construction: reflectors kept
+unitary (a negligible sub-column counts as reduced), a diagonal phase and QR
+factors.
 
 Eigenvalues are returned ascending, eigenvector columns permuted in
 lockstep, and each column's phase is fixed so results are deterministic and
@@ -66,8 +66,6 @@ _POINTS = 15
 # multisection.
 _SEPARATION = 16.0
 _NEWTON_CAP = 8
-# Inverse-iteration steps; the multisection's stopping width is set by them.
-_INVERSE_STEPS = 3
 # The smallest Frobenius norm whose square is a normal float.
 _SMALLEST_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
@@ -396,11 +394,11 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     1987).  The first pass splits one bracket per member, the Gershgorin
     interval, at ``_POINTS * N`` points, as many Sturm counts as a later
     pass over N brackets.  Eigenvalue j's bracket is good enough once it is
-    at most ``max(2 eps scale, (eps scale gap_j**2) ** (1/3))`` wide,
-    ``scale`` the member's Gershgorin bound on ``|lambda|`` and ``gap_j``
-    the distance to the neighbouring brackets: after three inverse-iteration
-    steps (``_INVERSE_STEPS``, which sets the exponents) a shift error delta
-    leaves ``off(W)`` about ``delta**3 / gap**2``, here under ``eps scale``.
+    at most ``max(2 eps scale, sqrt(eps scale gap_j))`` wide, ``scale`` the
+    member's Gershgorin bound on ``|lambda|`` and ``gap_j`` the distance to
+    the neighbouring brackets: after the two inverse-iteration steps a shift
+    error delta leaves ``off(W)`` about ``delta**2 / gap``, here under
+    ``eps scale``.
 
     Two paths.  A bracket is *separated* once ``_SEPARATION`` times its
     width is at most gap_j; it then leaves the passes, and once no other
@@ -408,12 +406,15 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Newton steps on ``det(T - x I)`` (:func:`_pivot_sums`, all such entries
     at once): the count of negative pivots at x moves one end of the
     bracket to x, a step that is not finite or leaves the bracket bisects
-    instead, and an entry stops once a Newton step is at most the width
-    above.  Newton converges quadratically on a bracket that holds one
-    eigenvalue, so such a shift is far better than the width, and two
-    inverse-iteration steps suffice.  An entry still moving after
-    ``_NEWTON_CAP`` steps goes back to the passes, never to Newton again.
-    Brackets that never separate (clusters) refine to 2 eps scale.  The
+    instead, and an entry stops once a Newton step is at most
+    ``max(2 eps scale, (eps scale gap_j**2) ** (1/3))``.  That stop is wider
+    than the passes' width, but Newton converges quadratically on a bracket
+    that holds one eigenvalue: the last step is about the error of the
+    iterate before it, and the error it leaves is about that step squared
+    over gap_j, far below either width.  An entry still moving after
+    ``_NEWTON_CAP`` steps goes back to the passes, never to Newton again,
+    and refines to the passes' width.  Brackets that never separate
+    (clusters) refine to 2 eps scale.  The
     squared off-diagonal is floored at the smallest normal float for the
     counts (see :func:`_sturm_counts`), which moves no eigenvalue by more
     than 1.5e-154.  A bracket's arithmetic reads only its own member, so
@@ -481,9 +482,8 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     while True:
         gaps[:, 1:-1] = lower[:, 1:] - upper[:, :-1]
         gap = np.maximum(np.minimum(gaps[:, :-1], gaps[:, 1:]), 0.0)
-        stop = np.maximum(floor, (unit * gap ** (_INVERSE_STEPS - 1)) ** (1.0 / _INVERSE_STEPS))
         width = upper - lower
-        active = ~polished & (width > stop)
+        active = ~polished & (width > np.maximum(floor, np.sqrt(unit * gap)))
         separated = active & ~failed & (_SEPARATION * width <= gap)
         active &= ~separated
         if active.any():
@@ -494,7 +494,8 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             shifts[~polished] = (lower[~polished] + upper[~polished]) / 2.0
             return shifts, polished.all(axis=1)
         entries = np.nonzero(separated)
-        converged, x, low, high = polish(entries, lower[entries], upper[entries], stop[entries])
+        stop = np.maximum(floor, (unit * gap**2) ** (1.0 / 3.0))[entries]
+        converged, x, low, high = polish(entries, lower[entries], upper[entries], stop)
         lower[entries], upper[entries], shifts[entries] = low, high, x
         polished[entries], failed[entries] = converged, ~converged
 
@@ -537,37 +538,25 @@ def _inverse_iteration(
     :func:`_multisection`; ``polished[m]`` says that Newton's method
     polished every shift of member m.
 
-    Each step solves ``(T - shift_j I) y_j = x_j`` for every shift of every
-    member at once (:func:`_thomas_solve`), starting from
-    :func:`_start_vectors`, and a batched QR makes the columns orthonormal.
-    A polished member's eigenvalues are all separated and its shifts near
-    exact, so it takes two steps, its columns scaled to a largest entry of
-    1 between them, and one QR at the end (as LAPACK's ``dstein``
-    re-orthogonalizes only inside clusters; Jessup & Ipsen, *SIAM J. Sci.
-    Stat. Comput.* 13(2), 1992).  Every other member takes three steps
-    (``_INVERSE_STEPS``) with a QR after each, so that vectors of close or
-    equal eigenvalues span their eigenspace instead of collapsing onto one
-    vector.  The two kinds of member are solved as separate batches, so each
-    member is bit-identical to a solve of its own.
+    Every member takes the same two steps, each solving
+    ``(T - shift_j I) y_j = x_j`` for every shift of every member at once
+    (:func:`_thomas_solve`), from :func:`_start_vectors`.  After the first,
+    each column is scaled to a largest entry of 1, and a batched QR makes
+    the columns orthonormal after the second.  A member that is not
+    polished (clusters, or a shift Newton gave up on) also takes a QR
+    between the steps, so that vectors of close or equal eigenvalues span
+    their eigenspace instead of collapsing onto one vector; a polished
+    member's eigenvalues are separated and its shifts near exact, so it
+    needs none (as LAPACK's ``dstein`` re-orthogonalizes only inside
+    clusters; Jessup & Ipsen, *SIAM J. Sci. Stat. Comput.* 13(2), 1992).
+    Each step is elementwise per column and each QR one LAPACK call per
+    member, so each member is bit-identical to a solve of its own.
 
     A pivot smaller than ``eps * ||T||`` in magnitude is replaced by that
     bound with its sign.  The pivots are formed in place in one
     ``(N, B, N)`` array that starts as the diagonals of every
     ``T - shift I``.
     """
-    if polished.all() or not polished.any():  # one kind of member: no gathers
-        return _inverse_steps(d, b, shifts, bool(polished[0]))
-    vectors = np.empty((*d.shape, d.shape[1]))
-    for members in (np.flatnonzero(polished), np.flatnonzero(~polished)):
-        vectors[members] = _inverse_steps(
-            d[members], b[members], shifts[members], bool(polished[members[0]])
-        )
-    return vectors
-
-
-def _inverse_steps(d: np.ndarray, b: np.ndarray, shifts: np.ndarray, polished: bool) -> np.ndarray:
-    """:func:`_inverse_iteration` for members of one kind: two steps and one
-    QR if ``polished``, else three steps with a QR after each."""
     count, n = d.shape
     # eps * ||T||, ||T|| to a factor 3
     bound = np.finfo(np.float64).eps * np.maximum(np.abs(d).max(axis=1), b.max(axis=1, initial=0.0))
@@ -586,14 +575,13 @@ def _inverse_steps(d: np.ndarray, b: np.ndarray, shifts: np.ndarray, polished: b
         np.maximum(tmp, guard, out=tmp)
         np.copysign(tmp, pivots[i], out=pivots[i])
     x = np.repeat(_start_vectors(n)[:, None], count, axis=1)
-    steps = 2 if polished else _INVERSE_STEPS
-    for step in range(1, steps + 1):
-        _thomas_solve(multipliers, b, pivots, x)
-        if polished and step < steps:  # separated eigenvalues: no QR between steps
-            x /= np.abs(x).max(axis=0)
-        else:
-            x = np.linalg.qr(x.transpose(1, 0, 2))[0].transpose(1, 0, 2)
-    return x.transpose(1, 0, 2)
+    _thomas_solve(multipliers, b, pivots, x)
+    x /= np.abs(x).max(axis=0)
+    unpolished = np.flatnonzero(~polished)
+    if unpolished.size:
+        x[:, unpolished] = np.linalg.qr(x[:, unpolished].transpose(1, 0, 2))[0].transpose(1, 0, 2)
+    _thomas_solve(multipliers, b, pivots, x)
+    return np.linalg.qr(x.transpose(1, 0, 2))[0]
 
 
 def _start_basis(a: np.ndarray) -> np.ndarray:

@@ -149,10 +149,14 @@ def _sweep(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix, xs):
     shifts, first-order levels and oracle spectra: the one place where the
     sweeps diagonalize.
 
-    The grid is checked first: it must not be empty (:class:`InsufficientData`)
-    and every strength must be positive and finite.  The pass itself is
-    cached for the last H, H' and grid.
+    H and H' are checked first: they must have the same dim
+    (:class:`DimensionMismatch`, as from :func:`add_scaled`).  Then the
+    grid: it must not be empty (:class:`InsufficientData`) and every
+    strength must be positive and finite.  The pass itself is cached for
+    the last H, H' and grid.
     """
+    if hamiltonian.dim != perturbation.dim:
+        raise DimensionMismatch(f"matrix dims differ: {hamiltonian.dim} vs {perturbation.dim}")
     grid = tuple(float(x) for x in xs)
     if not grid:
         raise InsufficientData("need at least one strength to sweep")
@@ -190,8 +194,9 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     ``s / 2 + s^H / 2``: the arithmetic of :func:`add_scaled` and of
     :class:`HermitianMatrix`, so each is bit-identical to
     ``add_scaled(H, H', x).array``.  They are Hermitian by construction, so
-    only their finiteness is checked, once, with the same ``ValueError``.  Every member is bit-identical to a solve of its own, so
-    member 0 is ``jacobi_eigendecompose(H)`` and each spectrum row is
+    only their finiteness is checked, once, with the same ``ValueError``.
+    Every member is bit-identical to a solve of its own, so member 0 is
+    ``jacobi_eigendecompose(H)`` and each spectrum row is
     ``exact_levels(H, H', x)``.  Shifts that overflow after the solve raise
     the same ``ValueError``.
     """

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qperturb import eigensolver
 from qperturb.cli import main
 from qperturb.fileio import format_matrix, format_vector, parse_matrix
 from qperturb.models import (
@@ -251,6 +252,22 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", h, hp, "--points", "1")
         assert code == 1
         assert "InsufficientData" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--x-min", "1e-2", "--x-max", "1e-2", "--points", "2"], ["--x-min", "0.1"]],
+        ids=["equal-bounds", "x-min-at-default-x-max"],
+    )
+    def test_one_strength_grid_rejected_before_any_solve(
+        self, capsys, monkeypatch, matrix_files, flags
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("diagonalized before the grid was checked")
+
+        monkeypatch.setattr(eigensolver, "_eigensystems", no_solve)
+        code, out, err = run_cli(capsys, "sweep", *matrix_files, *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: InsufficientData: ") and err.count("\n") == 1
 
     def test_custom_grid(self, capsys, matrix_files):
         h, hp = matrix_files

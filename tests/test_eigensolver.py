@@ -414,6 +414,12 @@ HARD_SPECTRA = {
     "scale-1e100": lambda: HermitianMatrix(1e100 * random_hermitian(7, 12).array),
     "scale-1e-100": lambda: HermitianMatrix(1e-100 * random_hermitian(7, 12).array),
     "wilkinson-21": lambda: HermitianMatrix(_WILKINSON),
+    # One eigenvalue next to an end of its bracket: every Newton step
+    # overshoots past that end and bisects, so the entry goes back to the
+    # passes unpolished (see TestMultisection).
+    "newton-fails": lambda: add_scaled(
+        random_hermitian(33, 12), random_hermitian(34, 12, 0.05), 3e-3
+    ),
     # A sub-column whose squares are subnormal: its reflector would not be unitary.
     "coupling-1e-160": lambda: HermitianMatrix([[1.0, 1e-160, 0.0], [1e-160, 2.0, 1.0],
                                                 [0.0, 1.0, 3.0]]),
@@ -638,10 +644,11 @@ def _counting_calls(monkeypatch, name):
 class TestMultisection:
     def test_stops_where_inverse_iteration_no_longer_needs_it(self):
         # Separated eigenvalues take Newton steps from their brackets'
-        # midpoints, and an entry stops once its step is at most the
-        # three-step width (eps * scale * gap^2)^(1/3), not at 2 eps: the
-        # error is then bounded by that width (quadratic convergence makes
-        # it far smaller), and two inverse-iteration steps suffice.
+        # midpoints, and an entry stops once its step is at most
+        # (eps * scale * gap^2)^(1/3), not at 2 eps: the error is then
+        # bounded by that step (quadratic convergence makes it far smaller
+        # than the two-step width sqrt(eps * scale * gap) that an unpolished
+        # bracket refines to), and the two inverse-iteration steps suffice.
         d, b = np.array([[0.1, 0.3, 0.5]]), np.array([[0.01, 0.02]])
         values, polished = eigensolver._multisection(d, b)
         reference = np.linalg.eigvalsh(np.diag(d[0]) + np.diag(b[0], 1) + np.diag(b[0], -1))
@@ -673,7 +680,7 @@ class TestMultisection:
         # Every Newton step NaN: each one bisects instead, and no entry
         # counts as converged, however narrow bisection makes its bracket;
         # after _NEWTON_CAP steps every bracket returns to the passes,
-        # refines to the three-step width and is not polished.
+        # refines to the two-step width and is not polished.
         monkeypatch.setattr(eigensolver, "_NEWTON_CAP", 60)
         pivot_sums = eigensolver._pivot_sums
 
@@ -688,7 +695,32 @@ class TestMultisection:
         matrix = random_hermitian(1, 12)
         _assert_gates(matrix, jacobi_eigendecompose(matrix))
         assert len(newton) == 60
-        assert len(solves) == eigensolver._INVERSE_STEPS
+        assert len(solves) == 2
+        assert calls in ([], [[0]])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [HARD_SPECTRA["newton-fails"], lambda: random_hermitian(1001822, 24)],
+        ids=["newton-fails", "dense-24"],
+    )
+    def test_newton_overshoot_goes_back_to_multisection(self, monkeypatch, matrix):
+        # No forced failure: each of the _NEWTON_CAP steps of one entry
+        # leaves its bracket and bisects, so the member is not polished and
+        # takes the QR between the inverse-iteration steps.
+        multisection, reports = eigensolver._multisection, []
+
+        def recording(d, b):
+            shifts, polished = multisection(d, b)
+            reports.append(polished.tolist())
+            return shifts, polished
+
+        monkeypatch.setattr(eigensolver, "_multisection", recording)
+        newton = _counting_calls(monkeypatch, "_pivot_sums")
+        calls = _counting_finish(monkeypatch)
+        matrix = matrix()
+        _assert_gates(matrix, jacobi_eigendecompose(matrix))
+        assert reports == [[False]]
+        assert len(newton) == eigensolver._NEWTON_CAP
         assert calls in ([], [[0]])
 
     @settings(max_examples=25, deadline=None)
@@ -712,8 +744,9 @@ class TestMultisection:
 
 
 class TestInverseIteration:
-    """Two steps and one QR for a member whose shifts Newton polished, three
-    of each for every other member, as separate batches."""
+    """Two steps for every member in one batch, and a QR at the end; a
+    member whose shifts Newton did not all polish also takes a QR between
+    the steps."""
 
     @staticmethod
     def _counts(monkeypatch, stack):
@@ -737,7 +770,7 @@ class TestInverseIteration:
         if name == "dense-32":
             matrix, steps = random_hermitian(1, 32), ([1, 1], [1])
         else:
-            matrix, steps = HARD_SPECTRA[name](), ([1, 1, 1], [1, 1, 1])
+            matrix, steps = HARD_SPECTRA[name](), ([1, 1], [1, 1])
         assert self._counts(monkeypatch, matrix.array[None])[:2] == steps
 
     def test_mixed_stack_keeps_each_members_solo_counts_and_bytes(self, monkeypatch):
@@ -745,11 +778,11 @@ class TestInverseIteration:
         members = [dense, cluster, 2.0 * dense + 0.25 * cluster]
         solo = [self._counts(monkeypatch, member[None]) for member in members]
         assert [(s[0], s[1]) for s in solo] == [
-            ([1, 1], [1]), ([1, 1, 1], [1, 1, 1]), ([1, 1], [1])
+            ([1, 1], [1]), ([1, 1], [1, 1]), ([1, 1], [1])
         ]
         solves, factorizations, values, vectors = self._counts(monkeypatch, _stack(members))
-        # the two polished members as one batch, then the cluster
-        assert solves == [2, 2, 1, 1, 1] and factorizations == [2, 1, 1, 1]
+        # one batch of all three members; the cluster alone between the steps
+        assert solves == [3, 3] and factorizations == [1, 3]
         for b, (_, _, solo_values, solo_vectors) in enumerate(solo):
             assert values[b].tobytes() == solo_values[0].tobytes()
             assert vectors[b].tobytes() == solo_vectors[0].tobytes()

@@ -200,6 +200,16 @@ def _counting_solves(monkeypatch):
     return solves
 
 
+def _forbid_solves(monkeypatch, before):
+    """Clear the pass cache and fail the test on any oracle solve."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError(f"diagonalized before {before}")
+
+    verify._eigenbasis_pass.cache_clear()
+    monkeypatch.setattr(eigensolver, "_eigensystems", no_solve)
+
+
 class TestSharedPass:
     """Sweeps on the same H and H' objects and an equal grid share one pass."""
 
@@ -492,36 +502,39 @@ class TestLevelSweep:
 
     @pytest.mark.parametrize("level", [1.5, 2])
     def test_bad_level_rejected_before_any_solve(self, monkeypatch, level):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("diagonalized before the levels were checked")
-
-        monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        _forbid_solves(monkeypatch, "the levels were checked")
         with pytest.raises(DimensionMismatch):
             level_sweep(H_2x2, HP_2x2, levels=[level])
 
-
     @pytest.mark.parametrize("bad", [-0.01, 0.0, math.nan, math.inf])
     def test_bad_strength_rejected_before_any_solve(self, monkeypatch, bad):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("diagonalized before the strengths were checked")
-
-        monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        _forbid_solves(monkeypatch, "the strengths were checked")
         with pytest.raises(ValueError, match="sweep strength must be positive and finite"):
             level_sweep(H_2x2, HP_2x2, [0.1, bad])
 
     @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
     def test_empty_grid_rejected_before_any_solve(self, monkeypatch, superposition):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("diagonalized before the grid was checked")
-
-        verify._eigenbasis_pass.cache_clear()
-        monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
-        monkeypatch.setattr(eigensolver, "_eigensystems", no_solve)
+        _forbid_solves(monkeypatch, "the grid was checked")
         with pytest.raises(InsufficientData, match="at least one strength"):
             if superposition:
                 superposition_sweep(H_2x2, HP_2x2, StateVector.basis_state(2, 0), [])
             else:
                 level_sweep(H_2x2, HP_2x2, [])
+
+    @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
+    @pytest.mark.parametrize("dims", [(3, 4), (1, 4), (4, 1)], ids=["3-4", "1-4", "4-1"])
+    def test_dim_mismatch_rejected_before_any_solve(self, monkeypatch, dims, superposition):
+        # as exact_levels raises it (through add_scaled), not numpy's
+        # broadcast error, and not after the oracle solve
+        h, hp = (random_hermitian(50 + dim, dim) for dim in dims)
+        _forbid_solves(monkeypatch, "the dims were checked")
+        with pytest.raises(DimensionMismatch, match=f"matrix dims differ: {dims[0]} vs {dims[1]}"):
+            if superposition:
+                superposition_sweep(h, hp, StateVector.basis_state(h.dim, 0))
+            else:
+                level_sweep(h, hp)
+        with pytest.raises(DimensionMismatch, match=f"matrix dims differ: {dims[0]} vs {dims[1]}"):
+            exact_levels(h, hp, 0.1)
 
     @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
     def test_overflowing_perturbation_rejected_before_oracle(self, monkeypatch, superposition):
@@ -594,10 +607,7 @@ class TestSuperpositionSweep:
         assert convergence_order(recs).floored
 
     def test_state_dim_checked_before_any_solve(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("diagonalized before the state was checked")
-
-        monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        _forbid_solves(monkeypatch, "the state was checked")
         with pytest.raises(DimensionMismatch):
             superposition_sweep(H_2x2, HP_2x2, StateVector.basis_state(3, 0))
 

@@ -4,13 +4,19 @@ Jacobi sweeps and the best-of-k time; exit 1 when any solve takes a
 finishing sweep.
 
 Solves: dense ``random_hermitian(1, N)`` at N = 2, 8, 32 and 128 (one
-matrix each), and the N = 24 oracle stack of a level sweep, H =
+matrix each); the N = 24 oracle stack of a level sweep, H =
 ``random_hermitian(1, 24)`` and every ``H + x H'`` of the default grid with
-H' = ``random_hermitian(2, 24, 0.05)``.  Passes are calls of the Sturm
-counts, Newton steps calls of the pivot sums, solves calls of the Thomas
-recurrences and QR the batched factorizations; each call serves every
-member of its batch.  Sweeps are the most that any member of the solve
-took.  Counts come from one wrapped solve; times from ``k`` unwrapped ones.
+H' = ``random_hermitian(2, 24, 0.05)``; and two solves whose shifts Newton's
+method does not all polish, so that inverse iteration takes its QR between
+steps: six 4-fold levels at N = 24, ``U diag(E) U^H`` with U the Q factor of
+a seeded complex Gaussian matrix, and
+``random_hermitian(33, 12) + 3e-3 random_hermitian(34, 12, 0.05)``, where
+every Newton step of one eigenvalue overshoots its bracket and bisects.
+Passes are calls of the Sturm counts, Newton steps calls of the pivot sums,
+solves calls of the Thomas recurrences and QR the batched factorizations;
+each call serves every member of its batch.  Sweeps are the most that any
+member of the solve took.  Counts come from one wrapped solve; times from
+``k`` unwrapped ones.
 
 A good start needs no finishing sweep, so one is a failure of the start
 basis.  Run from anywhere:
@@ -29,7 +35,7 @@ import numpy as np
 
 from qperturb import eigensolver
 from qperturb.models import random_hermitian
-from qperturb.numkernel import add_scaled
+from qperturb.numkernel import HermitianMatrix, add_scaled
 from qperturb.verify import DEFAULT_X_GRID
 
 COUNTED = {"passes": "_sturm_counts", "newton": "_pivot_sums", "solves": "_thomas_solve"}
@@ -83,6 +89,12 @@ def main() -> int:
     h, hp = random_hermitian(1, 24), random_hermitian(2, 24, 0.05)
     members = [h.array, *(add_scaled(h, hp, x).array for x in DEFAULT_X_GRID)]
     solves[f"oracle N = 24, B = {len(members)}"] = np.stack(members)
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24)))[0]
+    levels = np.repeat(np.arange(6.0) - 2.5, 4)
+    solves["clusters N = 24"] = HermitianMatrix((u * levels) @ u.conj().T).array[None]
+    h, hp = random_hermitian(33, 12), random_hermitian(34, 12, 0.05)
+    solves["Newton fails N = 12"] = add_scaled(h, hp, 3e-3).array[None]
     columns = [*COUNTED, "qr", "sweeps"]
     print(f"{'solve':<22} " + " ".join(f"{c:>6}" for c in columns)
           + f" {'best of ' + str(args.repeats):>11}")
