@@ -2,9 +2,10 @@
 
 Two families: seeded dense random Hermitian matrices, and a truncated
 particle-in-a-box (infinite well, natural units hbar = m = 1) whose
-perturbing potential matrix is computed by composite Simpson quadrature.
-The truncated n_levels x n_levels matrices are the exact system under
-study; the verification oracle diagonalizes the same truncation.
+perturbing potential matrix is built entry by entry from the closed forms
+of <m|V|n> for a constant, linear or quadratic V.  The truncated
+n_levels x n_levels matrices are the exact system under study; the
+verification oracle diagonalizes the same truncation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .errors import ParseError
 from .numkernel import HermitianMatrix
 
 POTENTIAL_KINDS = ("const", "linear", "quadratic")
-# Simpson subintervals of box_potential_matrix (even, as Simpson needs).
-QUADRATURE_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,6 @@ class BoxModelSpec:
             )
         if not np.isfinite(self.strength):
             raise ValueError("potential strength must be finite")
-
-    def potential_values(self, x: np.ndarray) -> np.ndarray:
-        if self.potential == "const":
-            return np.full_like(x, self.strength)
-        if self.potential == "linear":
-            return self.strength * x
-        return self.strength * x * x
 
 
 def random_hermitian(seed: int, n: int, scale: float = 1.0) -> HermitianMatrix:
@@ -100,23 +92,34 @@ def box_hamiltonian(spec: BoxModelSpec) -> HermitianMatrix:
     return HermitianMatrix(np.diag(n * n * math.pi**2 / (2.0 * spec.width**2)))
 
 
-def _simpson_weights(intervals: int, step: float) -> np.ndarray:
-    w = np.ones(intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (step / 3.0)
-
-
 def box_potential_matrix(spec: BoxModelSpec) -> HermitianMatrix:
     """Perturbation matrix ``<m|V|n> = (2/L) int_0^L sin(m pi x/L) V(x) sin(n pi x/L) dx``.
 
-    Composite Simpson quadrature on ``QUADRATURE_POINTS`` equal subintervals.
-    The integrands are smooth, so this resolution is accurate well past 1e-10.
+    Closed forms for levels m, n = 1..N, width L and strength c, with
+    k_mn = 8 m n / (pi^2 (m^2 - n^2)^2) for m != n (Griffiths, the infinite
+    square well):
+
+    - ``const``: c I;
+    - ``linear``: c L / 2 on the diagonal; off it -c L k_mn where m + n is
+      odd and exactly 0 where it is even;
+    - ``quadratic``: c L^2 (1/3 - 1/(2 pi^2 n^2)) on the diagonal;
+      (-1)^(m+n) c L^2 k_mn off it.
+
+    The entries are real and exactly symmetric, and ``strength`` multiplies
+    them last.
     """
+    levels = np.arange(1, spec.n_levels + 1, dtype=np.float64)
+    m, n = levels[:, None], levels
+    gap = m * m - n * n + np.eye(spec.n_levels)  # 1 on the diagonal, overwritten below
+    coupling = 8.0 * m * n / (math.pi**2 * gap * gap)
+    odd = (m + n) % 2 == 1
     width = spec.width
-    x = np.linspace(0.0, width, QUADRATURE_POINTS + 1)
-    weights = _simpson_weights(QUADRATURE_POINTS, width / QUADRATURE_POINTS)
-    sines = np.sin(np.outer(np.arange(1, spec.n_levels + 1), x) * (math.pi / width))
-    weighted = sines * (weights * spec.potential_values(x))
-    mat = (2.0 / width) * (weighted @ sines.T)
-    return HermitianMatrix(mat)
+    if spec.potential == "const":
+        mat = np.eye(spec.n_levels)
+    elif spec.potential == "linear":
+        mat = np.where(odd, -width * coupling, 0.0)
+        np.fill_diagonal(mat, width / 2.0)
+    else:
+        mat = width * width * np.where(odd, -coupling, coupling)
+        np.fill_diagonal(mat, width * width * (1.0 / 3.0 - 1.0 / (2.0 * math.pi**2 * n * n)))
+    return HermitianMatrix(spec.strength * mat)

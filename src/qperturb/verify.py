@@ -21,7 +21,7 @@ from .eigensolver import SpectralDecomposition, jacobi_eigendecompose
 from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
 from .numkernel import HermitianMatrix, add_scaled, checked_index
-from .perturbation import StateVector, expected_energy, level_shifts
+from .perturbation import StateVector, expected_energy, level_shifts, total_energy
 
 # Two decades of strengths, inside the perturbative regime for O(1)-gap spectra.
 DEFAULT_X_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -261,6 +261,9 @@ def superposition_sweep(
 ) -> list[SweepRecord]:
     """Sweep comparing the weighted total E1 to the |b_n|^2-weighted exact spectrum.
 
+    E1 = E + x E' is :func:`total_energy`'s, so it equals
+    :func:`first_order`'s total bit for bit.
+
     Weight |b_n|^2 goes to the n-th lowest exact eigenvalue (rank pairing),
     so a crossing inside the grid moves it to another level: on the
     diag(0, 1, 1.02) example of :func:`level_sweep`, b = e_1 at x = 0.1
@@ -277,10 +280,10 @@ def superposition_sweep(
     grid, decomp, shifts, _, exact = _sweep(hamiltonian, perturbation, xs)
     energy = expected_energy(state, decomp)
     weights = np.abs(state.coefficients) ** 2
-    eprime = float(weights @ shifts)
+    first = [total_energy(energy, shifts, state, x)[1] for x in grid]
     return [
-        SweepRecord(x, SUPERPOSITION_LEVEL, energy + x * eprime, float(weights @ spectrum))
-        for x, spectrum in zip(grid, exact)
+        SweepRecord(x, SUPERPOSITION_LEVEL, e1, float(weights @ spectrum))
+        for x, e1, spectrum in zip(grid, first, exact)
     ]
 
 

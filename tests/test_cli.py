@@ -255,8 +255,12 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--x-min", "1e-2", "--x-max", "1e-2", "--points", "2"], ["--x-min", "0.1"]],
-        ids=["equal-bounds", "x-min-at-default-x-max"],
+        [
+            ["--x-min", "1e-2", "--x-max", "1e-2", "--points", "2"],
+            ["--x-min", "0.1"],
+            ["--points", "1"],
+        ],
+        ids=["equal-bounds", "x-min-at-default-x-max", "one-point"],
     )
     def test_one_strength_grid_rejected_before_any_solve(
         self, capsys, monkeypatch, matrix_files, flags

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qperturb import models
 from qperturb.errors import ParseError
 from qperturb.models import (
     BoxModelSpec,
@@ -13,11 +14,14 @@ from qperturb.models import (
 from qperturb.numkernel import HermitianMatrix
 
 
-def gauss_legendre_element(m, n, width, potential, nodes=200):
-    # independent quadrature oracle (different rule from the implementation)
+def gauss_legendre_element(m, n, width, potential, nodes=200, panels=1):
+    # independent quadrature oracle (different rule from the implementation):
+    # Gauss-Legendre with ``nodes`` nodes on each of ``panels`` equal panels
     t, w = np.polynomial.legendre.leggauss(nodes)
-    x = 0.5 * width * (t + 1.0)
-    w = 0.5 * width * w
+    edges = np.linspace(0.0, width, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (edges[:-1, None] + half * (t + 1.0)).ravel()
+    w = (half * w).ravel()
     f = (
         (2.0 / width)
         * np.sin(m * np.pi * x / width)
@@ -163,15 +167,62 @@ class TestBoxPotentialMatrix:
         scaled = box_potential_matrix(BoxModelSpec(3, 1.0, "linear", -2.5)).array
         np.testing.assert_allclose(scaled, -2.5 * base, atol=1e-14)
 
-    def test_quadrature_refinement_stable(self):
-        for kind in ("const", "linear", "quadratic"):
-            spec = BoxModelSpec(5, 2.0, kind, 1.3)
-            got = box_potential_matrix(spec).array
+    def test_every_kind_matches_gauss_legendre(self):
+        potentials = {
+            "const": lambda x: np.full_like(x, 1.3),
+            "linear": lambda x: 1.3 * x,
+            "quadratic": lambda x: 1.3 * x * x,
+        }
+        for kind, potential in potentials.items():
+            got = box_potential_matrix(BoxModelSpec(5, 2.0, kind, 1.3)).array
             for m in range(1, 6):
                 for n in range(1, 6):
-                    oracle = gauss_legendre_element(m, n, 2.0, spec.potential_values)
+                    oracle = gauss_legendre_element(m, n, 2.0, potential)
                     assert abs(got[m - 1, n - 1] - oracle) <= 1e-10
 
-    def test_output_is_hermitian(self):
-        spec = BoxModelSpec(5, 3.0, "quadratic", -0.4)
-        HermitianMatrix(box_potential_matrix(spec).array)
+    def test_output_is_hermitian(self, monkeypatch):
+        # the entries as built, before HermitianMatrix symmetrizes them
+        built = []
+
+        def capture(array):
+            built.append(np.asarray(array))
+            return HermitianMatrix(array)
+
+        monkeypatch.setattr(models, "HermitianMatrix", capture)
+        for kind in ("const", "linear", "quadratic"):
+            box_potential_matrix(BoxModelSpec(5, 3.0, kind, -0.4))
+        assert len(built) == 3
+        for entries in built:
+            assert np.isrealobj(entries)
+            assert np.array_equal(entries, entries.T)
+
+
+class TestBoxPotentialMatrixAtManyLevels:
+    # 1100 levels: sin((m + n) pi x / L) reaches frequencies that a fixed
+    # sampling of [0, L] would alias
+    LEVELS = 1100
+
+    def test_const_is_exactly_scaled_identity(self):
+        got = box_potential_matrix(BoxModelSpec(self.LEVELS, math.pi, "const", 2.0)).array
+        assert np.array_equal(got, 2.0 * np.eye(self.LEVELS))
+
+    def test_linear_diagonal_and_even_parity_entries_exact(self):
+        got = box_potential_matrix(BoxModelSpec(self.LEVELS, math.pi, "linear", 1.0)).array
+        assert np.all(np.diag(got) == math.pi / 2)
+        levels = np.arange(1, self.LEVELS + 1)
+        even = (levels[:, None] + levels) % 2 == 0
+        np.fill_diagonal(even, False)
+        assert np.all(got[even] == 0.0)
+
+    @pytest.mark.parametrize(
+        "kind, potential",
+        [("linear", lambda x: x), ("quadratic", lambda x: x * x)],
+        ids=["linear", "quadratic"],
+    )
+    def test_corner_entries_match_gauss_legendre(self, kind, potential):
+        got = box_potential_matrix(BoxModelSpec(self.LEVELS, math.pi, kind, 1.0)).array
+        last = self.LEVELS
+        for m, n in [(1, 1), (1, last), (last - 1, last), (last, last)]:
+            # 4000 nodes: 40 on each of 100 panels
+            oracle = gauss_legendre_element(m, n, math.pi, potential, nodes=40, panels=100)
+            assert abs(got[m - 1, n - 1] - oracle) <= 1e-11

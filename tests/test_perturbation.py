@@ -77,6 +77,10 @@ class TestStateVector:
             StateVector(np.array([1.0, 1.0]))
         assert exc.value.norm == pytest.approx(math.sqrt(2))
 
+    def test_rejects_norm_squared_off_by_1e_8(self):
+        with pytest.raises(NotNormalized):
+            StateVector(np.array([math.sqrt(1.0 + 1e-8), 0.0]))
+
     def test_basis_state(self):
         s = StateVector.basis_state(3, 1)
         np.testing.assert_array_equal(s.coefficients, [0, 1, 0])

@@ -491,6 +491,16 @@ class TestLevelSweep:
             want = [full[x, level] for x in DEFAULT_X_GRID for level in levels]
             assert pickle.dumps(recs) == pickle.dumps(want)
 
+    def test_crossing_pairs_by_rank(self):
+        # levels 1 and 2 cross at x = 0.01: past it, level 1's record holds
+        # the lower first-order level (0.92, level 2's value), as does the
+        # oracle's rank 1, so first order is right there to 1e-8
+        h = HermitianMatrix(np.diag([0.0, 1.0, 1.02]))
+        hp = HermitianMatrix([[0, 1e-3, 0], [1e-3, 1, 1e-4], [0, 1e-4, -1]])
+        (record,) = level_sweep(h, hp, [0.1], levels=[1])
+        assert record.perturbative == pytest.approx(0.92, abs=1e-12)
+        assert record.abs_error < 1e-8
+
     def test_identity_perturbation_floored(self):
         recs = level_sweep(H_2x2, HermitianMatrix(np.eye(2)))
         assert all(r.abs_error <= 1e-12 for r in recs)
