@@ -365,7 +365,9 @@ def _pivot_sums(d: np.ndarray, b2: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     ``q_i' = (b2_{i-1} / q_{i-1}**2) q_{i-1}' - 1`` (Wilkinson, *The
     Algebraic Eigenvalue Problem*, ch. 5), five elementwise calls per row.
     A zero pivot makes the sum infinite or NaN.  The sum is accumulated row
-    by row, so each entry's value is the same for any K.
+    by row, so each entry's value is the same for any K and any other
+    columns: :func:`_multisection`'s Newton round relies on this when it
+    evaluates its frozen entries beside the moving ones.
     """
     q, s, r = d - x, np.empty_like(d), np.empty_like(x)  # s_i = q_i' / q_i
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -401,20 +403,26 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ``eps scale``.
 
     Two paths.  A bracket is *separated* once ``_SEPARATION`` times its
-    width is at most gap_j; it then leaves the passes, and once no other
-    bracket needs one, every separated bracket's midpoint takes safeguarded
-    Newton steps on ``det(T - x I)`` (:func:`_pivot_sums`, all such entries
-    at once): the count of negative pivots at x moves one end of the
-    bracket to x, a step that is not finite or leaves the bracket bisects
-    instead, and an entry stops once a Newton step is at most
-    ``max(2 eps scale, (eps scale gap_j**2) ** (1/3))``.  That stop is wider
-    than the passes' width, but Newton converges quadratically on a bracket
-    that holds one eigenvalue: the last step is about the error of the
-    iterate before it, and the error it leaves is about that step squared
-    over gap_j, far below either width.  An entry still moving after
-    ``_NEWTON_CAP`` steps goes back to the passes, never to Newton again,
-    and refines to the passes' width.  Brackets that never separate
-    (clusters) refine to 2 eps scale.  The
+    width is at most gap_j; it then leaves the passes.  Once no other
+    bracket needs one, a Newton round runs on the ``(B, N)`` bracket arrays
+    themselves, under one mask of *moving* entries that starts as the
+    separated ones.  The iterate x of every entry not yet polished starts
+    at its bracket's midpoint, and each step evaluates :func:`_pivot_sums`
+    at every entry at once.  A moving entry takes a safeguarded Newton step
+    on ``det(T - x I)``: the count of negative pivots at x moves one end of
+    the bracket to x, a step that is not finite or leaves the bracket
+    bisects instead, and the entry stops moving once a Newton step is at
+    most ``max(2 eps scale, (eps scale gap_j**2) ** (1/3))``; a bisecting
+    step never stops it.  Any other entry is frozen: it is evaluated with
+    the rest, but its x and its bracket keep their values.  A polished
+    entry's shift is its last x, any other's its bracket's midpoint.  The
+    stop is wider than the passes' width, but Newton converges
+    quadratically on a bracket that holds one eigenvalue: the last step is
+    about the error of the iterate before it, and the error it leaves is
+    about that step squared over gap_j, far below either width.  An entry
+    still moving after ``_NEWTON_CAP`` steps goes back to the passes, never
+    to Newton again, and refines to the passes' width.  Brackets that never
+    separate (clusters) refine to 2 eps scale.  The
     squared off-diagonal is floored at the smallest normal float for the
     counts (see :func:`_sturm_counts`), which moves no eigenvalue by more
     than 1.5e-154.  A bracket's arithmetic reads only its own member, so
@@ -444,40 +452,13 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         at = (counts <= levels[:, None]).sum(axis=2)
         return grid[members, brackets, at], grid[members, brackets, at + 1]
 
-    def polish(entries, lower, upper, tol):
-        """Newton's method from the midpoints of the brackets
-        ``[lower, upper]`` of eigenvalues ``entries = (member, j)``, each
-        ``(K,)``; returns which entries converged, their last iterates and
-        their narrowed brackets."""
-        member, level = entries
-        rows, squares = d.T[:, member], b2.T[:, member]  # (N, K): one entry per column
-        x = (lower + upper) / 2.0
-        converged, live = np.zeros(len(x), dtype=bool), np.arange(len(x))
-        for _ in range(_NEWTON_CAP):
-            at = x[live]
-            negatives, total = _pivot_sums(rows, squares, at)
-            above = negatives > level[live]  # eigenvalue j lies below x
-            low, high = np.where(above, lower[live], at), np.where(above, at, upper[live])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = at - 1.0 / total
-            newton = (low <= step) & (step <= high)  # else bisect, and go on
-            step = np.where(newton, step, (low + high) / 2.0)
-            lower[live], upper[live], x[live] = low, high, step
-            moving = ~newton | (np.abs(step - at) > tol[live])
-            converged[live[~moving]] = True
-            if not moving.all():  # drop the converged entries' columns
-                live, rows, squares = live[moving], rows[:, moving], squares[:, moving]
-            if not live.size:
-                break
-        return converged, x, lower, upper
-
     # The first pass shares one bracket per member, the Gershgorin interval,
     # and gives it as many points as a later pass gives all N brackets.
     first = np.zeros(n, dtype=np.intp)
     lower, upper = refine(lo[:, None] - pad, hi[:, None] + pad, first, _POINTS * n)
     gaps = np.full((count, n + 1), np.inf)
     floor, unit = 2.0 * eps * scale, eps * scale
-    shifts = np.empty((count, n))
+    x = np.zeros((count, n))  # Newton's iterates; a polished entry's is its shift
     polished, failed = np.zeros((count, n), dtype=bool), np.zeros((count, n), dtype=bool)
     while True:
         gaps[:, 1:-1] = lower[:, 1:] - upper[:, :-1]
@@ -491,13 +472,28 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             lower, upper = np.where(active, refined[0], lower), np.where(active, refined[1], upper)
             continue
         if not separated.any():
-            shifts[~polished] = (lower[~polished] + upper[~polished]) / 2.0
-            return shifts, polished.all(axis=1)
-        entries = np.nonzero(separated)
-        stop = np.maximum(floor, (unit * gap**2) ** (1.0 / 3.0))[entries]
-        converged, x, low, high = polish(entries, lower[entries], upper[entries], stop)
-        lower[entries], upper[entries], shifts[entries] = low, high, x
-        polished[entries], failed[entries] = converged, ~converged
+            return np.where(polished, x, (lower + upper) / 2.0), polished.all(axis=1)
+        # One Newton round on every entry at once, entry (m, j) in column
+        # m N + j; a frozen entry keeps its x and its bracket.
+        stop = np.maximum(floor, (unit * gap**2) ** (1.0 / 3.0))
+        rows, squares = np.repeat(d.T, n, axis=1), np.repeat(b2.T, n, axis=1)
+        x, moving = np.where(polished, x, (lower + upper) / 2.0), separated.copy()
+        for _ in range(_NEWTON_CAP):
+            negatives, total = _pivot_sums(rows, squares, x.ravel())
+            above = negatives.reshape(count, n) > levels  # eigenvalue j lies below x
+            low, high = np.where(above, lower, x), np.where(above, x, upper)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = x - 1.0 / total.reshape(count, n)
+            newton = (low <= step) & (step <= high)  # else bisect, and go on
+            step = np.where(newton, step, (low + high) / 2.0)
+            lower, upper = np.where(moving, low, lower), np.where(moving, high, upper)
+            done = newton & (np.abs(step - x) <= stop)
+            x = np.where(moving, step, x)
+            moving &= ~done
+            if not moving.any():
+                break
+        polished |= separated & ~moving
+        failed |= moving
 
 
 def _start_vectors(n: int) -> np.ndarray:

@@ -237,8 +237,9 @@ def level_sweep(
     reference, which pairs by rank too.
 
     ``levels`` restricts the emitted records (default: all levels), in the
-    given order; they and the strengths are checked before any
-    diagonalization, and only the requested columns of the pass are read.
+    given order; they (at least one, else :class:`InsufficientData`) and
+    the strengths are checked before any diagonalization, and only the
+    requested columns of the pass are read.
     Records are ordered by the given grid order, then by level.  The
     diagonalization pass is shared with a following
     :func:`superposition_sweep` or level sweep on the same H and H' objects
@@ -246,6 +247,8 @@ def level_sweep(
     """
     dim = hamiltonian.dim
     selected = range(dim) if levels is None else [checked_index(n, "level", dim) for n in levels]
+    if not selected:
+        raise InsufficientData("need at least one level to sweep")
     grid, _, _, first, exact = _sweep(hamiltonian, perturbation, xs)
     return [
         SweepRecord(x, level, float(p[level]), float(e[level]))

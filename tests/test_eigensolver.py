@@ -526,7 +526,9 @@ def _batch_members(n):
     the batched solve: a diagonal member (no start), clusters, a split of
     1e-9, members whose Householder sub-columns count as reduced (exact
     zeros of a block-diagonal matrix, and a first sub-column of 1e-160),
-    dense members and members scaled by 1e100 and 1e-100."""
+    dense members and members scaled by 1e100 and 1e-100.  At n = 24 one
+    more dense member has an entry whose Newton steps all bisect, so that
+    every other entry of the stack stays frozen for the rest of the round."""
     cluster = np.repeat(np.arange(n // 4) - 2.5, 4) if n % 4 == 0 else [0.5, 0.5, 0.5, -1, 2, 3]
     split = np.linspace(-1.0, 3.0, n)
     split[1:3] = 0.5, 0.5 + 1e-9
@@ -544,6 +546,7 @@ def _batch_members(n):
         HermitianMatrix(1e100 * dense),
         HermitianMatrix(1e-100 * dense),
         random_hermitian(902 + n, n),
+        *([random_hermitian(1001822, n)] if n == 24 else []),
     ]
 
 
@@ -722,6 +725,28 @@ class TestMultisection:
         assert reports == [[False]]
         assert len(newton) == eigensolver._NEWTON_CAP
         assert calls in ([], [[0]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pivot_sums_columns_are_independent(self, n, k, seed):
+        # The Newton round evaluates its frozen entries beside the moving
+        # ones, so each column's count and sum must not depend on which
+        # other columns share the call: any subset, and each column alone
+        # (where a pairwise sum would round differently from N = 8 on),
+        # gives exactly those columns of the full call.
+        rng = np.random.default_rng(seed)
+        d, b2 = rng.uniform(-1.0, 1.0, (n, k)), rng.uniform(0.0, 0.5, (n - 1, k)) ** 2
+        x = rng.uniform(-1.5, 1.5, k)
+        full = eigensolver._pivot_sums(d, b2, x)
+        subset = rng.permutation(k)[: rng.integers(1, k + 1)]
+        for columns in [subset, *([j] for j in range(k))]:
+            part = eigensolver._pivot_sums(d[:, columns], b2[:, columns], x[columns])
+            for got, want in zip(part, full):
+                assert got.tobytes() == want[columns].tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -531,6 +531,12 @@ class TestLevelSweep:
             else:
                 level_sweep(H_2x2, HP_2x2, [])
 
+    def test_empty_levels_rejected_before_any_solve(self, monkeypatch):
+        # no level to emit: raise instead of a whole oracle solve that returns []
+        _forbid_solves(monkeypatch, "the levels were checked")
+        with pytest.raises(InsufficientData, match="at least one level"):
+            level_sweep(H_2x2, HP_2x2, levels=[])
+
     @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
     @pytest.mark.parametrize("dims", [(3, 4), (1, 4), (4, 1)], ids=["3-4", "1-4", "4-1"])
     def test_dim_mismatch_rejected_before_any_solve(self, monkeypatch, dims, superposition):
