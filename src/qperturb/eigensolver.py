@@ -118,24 +118,19 @@ class SpectralDecomposition:
         return self.eigenvectors @ b
 
 
-def _fix_phases(columns: np.ndarray) -> np.ndarray:
-    """Multiply each column of an orthonormal basis (or of each basis in a
-    ``(B, N, N)`` stack) by the unit scalar that makes its largest-magnitude
-    entry real and strictly positive.  Magnitudes are compared rounded to
-    single precision, ties broken by lowest index, so that entries of equal
-    magnitude in exact arithmetic (as in both eigenvectors of
-    ``[[0, 1], [1, 0]]``) are not told apart by the solver's roundoff."""
-    n = columns.shape[-1]
-    flat = columns.reshape(-1, n * n)
-    mags = np.abs(flat)
-    # Each column's pivot, as a flat index; lowest row on magnitude ties.
-    pivots = np.argmax(mags.reshape(-1, n, n).astype(np.float32), axis=1) * n + np.arange(n)
-    member = np.arange(len(flat))[:, None]
-    pivot_mags = mags[member, pivots]
-    out = flat.reshape(-1, n, n) * np.conj(flat[member, pivots] / pivot_mags)[:, None]
-    # exact: kill the pivots' roundoff imaginary parts
-    out.reshape(-1, n * n)[member, pivots] = pivot_mags
-    return out.reshape(columns.shape)
+def _fix_phases(basis: np.ndarray) -> np.ndarray:
+    """Multiply each column of one ``(N, N)`` orthonormal basis by the unit
+    scalar that makes its largest-magnitude entry real and strictly
+    positive.  Magnitudes are compared rounded to single precision, ties
+    broken by lowest index, so that entries of equal magnitude in exact
+    arithmetic (as in both eigenvectors of ``[[0, 1], [1, 0]]``) are not
+    told apart by the solver's roundoff."""
+    columns, mags = np.arange(len(basis)), np.abs(basis)
+    pivots = np.argmax(mags.astype(np.float32), axis=0)  # lowest row on magnitude ties
+    pivot_mags = mags[pivots, columns]
+    out = basis * np.conj(basis[pivots, columns] / pivot_mags)
+    out[pivots, columns] = pivot_mags  # exact: kill the pivots' roundoff imaginary parts
+    return out
 
 
 def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,11 +399,11 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Two paths.  A bracket is *separated* once ``_SEPARATION`` times its
     width is at most gap_j; it then leaves the passes.  Once no other
-    bracket needs one, a Newton round runs on the ``(B, N)`` bracket arrays
-    themselves, under one mask of *moving* entries that starts as the
-    separated ones.  The iterate x of every entry not yet polished starts
-    at its bracket's midpoint, and each step evaluates :func:`_pivot_sums`
-    at every entry at once.  A moving entry takes a safeguarded Newton step
+    bracket needs one, the one Newton round runs on the ``(B, N)`` bracket
+    arrays themselves, under one mask of *moving* entries that starts as
+    the separated ones.  Every entry's iterate x starts at its bracket's
+    midpoint, and each step evaluates :func:`_pivot_sums` at every entry
+    at once.  A moving entry takes a safeguarded Newton step
     on ``det(T - x I)``: the count of negative pivots at x moves one end of
     the bracket to x, a step that is not finite or leaves the bracket
     bisects instead, and the entry stops moving once a Newton step is at
@@ -420,10 +415,13 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     quadratically on a bracket that holds one eigenvalue: the last step is
     about the error of the iterate before it, and the error it leaves is
     about that step squared over gap_j, far below either width.  An entry
-    still moving after ``_NEWTON_CAP`` steps goes back to the passes, never
-    to Newton again, and refines to the passes' width.  Brackets that never
-    separate (clusters) refine to 2 eps scale.  The
-    squared off-diagonal is floored at the smallest normal float for the
+    still moving after ``_NEWTON_CAP`` steps goes back to the passes and
+    refines to the passes' width.  After the round no bracket separates:
+    the entries it gives back finish in the passes, and no other entry
+    would need a second round, as brackets only narrow, so gaps only grow
+    and a bracket narrow enough before the round stays so.  Brackets
+    that never separate (clusters) refine to 2 eps scale.  The squared
+    off-diagonal is floored at the smallest normal float for the
     counts (see :func:`_sturm_counts`), which moves no eigenvalue by more
     than 1.5e-154.  A bracket's arithmetic reads only its own member, so
     each member's shifts are bit-identical to a multisection of its own.
@@ -458,26 +456,27 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     lower, upper = refine(lo[:, None] - pad, hi[:, None] + pad, first, _POINTS * n)
     gaps = np.full((count, n + 1), np.inf)
     floor, unit = 2.0 * eps * scale, eps * scale
-    x = np.zeros((count, n))  # Newton's iterates; a polished entry's is its shift
-    polished, failed = np.zeros((count, n), dtype=bool), np.zeros((count, n), dtype=bool)
+    polished, x = np.zeros((count, n), dtype=bool), None  # the Newton round makes x
     while True:
         gaps[:, 1:-1] = lower[:, 1:] - upper[:, :-1]
         gap = np.maximum(np.minimum(gaps[:, :-1], gaps[:, 1:]), 0.0)
         width = upper - lower
         active = ~polished & (width > np.maximum(floor, np.sqrt(unit * gap)))
-        separated = active & ~failed & (_SEPARATION * width <= gap)
+        separated = active & (_SEPARATION * width <= gap) & (x is None)
         active &= ~separated
         if active.any():
             refined = refine(lower, upper, levels, _POINTS)
             lower, upper = np.where(active, refined[0], lower), np.where(active, refined[1], upper)
             continue
+        midpoints = (lower + upper) / 2.0
         if not separated.any():
-            return np.where(polished, x, (lower + upper) / 2.0), polished.all(axis=1)
-        # One Newton round on every entry at once, entry (m, j) in column
-        # m N + j; a frozen entry keeps its x and its bracket.
+            shifts = midpoints if x is None else np.where(polished, x, midpoints)
+            return shifts, polished.all(axis=1)
+        # The one Newton round, on every entry at once, entry (m, j) in
+        # column m N + j; a frozen entry keeps its x and its bracket.
         stop = np.maximum(floor, (unit * gap**2) ** (1.0 / 3.0))
         rows, squares = np.repeat(d.T, n, axis=1), np.repeat(b2.T, n, axis=1)
-        x, moving = np.where(polished, x, (lower + upper) / 2.0), separated.copy()
+        x, moving = midpoints, separated.copy()
         for _ in range(_NEWTON_CAP):
             negatives, total = _pivot_sums(rows, squares, x.ravel())
             above = negatives.reshape(count, n) > levels  # eigenvalue j lies below x
@@ -492,8 +491,7 @@ def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             moving &= ~done
             if not moving.any():
                 break
-        polished |= separated & ~moving
-        failed |= moving
+        polished = separated & ~moving
 
 
 def _start_vectors(n: int) -> np.ndarray:
@@ -609,10 +607,12 @@ def _start_basis(a: np.ndarray) -> np.ndarray:
 
 
 def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
-    """Ascending eigenvalues ``(B, N)`` and phase-fixed eigenvector columns
-    ``(B, N, N)`` of every member of a ``(B, N, N)`` stack of Hermitian
-    matrices: the one solve path, of which :func:`jacobi_eigendecompose` is
-    the B = 1 case.
+    """Ascending eigenvalues ``(B, N)`` of every member of a ``(B, N, N)``
+    stack of Hermitian matrices, and phase-fixed eigenvector columns
+    ``(N, N)`` of ``stack[0]`` alone: the one solve path, of which
+    :func:`jacobi_eigendecompose` is the B = 1 case.  Both callers read only
+    the first member's vectors (the sweeps' oracle puts H first); another
+    member's vectors are those of the stack rolled so that it comes first.
 
     The stack is read where it lies, in any layout, and never written.
     Each member A has the power of two s that puts ``||sA||_F`` in [0.5, 1),
@@ -624,20 +624,18 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     module docstring) and ``W = (Phi0^H (sA) Phi0 + h.c.) / 2``, nearly
     diagonal; one :func:`_diagonalize` call finishes and certifies them all
     in W and Phi0 in place, and their eigenvalues are ``diag(W) / s``.
-    Identity columns are built only when some member skips the start.  Every
-    step serves all members at once and reads only each member's own
+    Every step serves all members at once and reads only each member's own
     entries, so each member ends bit-identical to a solve of its own.
     Errors as for :func:`jacobi_eigendecompose`, for the first member that
     has one.
     """
     a = np.asarray(stack, dtype=np.complex128)  # read only, never written
-    count, n, _ = a.shape
     norms = _norms(a)[0]
     scales = np.ldexp(1.0, -np.frexp(norms)[1])  # 1 for a norm of 0
     tol = OFFDIAG_RTOL * norms * scales
     need = np.flatnonzero(_norms(a * scales[:, None, None])[1] > tol)
     eigenvalues = np.diagonal(a, axis1=1, axis2=2).real.copy()
-    vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape)  # a view, not a copy
+    vecs = np.eye(a.shape[1], dtype=np.complex128)
     if need.size:
         scaled = a[need] * scales[need, None, None]
         start = _start_basis(scaled)
@@ -647,15 +645,10 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
         w = (w + w.conj().swapaxes(1, 2)) / 2.0
         _diagonalize(w, start, tol[need], scales[need], max_sweeps)
         eigenvalues[need] = np.diagonal(w, axis1=1, axis2=2).real / scales[need, None]
-        if need.size < count:  # identity columns for the members that skipped the start
-            vecs = vecs.copy()
-            vecs[need] = start
-        else:
-            vecs = start
-    order = np.argsort(eigenvalues, axis=1, kind="stable")
-    member = np.arange(count)[:, None]
-    vecs = _fix_phases(vecs[member[:, None], np.arange(n)[:, None], order[:, None]])
-    return eigenvalues[member, order], vecs
+        if need[0] == 0:
+            vecs = start[0]
+    order = np.argsort(eigenvalues[0], kind="stable")
+    return np.sort(eigenvalues, axis=1, kind="stable"), _fix_phases(vecs[:, order])
 
 
 def jacobi_eigendecompose(
@@ -674,4 +667,4 @@ def jacobi_eigendecompose(
     back bit for bit: its diagonal, and identity columns in the same order.
     """
     eigenvalues, eigenvectors = _eigensystems(a.array[None], max_sweeps)
-    return SpectralDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
+    return SpectralDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors)

@@ -85,11 +85,20 @@ class HermitianMatrix:
 
     @property
     def frobenius_norm(self) -> float:
-        """``||A||_F`` as ``float(np.linalg.norm(array))``: ``inf``, with no
-        warning, when the squares overflow, ``0.0`` when they all underflow."""
+        """``||A||_F`` as ``float(np.linalg.norm(array))`` wherever that is
+        finite, ``0.0`` when the squares all underflow.  Where the squares
+        overflow, the norm is taken again with the entries scaled by 2^-e, e
+        the exponent of the largest real or imaginary part, and unscaled:
+        a finite norm above about 1.34e154 reads as itself, and one past the
+        largest float as ``inf``, with no warning."""
         if self._frobenius_norm is None:
             with np.errstate(over="ignore"):
-                self._frobenius_norm = float(np.linalg.norm(self._array))
+                norm = float(np.linalg.norm(self._array))
+                if norm == np.inf:  # ldexp scales exactly; math.ldexp would raise on overflow
+                    parts = np.stack([self._array.real, self._array.imag])
+                    e = np.frexp(np.abs(parts).max())[1]
+                    norm = float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e)), e))
+                self._frobenius_norm = norm
         return self._frobenius_norm
 
     def __repr__(self) -> str:

@@ -207,7 +207,7 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     stack = np.concatenate([hamiltonian.array[None], members])
     del members  # only the stack lives through the solve
     eigenvalues, eigenvectors = eigensolver._eigensystems(stack)
-    decomp = SpectralDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
+    decomp = SpectralDecomposition(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors)
     shifts = level_shifts(perturbation, decomp)
     if not np.isfinite(shifts).all():
         raise ValueError("matrix entries must be finite")

@@ -130,22 +130,39 @@ class TestPerturbCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ValueError: norm of b + x * corrections is not finite")
 
-    @pytest.mark.parametrize("exponent, error", [(600, "ValueError"), (500, "DegenerateDenominator")])
-    def test_overflowing_perturbation_norm_is_one_typed_error(self, tmp_path, exponent, error):
-        # Levels 0 and 1 of H are degenerate and H' couples them.  At 2^600
-        # ||H'||_F overflows, which would let every numerator pass as
-        # negligible: the run must fail fast, not print a = 0, and numpy's
-        # overflow warning must not reach stderr.
+    @pytest.mark.parametrize(
+        "coupling, error",
+        [(1.5 * 2.0**1023, "ValueError"), (2.0**500, "DegenerateDenominator"),
+         (2.0**600, "DegenerateDenominator")],
+        ids=["1023-ValueError", "500-DegenerateDenominator", "600-DegenerateDenominator"],
+    )
+    def test_overflowing_perturbation_norm_is_one_typed_error(self, tmp_path, coupling, error):
+        # Levels 0 and 1 of H are degenerate and H' couples them.  At
+        # 1.5 * 2^1023 ||H'||_F overflows, which would let every numerator
+        # pass as negligible: the run must fail fast, not print a = 0, and
+        # numpy's overflow warning must not reach stderr.  At 2^600 the
+        # squares overflow but the norm does not: the degeneracy is caught.
         h = tmp_path / "H.txt"
         hp = tmp_path / "Hp.txt"
         h.write_text("3\n1 0 0\n0 1 0\n0 0 2\n")
-        coupling = np.zeros((3, 3))
-        coupling[0, 1] = coupling[1, 0] = 2.0**exponent
-        hp.write_text(format_matrix(HermitianMatrix(coupling)))
+        matrix = np.zeros((3, 3))
+        matrix[0, 1] = matrix[1, 0] = coupling
+        hp.write_text(format_matrix(HermitianMatrix(matrix)))
         done = _run_module("perturb", str(h), str(hp), "--x", "1e-300", "--level", "0")
         assert done.returncode == 1 and done.stdout == b""
         lines = done.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
+
+    def test_perturbation_norm_whose_squares_overflow_is_accepted(self, capsys, tmp_path):
+        # ||H'||_F is about 1.4e160: finite, though its squares overflow, so
+        # the degeneracy guard holds and the first-order state comes out.
+        h = tmp_path / "H.txt"
+        hp = tmp_path / "Hp.txt"
+        h.write_text("3\n1 0 0\n0 2 0\n0 0 3\n")
+        hp.write_text("3\n0 1e160 0\n1e160 0 0\n0 0 0\n")
+        code, out, err = run_cli(capsys, "perturb", str(h), str(hp), "--x", "1e-170", "--level", "0")
+        assert code == 0 and err == ""
+        assert report_value(out, "a") == "(0,0), (-1e+160,-0), (-0,-0)"
 
     @pytest.mark.parametrize("command", ["perturb", "sweep"])
     def test_overflow_error_is_all_of_stderr(self, tmp_path, command):
@@ -396,6 +413,24 @@ class TestModelCommand:
         )
         assert code == 1
         assert "ParseError" in err
+
+    @pytest.mark.parametrize(
+        "potential, message",
+        [
+            ("linear", "potential must look like kind:value, got 'linear'"),
+            ("linear:abc", "bad potential value 'abc'"),
+        ],
+        ids=["no-value", "bad-value"],
+    )
+    def test_malformed_potential_rejected(self, capsys, tmp_path, potential, message):
+        code, out, err = run_cli(
+            capsys, "model", "box", "--levels", "2", "--width", "1.0",
+            "--potential", potential, "--out-h", str(tmp_path / "H.txt"),
+            "--out-hp", str(tmp_path / "Hp.txt"),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: ParseError: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("out_hp", ["M.txt", "./M.txt"])
     def test_same_output_file_rejected(self, capsys, tmp_path, monkeypatch, out_hp):

@@ -234,6 +234,12 @@ def _stack(matrices):
     return np.stack([np.asarray(m, dtype=np.complex128) for m in matrices])
 
 
+def _member_vectors(stack, b):
+    """Member b's eigenvectors from ``_eigensystems``, which returns only the
+    first member's: those of the stack rolled so that member b comes first."""
+    return eigensolver._eigensystems(np.roll(stack, -b, axis=0))[1]
+
+
 def _identity_start(a):
     """In place of the start basis: identities, so the finish sweeps from them."""
     return np.broadcast_to(np.eye(a.shape[1], dtype=np.complex128), a.shape).copy()
@@ -279,10 +285,10 @@ class TestStackedJacobi:
         calls.clear()
         stack = _stack([random_hermitian(600 + n, n).array, matrix.array,
                         np.diag(np.arange(n, 0, -1.0))])
-        values, vectors = eigensolver._eigensystems(stack)
+        values, _ = eigensolver._eigensystems(stack)
         assert [sweeps[1:] for sweeps in calls] == finished  # after the dense member 0
         assert values[1].tobytes() == solo.eigenvalues.tobytes()
-        assert vectors[1].tobytes() == solo.eigenvectors.tobytes()
+        assert _member_vectors(stack, 1).tobytes() == solo.eigenvectors.tobytes()
 
     @pytest.mark.parametrize("solve", [jacobi_eigendecompose], ids=["vectors"])
     def test_members_with_different_sweep_counts(self, monkeypatch, solve):
@@ -295,11 +301,13 @@ class TestStackedJacobi:
         near = np.diag(np.arange(n, dtype=float)) + 1e-3 * random_hermitian(71, n).array
         matrices = [random_hermitian(70, n).array, np.diag(np.arange(n, 0, -1.0)), near,
                     random_hermitian(72, n, 0.05).array, random_hermitian(73, n, 1e6).array]
-        values, vectors = eigensolver._eigensystems(_stack(matrices))
+        stack = _stack(matrices)
+        values, _ = eigensolver._eigensystems(stack)
         # one call for every member but the diagonal one
         (sweeps,) = calls
         assert len(sweeps) == len(matrices) - 1
         assert len(set(sweeps)) >= 3
+        vectors = [_member_vectors(stack, b) for b in range(len(matrices))]
         calls.clear()
         for b, matrix in enumerate(matrices):
             solo = solve(HermitianMatrix(matrix))
@@ -315,7 +323,7 @@ class TestStackedJacobi:
         # only the dense member reaches the finish, and it sweeps
         assert len(calls) == 1 and len(calls[0]) == 1 and calls[0][0] > 0
         assert values[0].tolist() == [-1.0, 0.5, 2.0]
-        assert np.array_equal(vectors[0], np.eye(3)[:, [1, 2, 0]])
+        assert np.array_equal(vectors, np.eye(3)[:, [1, 2, 0]])
 
     def test_all_diagonal_stack_takes_no_sweep(self, monkeypatch):
         calls = _counting_finish(monkeypatch)
@@ -508,12 +516,11 @@ class TestStartBasis:
         assert solo.eigenvectors.tobytes() == np.eye(3, dtype=np.complex128)[:, ::-1].tobytes()
         dense = random_hermitian(81, 3).array
         calls = _counting_finish(monkeypatch)
-        values, vectors = eigensolver._eigensystems(
-            _stack([dense, extreme, 1e100 * dense, 1e-100 * dense])
-        )
-        assert values[1].tobytes() == solo.eigenvalues.tobytes()
-        assert vectors[1].tobytes() == solo.eigenvectors.tobytes()
+        stack = _stack([dense, extreme, 1e100 * dense, 1e-100 * dense])
+        values, _ = eigensolver._eigensystems(stack)
         assert [len(sweeps) for sweeps in calls] == [3]  # the dense members only
+        assert values[1].tobytes() == solo.eigenvalues.tobytes()
+        assert _member_vectors(stack, 1).tobytes() == solo.eigenvectors.tobytes()
 
     def test_non_finite_start_rejected(self, monkeypatch):
         monkeypatch.setattr(eigensolver, "_start_basis", lambda a: np.full(a.shape, np.nan + 0j))
@@ -560,10 +567,12 @@ class TestBatchedSolve:
         solo = [jacobi_eigendecompose(m) for m in members]
         solo_calls = list(calls)
         calls.clear()
-        values, vectors = eigensolver._eigensystems(np.stack([m.array for m in members]))
+        stack = np.stack([m.array for m in members])
+        values, _ = eigensolver._eigensystems(stack)
         # one finishing call for every member but the diagonal one, each with its own count
         assert len(solo_calls) == len(members) - 1
         assert calls == [[sweeps for (sweeps,) in solo_calls]]
+        vectors = [_member_vectors(stack, b) for b in range(len(members))]
         for b, dec in enumerate(solo):
             # bit for bit: tobytes tells -0.0 from 0.0
             assert values[b].tobytes() == dec.eigenvalues.tobytes()
@@ -805,12 +814,13 @@ class TestInverseIteration:
         assert [(s[0], s[1]) for s in solo] == [
             ([1, 1], [1]), ([1, 1], [1, 1]), ([1, 1], [1])
         ]
-        solves, factorizations, values, vectors = self._counts(monkeypatch, _stack(members))
+        stack = _stack(members)
+        solves, factorizations, values, _ = self._counts(monkeypatch, stack)
         # one batch of all three members; the cluster alone between the steps
         assert solves == [3, 3] and factorizations == [1, 3]
         for b, (_, _, solo_values, solo_vectors) in enumerate(solo):
             assert values[b].tobytes() == solo_values[0].tobytes()
-            assert vectors[b].tobytes() == solo_vectors[0].tobytes()
+            assert _member_vectors(stack, b).tobytes() == solo_vectors.tobytes()
 
 
 class TestFixPhase:
@@ -852,6 +862,16 @@ class TestSpectralDecomposition:
         b = np.zeros(5, dtype=complex)
         b[2] = 1.0
         np.testing.assert_array_equal(dec.synthesize(b), dec.eigenvector(2))
+
+    @pytest.mark.parametrize(
+        "coefficients, shape",
+        [([1.0, 0.0], r"\(2,\)"), (np.eye(5), r"\(5, 5\)")],
+        ids=["short", "2-D"],
+    )
+    def test_synthesize_checks_the_coefficient_count(self, coefficients, shape):
+        dec = jacobi_eigendecompose(random_hermitian(4, 5))
+        with pytest.raises(DimensionMismatch, match=f"expected 5 coefficients, got {shape}"):
+            dec.synthesize(coefficients)
 
     def test_eigenvector_index_checked(self):
         dec = jacobi_eigendecompose(random_hermitian(5, 3))

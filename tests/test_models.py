@@ -111,6 +111,9 @@ class TestBoxHamiltonian:
             BoxModelSpec(2, -1.0)
         with pytest.raises(ParseError):
             BoxModelSpec(2, 1.0, "cubic", 1.0)
+        for strength in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="potential strength must be finite"):
+                BoxModelSpec(2, 1.0, "linear", strength)
         # width**2 overflows, or 2 * width**2 does
         for width in (1.35e154, np.float64(9.49e153), math.inf, math.nan):
             with pytest.raises(ValueError, match="2 \\* width\\*\\*2 finite"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ class TestMatrixElement:
             assert abs(z.imag) <= bound
             assert matrix_element(v, a, v).imag == 0
 
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            ([[1, 0]], [1, 0], r"expected a 1-D vector, got shape \(1, 2\)"),
+            ([1, 0], [], r"expected a 1-D vector, got shape \(0,\)"),
+            ([1, 0, 0], [1, 0], "dims disagree: bra 3, matrix 2, ket 2"),
+            ([1, 0], [1], "dims disagree: bra 2, matrix 2, ket 1"),
+        ],
+        ids=["bra-2-D", "ket-empty", "bra-3", "ket-1"],
+    )
+    def test_shape_checked(self, u, v, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            matrix_element(u, HermitianMatrix(SIGMA_X), v)
+
     @given(vector_pairs(), st.integers(0, 2**32 - 1))
     def test_conjugate_symmetry(self, pair, seed):
         # <u|A|v> = conj(<v|A|u>) for Hermitian A
@@ -131,7 +146,7 @@ class TestAddScaled:
             add_scaled(a, a, math.inf)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="matrix dims differ: 2 vs 3"):
             add_scaled(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)), 1.0)
 
 
@@ -218,9 +233,27 @@ class TestHermitianMatrix:
         norm = np.linalg.norm
         with np.errstate(over="ignore"):  # at 2^600 the squares overflow to inf
             expected = float(norm(m.array))
-            monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a) or norm(*a, **k))
-            first, second = m.frobenius_norm, m.frobenius_norm
-        assert len(calls) == 1
+        overflows = expected == math.inf
+        if overflows:  # the norm of the entries scaled by 2^-600, exactly, scaled back
+            expected = 2.0**600 * float(norm(m.array * 2.0**-600))
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a) or norm(*a, **k))
+        first, second = m.frobenius_norm, m.frobenius_norm
+        assert len(calls) == (2 if overflows else 1)  # the scaled norm only where needed
         assert type(first) is float
         assert first == expected
         assert second is first
+
+    @pytest.mark.parametrize(
+        "entry, expected",
+        [(1e160, math.sqrt(2.0) * 1e160), (1.5 * 2.0**1023, math.inf), (1.3e308, math.inf),
+         (1e300 + 1e300j, 2e300)],
+        ids=["1e160", "1.5*2^1023", "1.3e308", "complex-1e300"],
+    )
+    def test_frobenius_norm_past_the_squares_range(self, entry, expected):
+        # The squares overflow; the norm is finite unless it passes the
+        # largest float, where it reads inf with no warning.
+        coupling = np.zeros((3, 3), dtype=np.complex128)
+        coupling[0, 1], coupling[1, 0] = entry, np.conj(entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert HermitianMatrix(coupling).frobenius_norm == expected

@@ -77,6 +77,20 @@ class TestStateVector:
             StateVector(np.array([1.0, 1.0]))
         assert exc.value.norm == pytest.approx(math.sqrt(2))
 
+    @pytest.mark.parametrize(
+        "coefficients, error, message",
+        [
+            (np.eye(2), DimensionMismatch, r"expected a 1-D coefficient vector, got \(2, 2\)"),
+            ([], DimensionMismatch, r"expected a 1-D coefficient vector, got \(0,\)"),
+            ([1.0, math.nan], ValueError, "state coefficients must be finite"),
+            ([math.inf, 0.0], ValueError, "state coefficients must be finite"),
+        ],
+        ids=["2-D", "empty", "nan", "inf"],
+    )
+    def test_rejects_bad_coefficients(self, coefficients, error, message):
+        with pytest.raises(error, match=message):
+            StateVector(coefficients)
+
     def test_rejects_norm_squared_off_by_1e_8(self):
         with pytest.raises(NotNormalized):
             StateVector(np.array([math.sqrt(1.0 + 1e-8), 0.0]))
@@ -338,13 +352,27 @@ class TestCorrectionCoefficients:
         # raised before any product and with no numpy warning.
         decomp = jacobi_eigendecompose(HermitianMatrix(np.diag([1.0, 1.0, 2.0])))
         coupling = np.zeros((3, 3))
-        coupling[0, 1] = coupling[1, 0] = 2.0**600
+        coupling[0, 1] = coupling[1, 0] = 1.5 * 2.0**1023
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
                 correction_coefficients(
                     HermitianMatrix(coupling), decomp, StateVector.basis_state(3, 0), 1.0, 0.0
                 )
+
+    def test_perturbation_norm_whose_squares_overflow_keeps_the_guard(self):
+        # At 2^600 the squares of ||H'||_F overflow but the norm is finite:
+        # the degenerate pair's numerator is not negligible against it.
+        decomp = jacobi_eigendecompose(HermitianMatrix(np.diag([1.0, 1.0, 2.0])))
+        coupling = np.zeros((3, 3))
+        coupling[0, 1] = coupling[1, 0] = 2.0**600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDenominator) as exc:
+                correction_coefficients(
+                    HermitianMatrix(coupling), decomp, StateVector.basis_state(3, 0), 1.0, 0.0
+                )
+        assert exc.value.level == 1
 
     def test_degenerate_with_negligible_numerator_is_gauge_zero(self):
         # diagonal perturbation on degenerate levels: every numerator vanishes
@@ -413,6 +441,37 @@ class TestPerturbedState:
         b = StateVector.basis_state(4, 0)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             perturbed_state(b, np.array([0.0, -1.5e308, 0.0, 0.0]), 0.01)
+
+
+class TestDimensionChecks:
+    """Each step of first order checks that the dims of its state, basis,
+    matrices and arrays agree, and names them in the error."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda dec: expected_energy(StateVector.basis_state(3, 0), dec),
+             "state dim 3 vs basis dim 2"),
+            (lambda dec: level_shifts(HermitianMatrix(np.eye(3)), dec),
+             "perturbation dim 3 vs basis dim 2"),
+            (lambda dec: total_energy(0.0, np.zeros(3), StateVector.basis_state(2, 0), 0.1),
+             r"shift count \(3,\) vs state dim 2"),
+            (lambda dec: correction_coefficients(
+                HP_2x2, dec, StateVector.basis_state(3, 0), 0.0, 0.0),
+             "dims disagree: perturbation 2, basis 2, state 3"),
+            (lambda dec: perturbed_state(StateVector.basis_state(2, 0), np.zeros(3), 0.1),
+             r"correction count \(3,\) vs state dim 2"),
+            (lambda dec: residual_norm(H_2x2, HP_2x2, 0.1, 0.0, np.ones(3)),
+             r"state shape \(3,\) vs matrix dim 2"),
+            (lambda dec: residual_norm(H_2x2, HP_2x2, 0.1, 0.0, np.eye(2)),
+             r"state shape \(2, 2\) vs matrix dim 2"),
+        ],
+        ids=["expected_energy", "level_shifts", "total_energy", "correction_coefficients",
+             "perturbed_state", "residual_norm", "residual_norm-2-D"],
+    )
+    def test_mismatch_is_named(self, dec_2x2, call, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            call(dec_2x2)
 
 
 class TestResidualNorm:

@@ -381,6 +381,15 @@ class TestConvergenceOrder:
             fit_order([1e-1, -1e-2], [1e-3, 1e-4])
 
     @pytest.mark.parametrize(
+        "xs, errors",
+        [([1e-1, 1e-2], [1e-3]), ([[1e-1, 1e-2]], [[1e-3, 1e-4]])],
+        ids=["lengths", "2-D"],
+    )
+    def test_shapes_must_agree(self, xs, errors):
+        with pytest.raises(DimensionMismatch, match="xs and errors must be 1-D and equally long"):
+            fit_order(xs, errors)
+
+    @pytest.mark.parametrize(
         "errors",
         [
             [1e-2, math.nan, 1e-6],  # would fit slope 2.0 from the other two points
@@ -641,6 +650,19 @@ class TestRandomNondegeneratePair:
             vals = jacobi_eigendecompose(h).eigenvalues
             spread = vals[-1] - vals[0]
             assert np.diff(vals).min() >= 0.15 * spread
+
+    def test_dimension_one_needs_no_solve(self, monkeypatch):
+        # every 1x1 H has no gap to test, so the first draw is returned unsolved
+        expected = random_nondegenerate_pair(7, 1)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("diagonalized a 1x1 candidate")
+
+        monkeypatch.setattr(verify, "jacobi_eigendecompose", no_solve)
+        h, hp = random_nondegenerate_pair(7, 1)
+        assert h.dim == hp.dim == 1
+        assert h.array.tobytes() == expected[0].array.tobytes()
+        assert hp.array.tobytes() == expected[1].array.tobytes()
 
     def test_perturbation_scale_respected(self):
         _, hp = random_nondegenerate_pair(2, 6, perturbation_scale=0.1)

@@ -7,12 +7,11 @@ A mutant is one exact text replacement in one file of ``src/qperturb``.
 Each runs in a fresh temporary copy of ``src/``, ``tests/`` and
 ``pyproject.toml`` (which makes every warning an error), as
 ``python -m pytest -q -x -p no:cacheprovider -p no:hypothesispytest <test
-files>`` with the copy's ``src`` first on ``PYTHONPATH``.  Hypothesis's
-pytest plugin only adds reports; on a failing property it imports
-``libcst`` to suggest a patch, and an import warning there becomes an
-internal pytest error under that filter.  A mutant is killed when pytest
-reports a failing test; any other outcome than a failure or a pass (a
-collection error, say) counts against the list too.  Standard library only.
+files>`` with the copy's ``src`` first on ``PYTHONPATH``; Hypothesis's
+pytest plugin only adds reports, which no verdict reads.  A mutant is
+killed when pytest reports a failing test; any other outcome than a
+failure or a pass (a collection error, say) counts against the list too.
+Standard library only.
 
 Run from anywhere: ``python tools/mutants.py``.  Reference: DeMillo, Lipton
 & Sayward, "Hints on test data selection: help for the practicing
@@ -136,9 +135,9 @@ MUTANTS = [
         ("tests/test_eigensolver.py",),
     ),
     Mutant(
-        "failed entries not marked", EIGENSOLVER,
-        "        failed |= moving\n",
-        "",
+        "a second Newton round", EIGENSOLVER,
+        "separated = active & (_SEPARATION * width <= gap) & (x is None)",
+        "separated = active & (_SEPARATION * width <= gap)",
         ("tests/test_eigensolver.py",),
     ),
     Mutant(
@@ -158,6 +157,18 @@ MUTANTS = [
         "    _thomas_solve(multipliers, b, pivots, x)\n    return np.linalg.qr",
         "    return np.linalg.qr",
         ("tests/test_eigensolver.py",),
+    ),
+    Mutant(
+        "first member's start discarded", EIGENSOLVER,
+        "        if need[0] == 0:",
+        "        if False:",
+        ("tests/test_eigensolver.py",),
+    ),
+    Mutant(
+        "no scaled norm fallback", "src/qperturb/numkernel.py",
+        "                if norm == np.inf:",
+        "                if False:",
+        ("tests/test_numkernel.py", "tests/test_perturbation.py", "tests/test_cli.py"),
     ),
     Mutant(
         "identity start basis", EIGENSOLVER,
