@@ -2,12 +2,16 @@
 multisection start, finished and certified by parallel-order Jacobi rotations.
 
 No external eigensolver is used.  A solve first scales A by the power of two
-that puts ``||A||_F`` in [0.5, 1), exactly barring subnormals, so that every
-square that counts is clear of overflow and of the subnormals.  A matrix
-that already meets the tolerance below (a diagonal one) stops here,
-unscaled: its diagonal and the identity come back bit for bit.  Any other
-gets a near-exact eigenbasis Phi0 of the scaled matrix: a complex
-Householder reduction to a tridiagonal T (Golub & Van Loan, *Matrix
+``s = 2^-e`` that puts its largest real or imaginary part in [0.5, 1)
+(``numkernel._unit_scaled``), exactly barring subnormals, so that every
+square that counts is clear of overflow and of the subnormals, and A's
+norms are taken once, on sA.  So no finite matrix is refused for its size:
+the solve gives the same eigenvectors, and its eigenvalues scaled by the
+same power of two, at any scale, and only a spectrum past the largest float
+raises ``ValueError``.  A matrix that already meets the tolerance below (a
+diagonal one) stops here, unscaled: its diagonal and the identity come back
+bit for bit.  Any other gets a near-exact eigenbasis Phi0 of the scaled
+matrix: a complex Householder reduction to a tridiagonal T (Golub & Van Loan, *Matrix
 Computations*, section 8.3), a diagonal phase that makes T real symmetric,
 every eigenvalue of T from one vectorized Sturm-count multisection (Lo,
 Philippe & Sameh, 1987), eigenvectors from inverse iteration over all shifts
@@ -20,7 +24,7 @@ Clusters refine to machine precision.  Every member takes the same two steps
 and a QR re-orthonormalization after them; a member with a shift that Newton
 did not polish also takes a QR between the steps.  The returned eigenvalues
 come from the Rayleigh quotients on the diagonal of
-``W = Phi0^H (sA) Phi0``, divided by the scale s.  Jacobi then finishes W
+``W = Phi0^H (sA) Phi0``, scaled back by ``2^e``.  Jacobi then finishes W
 from Phi0 and is the convergence test: its sweeps of 2x2 complex rotations
 in the round-robin ordering of Brent & Luk (1985), each step rotating up to
 N/2 disjoint index pairs at once, run until the off-diagonal Frobenius norm
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
-from .numkernel import HermitianMatrix, checked_index
+from .numkernel import HermitianMatrix, _unit_scaled, checked_index
 
 # Convergence threshold for the off-diagonal Frobenius norm, relative to ||A||_F.
 OFFDIAG_RTOL = 1e-12
@@ -66,8 +70,6 @@ _POINTS = 15
 # multisection.
 _SEPARATION = 16.0
 _NEWTON_CAP = 8
-# The smallest Frobenius norm whose square is a normal float.
-_SMALLEST_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -139,13 +141,10 @@ def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each norm is summed over the member's own C-ordered entries, one BLAS dot
     per real and imaginary part as in ``np.linalg.norm``, so a member's norms
-    round the same for any B and any memory layout of the stack.  Raises
-    ``ValueError`` when some ``||A||_F`` overflows, or underflows while A is
-    not 0.  The sweeps square entries, and so do the norms: finite entries
-    such as ``1e200`` give an infinite norm and tolerance, and entries below
-    about ``1.5e-154`` square into zero or subnormals, so that the norm, the
-    tolerance and the off-diagonal norm all collapse.  Either way the matrix
-    would pass as converged with its diagonal as the spectrum.
+    round the same for any B and any memory layout of the stack.  The
+    squares are taken as they are: every stack that comes here is scaled
+    (see :func:`_eigensystems`), so that none overflows and none that counts
+    is subnormal.
     """
     count, n, _ = members.shape
     # A C-ordered copy, one row per member; its diagonal is zeroed below.
@@ -155,14 +154,9 @@ def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         re, im = flat.real[:, None], flat.imag[:, None]
         return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
-    with np.errstate(over="ignore"):
-        frobenius = norms()
-        if not np.isfinite(frobenius).all():
-            raise ValueError("matrix norm overflows: entries too large to diagonalize")
-        if ((frobenius < _SMALLEST_NORM) & flat.any(axis=1)).any():
-            raise ValueError("matrix norm underflows: entries too small to diagonalize")
-        flat[:, :: n + 1] = 0.0
-        return frobenius, norms()
+    frobenius = norms()
+    flat[:, :: n + 1] = 0.0
+    return frobenius, norms()
 
 
 def _round_robin_steps(n: int) -> np.ndarray:
@@ -228,14 +222,14 @@ def _sweep(a: np.ndarray, vecs: np.ndarray, steps: np.ndarray) -> None:
 
 
 def _diagonalize(
-    work: np.ndarray, vecs: np.ndarray, tol: np.ndarray, scales: np.ndarray, max_sweeps: int
+    work: np.ndarray, vecs: np.ndarray, tol: np.ndarray, exponents: np.ndarray, max_sweeps: int
 ) -> np.ndarray:
     """Run round-robin Jacobi sweeps in place on a C-contiguous
     ``(B, N, N)`` stack of B matrices, their rotations also applied to the
     columns of ``vecs`` (shaped like ``work``), until each member's
     off-diagonal norm is at most its tolerance ``tol``; return the number
     of sweeps of each member.  Member b is its matrix scaled by
-    ``scales[b]``, which only :class:`NoConvergence` reads.
+    ``2^-exponents[b]``, which only :class:`NoConvergence` reads.
 
     Each sweep runs (see :func:`_sweep`) on copies ``work[active]`` and
     ``vecs[active]`` of the members still above their tolerance and writes
@@ -253,7 +247,7 @@ def _diagonalize(
             return sweeps
         first = active[0]
         if sweeps[first] >= max_sweeps:
-            raise NoConvergence(int(sweeps[first]), float(off_norms[first] / scales[first]))
+            raise NoConvergence(int(sweeps[first]), float(np.ldexp(off_norms, exponents)[first]))
         if steps is None:  # once per solve, and only for a solve that sweeps
             steps = _round_robin_steps(work.shape[1])
         a, phi = work[active], vecs[active]  # C-ordered copies
@@ -271,8 +265,9 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``e`` ``(B, N - 1)`` and the unit reflector vectors ``u`` ``(B, N, N)``:
     row k of a member holds its ``u_k`` in entries ``k+1:`` and zeros
     elsewhere, so that ``A = Q T Q^H`` with ``Q = P_0 P_1 ... P_{N-3}``, where
-    ``P_k = I - 2 u_k u_k^H``.  Every ``||A||_F`` must be in [0.5, 1), so
-    that no squared norm overflows and none that counts is subnormal.
+    ``P_k = I - 2 u_k u_k^H``.  Every member's largest real or imaginary
+    part must be in [0.5, 1), so that ``0.5 <= ||A||_F < sqrt(2) N``: no
+    squared norm overflows and none that counts is subnormal.
 
     A sub-column ``x = A[k+1:, k]`` with ``||x|| <= eps * ||A||_F`` counts
     as reduced: it is set to 0 and its reflector is 0, which moves A by at
@@ -380,7 +375,8 @@ def _pivot_sums(d: np.ndarray, b2: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
 def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every eigenvalue, ascending, of each real symmetric tridiagonal
     matrix with diagonal ``d[m]`` and off-diagonal ``b[m] >= 0`` (``d`` is
-    ``(B, N)``), each scaled to a Frobenius norm below 1, as shifts for
+    ``(B, N)``), each from a matrix scaled as for :func:`_tridiagonalize`
+    (a Frobenius norm below ``sqrt(2) N``), as shifts for
     :func:`_inverse_iteration`; and, per member, whether Newton's method
     polished every one of its shifts.
 
@@ -580,7 +576,7 @@ def _inverse_iteration(
 
 def _start_basis(a: np.ndarray) -> np.ndarray:
     """Near-exact orthonormal eigenvectors of every member of a ``(B, N, N)``
-    stack of Hermitian matrices with ``||A||_F`` in [0.5, 1), columns in
+    stack of Hermitian matrices scaled as for :func:`_tridiagonalize`, columns in
     ascending eigenvalue order, for the finishing Jacobi sweeps to start
     from; each member bit-identical to a start of its own.
 
@@ -615,36 +611,41 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     member's vectors are those of the stack rolled so that it comes first.
 
     The stack is read where it lies, in any layout, and never written.
-    Each member A has the power of two s that puts ``||sA||_F`` in [0.5, 1),
-    exact barring subnormals, and the tolerance
-    ``OFFDIAG_RTOL * ||A||_F * s``.  A member whose sA already meets it
-    comes back as it is, its own diagonal with the identity as eigenvectors
-    (the scaled stack of the test is a temporary).  The others are scaled
-    once, into one array, and get one batched start basis Phi0 (see the
-    module docstring) and ``W = (Phi0^H (sA) Phi0 + h.c.) / 2``, nearly
-    diagonal; one :func:`_diagonalize` call finishes and certifies them all
-    in W and Phi0 in place, and their eigenvalues are ``diag(W) / s``.
+    Each member A is scaled once, into one array, by the power of two
+    ``s = 2^-e`` of its largest real or imaginary part
+    (``numkernel._unit_scaled``), exact barring subnormals; one
+    :func:`_norms` call on that array gives each member's tolerance
+    ``OFFDIAG_RTOL * ||sA||_F`` and its off-diagonal norm.  A member whose
+    sA already meets it comes back as it is, its own diagonal with the
+    identity as eigenvectors.  The others, gathered (the whole scaled stack
+    is dropped there), get one batched start basis Phi0 (see the module
+    docstring) and ``W = (Phi0^H (sA) Phi0 + h.c.) / 2``, nearly diagonal;
+    one :func:`_diagonalize` call finishes and certifies them all in W and
+    Phi0 in place, and their eigenvalues are ``np.ldexp(diag(W), e)``.
     Every step serves all members at once and reads only each member's own
-    entries, so each member ends bit-identical to a solve of its own.
-    Errors as for :func:`jacobi_eigendecompose`, for the first member that
-    has one.
+    entries, so each member ends bit-identical to a solve of its own, and a
+    member scaled by 2^k, entries kept normal, gives the same eigenvectors
+    and its eigenvalues scaled by 2^k, bit for bit.  Errors as for
+    :func:`jacobi_eigendecompose`, for the first member that has one.
     """
     a = np.asarray(stack, dtype=np.complex128)  # read only, never written
-    norms = _norms(a)[0]
-    scales = np.ldexp(1.0, -np.frexp(norms)[1])  # 1 for a norm of 0
-    tol = OFFDIAG_RTOL * norms * scales
-    need = np.flatnonzero(_norms(a * scales[:, None, None])[1] > tol)
+    scaled, e = _unit_scaled(a, axes=(1, 2))
+    frobenius, off = _norms(scaled)
+    need = np.flatnonzero(off > OFFDIAG_RTOL * frobenius)
     eigenvalues = np.diagonal(a, axis1=1, axis2=2).real.copy()
     vecs = np.eye(a.shape[1], dtype=np.complex128)
     if need.size:
-        scaled = a[need] * scales[need, None, None]
+        scaled, e = scaled[need], e[need, 0]  # the whole scaled stack is dropped here
         start = _start_basis(scaled)
         if not np.isfinite(start).all():
             raise ValueError("start basis is not finite")
         w = start.conj().swapaxes(1, 2) @ scaled @ start
         w = (w + w.conj().swapaxes(1, 2)) / 2.0
-        _diagonalize(w, start, tol[need], scales[need], max_sweeps)
-        eigenvalues[need] = np.diagonal(w, axis1=1, axis2=2).real / scales[need, None]
+        _diagonalize(w, start, OFFDIAG_RTOL * frobenius[need], e[:, 0], max_sweeps)
+        with np.errstate(over="ignore"):
+            eigenvalues[need] = np.ldexp(np.diagonal(w, axis1=1, axis2=2).real, e)
+        if not np.isfinite(eigenvalues).all():
+            raise ValueError("eigenvalues overflow: the spectrum passes the largest float")
         if need[0] == 0:
             vecs = start[0]
     order = np.argsort(eigenvalues[0], kind="stable")
@@ -658,11 +659,13 @@ def jacobi_eigendecompose(
 
     In the returned eigenbasis, A's off-diagonal Frobenius norm is at most
     ``OFFDIAG_RTOL * ||A||_F``; :class:`NoConvergence` is raised if that
-    takes more than ``max_sweeps`` finishing sweeps.  ``ValueError`` is
-    raised before any work if ``||A||_F`` overflows, or underflows while A
-    is not 0 (see :func:`_norms`), and before any rotation if the start
-    basis is not finite.  Deterministic: identical input gives bit-identical
-    output, the same as a member of an :func:`_eigensystems` stack.  A
+    takes more than ``max_sweeps`` finishing sweeps.  No finite A is
+    refused for the size of its entries or of its norm: ``ValueError`` is
+    raised only if an eigenvalue passes the largest float, as for
+    ``[[1e308, 1e308], [1e308, 1e308]]`` (``eigenvalues overflow: …``), or,
+    before any rotation, if the start basis is not finite.  Deterministic:
+    identical input gives bit-identical output, the same as a member of an
+    :func:`_eigensystems` stack.  A
     matrix that already meets the tolerance, such as a diagonal one, comes
     back bit for bit: its diagonal, and identity columns in the same order.
     """

@@ -5,6 +5,10 @@ Vectors are plain 1-D ``complex128`` numpy arrays.  Matrices enter through
 so everything downstream can rely on exact self-adjointness.  Matrix
 elements are conjugate-linear in the bra (physics convention):
 ``<u|A|v> = sum_ij conj(u_i) A[i,j] v_j``.
+
+Every computation that must work at any scale (the solver, the norms of
+matrices and states) scales by one rule, :func:`_unit_scaled`: exactly, by
+the power of two of the largest real or imaginary part.
 """
 
 from __future__ import annotations
@@ -47,6 +51,38 @@ def _as_vector(v) -> np.ndarray:
     return u
 
 
+def _unit_scaled(a: np.ndarray, axes=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(a 2^-e, e)`` for a complex array: e is the exponent that puts the
+    largest real or imaginary magnitude over ``axes`` (all of them by
+    default) in [0.5, 1), and 0 where that magnitude is 0.  e keeps the
+    reduced axes with size 1, so that it broadcasts against ``a``.  Each part
+    is scaled by ``np.ldexp``, exact barring subnormals; a factor ``2**-e``
+    would overflow for a subnormal peak."""
+    peaks = [np.abs(part).max(axes, keepdims=True, initial=0.0) for part in (a.real, a.imag)]
+    e = np.frexp(np.maximum(*peaks))[1]
+    scaled = np.empty_like(a)
+    scaled.real, scaled.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    return scaled, e
+
+
+def _norm(a: np.ndarray) -> float:
+    """The 2-norm of a complex array (the Frobenius norm of a matrix):
+    ``np.linalg.norm``'s value where that is at least 2^-500 and finite,
+    otherwise the norm of :func:`_unit_scaled` ``a``, scaled back.  From
+    2^-500 up the squared sum is at least 2^-1000, and each square rounded into
+    the subnormals (below 2^-1022) is off by at most 2^-1075, so n of them
+    move the sum by at most n 2^-75 of itself, below its own rounding for n
+    under 2^22.  So the value is right wherever it is finite (a vector
+    ``[1e-160, 0]`` would read 5.6e-6 low unscaled), 0 only for zeros, and
+    ``inf``, with no warning, only where it passes the largest float."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+        if not 2.0**-500 <= norm < np.inf:
+            scaled, e = _unit_scaled(a)
+            norm = float(np.ldexp(np.linalg.norm(scaled), e.item()))
+    return norm
+
+
 class HermitianMatrix:
     """Dense complex self-adjoint matrix on an N-dimensional basis.
 
@@ -85,20 +121,11 @@ class HermitianMatrix:
 
     @property
     def frobenius_norm(self) -> float:
-        """``||A||_F`` as ``float(np.linalg.norm(array))`` wherever that is
-        finite, ``0.0`` when the squares all underflow.  Where the squares
-        overflow, the norm is taken again with the entries scaled by 2^-e, e
-        the exponent of the largest real or imaginary part, and unscaled:
-        a finite norm above about 1.34e154 reads as itself, and one past the
-        largest float as ``inf``, with no warning."""
+        """``||A||_F`` by :func:`_norm`: a finite norm reads as itself however
+        large or small its squares, one past the largest float as ``inf``,
+        with no warning."""
         if self._frobenius_norm is None:
-            with np.errstate(over="ignore"):
-                norm = float(np.linalg.norm(self._array))
-                if norm == np.inf:  # ldexp scales exactly; math.ldexp would raise on overflow
-                    parts = np.stack([self._array.real, self._array.imag])
-                    e = np.frexp(np.abs(parts).max())[1]
-                    norm = float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e)), e))
-                self._frobenius_norm = norm
+            self._frobenius_norm = _norm(self._array)
         return self._frobenius_norm
 
     def __repr__(self) -> str:

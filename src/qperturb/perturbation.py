@@ -32,7 +32,7 @@ from .errors import (
     NotNormalized,
     ZeroVector,
 )
-from .numkernel import HermitianMatrix, add_scaled, checked_index
+from .numkernel import HermitianMatrix, _norm, _unit_scaled, add_scaled, checked_index
 
 # Unit-norm tolerance for StateVector coefficients.
 NORMALIZATION_ATOL = 1e-10
@@ -78,8 +78,8 @@ class StateVector:
     def from_unnormalized(cls, coefficients) -> "StateVector":
         """Normalize arbitrary nonzero finite coefficients into a StateVector.
 
-        The coefficients are first scaled by the exact power of two that
-        brings their largest real or imaginary magnitude into [0.5, 1), so
+        The coefficients are first scaled by :func:`numkernel._unit_scaled`,
+        so that their largest real or imaginary magnitude is in [0.5, 1) and
         the squares in the norm neither overflow nor underflow to zero.  The
         real and imaginary parts are then each divided by the norm.  (numpy
         divides a complex array by a real scalar through the scalar's
@@ -87,13 +87,10 @@ class StateVector:
         ``[0.98828125, 0]`` one ulp short of the unit vector.)  So a single
         nonzero entry normalizes to exactly the basis state.
         """
-        b = np.array(coefficients, dtype=np.complex128)
+        b = np.asarray(coefficients, dtype=np.complex128)
         if not np.isfinite(b).all():
             raise ValueError("state coefficients must be finite")
-        peak = max(np.abs(b.real).max(initial=0.0), np.abs(b.imag).max(initial=0.0))
-        # ldexp, not a factor 2**-k: that factor overflows for a subnormal peak.
-        exponent = -np.frexp(peak)[1]
-        b.real, b.imag = np.ldexp(b.real, exponent), np.ldexp(b.imag, exponent)
+        b = _unit_scaled(b)[0]
         norm = float(np.linalg.norm(b))
         if norm == 0.0:
             raise ZeroVector("cannot normalize the zero vector")
@@ -209,15 +206,17 @@ def perturbed_state(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-order state ``psi1 = b + x a`` in eigenbasis coordinates.
 
-    Returned unnormalized together with its normalized companion.  Raises
-    :class:`ZeroVector` when psi1 vanishes and ``ValueError`` when its norm
-    is not finite (overflow), so no silent zero "normalized" state is made.
+    Returned unnormalized together with its normalized companion.  The
+    norm is :func:`numkernel._norm`'s, right however large or small its
+    squares.  Raises :class:`ZeroVector` when psi1 vanishes and
+    ``ValueError`` when its norm is not finite (an entry or the norm itself
+    passes the largest float), so no silent zero "normalized" state is made.
     """
     a = np.asarray(corrections, dtype=np.complex128)
     if a.shape != (state.dim,):
         raise DimensionMismatch(f"correction count {a.shape} vs state dim {state.dim}")
     psi1 = state.coefficients + x * a
-    norm = float(np.linalg.norm(psi1))
+    norm = _norm(psi1)
     if norm == 0.0:
         raise ZeroVector(
             "x * corrections cancels the state exactly; strength is far outside "
@@ -239,22 +238,25 @@ def residual_norm(
 
     ``psi1`` must be given in the computational basis (the one H is written
     in); use :meth:`SpectralDecomposition.synthesize` on eigenbasis
-    coordinates first.  Raises ``ValueError`` when the norm of ``psi1`` is
-    not finite.
+    coordinates first.  The ratio does not change when psi1 is scaled, so
+    psi1 is first scaled by :func:`numkernel._unit_scaled`, which puts its
+    largest part in [0.5, 1): a finite psi1 is never refused for the size
+    of its norm, and the products overflow only where H + x H' itself is
+    too large.  Both norms are :func:`numkernel._norm`'s.  Raises
+    ``ValueError`` when psi1 has an entry that is not finite.
     """
-    v = np.asarray(psi1, dtype=np.complex128)
+    v = _unit_scaled(np.asarray(psi1, dtype=np.complex128))[0]
     if v.ndim != 1 or v.shape[0] != hamiltonian.dim:
         raise DimensionMismatch(
             f"state shape {v.shape} vs matrix dim {hamiltonian.dim}"
         )
-    norm = float(np.linalg.norm(v))
+    norm = _norm(v)
     if norm == 0.0:
         raise ZeroVector("residual of the zero vector is undefined")
     if not math.isfinite(norm):
         raise ValueError("state norm is not finite; its residual is undefined")
-    perturbed = add_scaled(hamiltonian, perturbation, x)
-    residual = perturbed.array @ v - total_energy_value * v
-    return float(np.linalg.norm(residual) / norm)
+    residual = add_scaled(hamiltonian, perturbation, x).array @ v - total_energy_value * v
+    return _norm(residual) / norm
 
 
 def first_order(

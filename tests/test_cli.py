@@ -117,7 +117,8 @@ class TestPerturbCommand:
         assert "DegenerateDenominator" in err
 
     def test_overflowing_state_norm_exit_code(self, capsys, tmp_path):
-        # ||H'||_F is finite, but ||b + x a|| overflows: no zero psi1_normalized
+        # ||H'||_F is finite, but x a_1 = 1e160 * -1e150 passes the largest
+        # float, and so does ||b + x a||: no zero psi1_normalized
         h = tmp_path / "H.txt"
         hp = tmp_path / "Hp.txt"
         h.write_text("4\n1 0 0 0\n0 2 0 0\n0 0 3 0\n0 0 0 4\n")
@@ -125,7 +126,7 @@ class TestPerturbCommand:
         hp.write_text(format_matrix(HermitianMatrix(1e150 * tridiagonal)))
         with np.errstate(all="ignore"):
             code, out, err = run_cli(
-                capsys, "perturb", str(h), str(hp), "--x", "1e10", "--level", "0"
+                capsys, "perturb", str(h), str(hp), "--x", "1e160", "--level", "0"
             )
         assert code == 1 and out == ""
         assert err.startswith("error: ValueError: norm of b + x * corrections is not finite")
@@ -164,16 +165,34 @@ class TestPerturbCommand:
         assert code == 0 and err == ""
         assert report_value(out, "a") == "(0,0), (-1e+160,-0), (-0,-0)"
 
+    def test_dense_pair_whose_squares_overflow_is_solved(self, tmp_path):
+        # A dense pair scaled by 1e200: every norm's squares overflow, yet the
+        # run exits 0 with nothing on stderr (no overflow warning), and its
+        # residual is 1e200 times the unit pair's, to roundoff.
+        residuals = []
+        for scale in (1.0, 1e200):
+            h, hp = tmp_path / f"H{scale}.txt", tmp_path / f"Hp{scale}.txt"
+            h.write_text(format_matrix(HermitianMatrix(scale * random_hermitian(1, 6).array)))
+            hp.write_text(format_matrix(HermitianMatrix(scale * random_hermitian(2, 6, 0.05).array)))
+            done = _run_module("perturb", str(h), str(hp), "--x", "0.01", "--level", "0")
+            assert done.returncode == 0 and done.stderr == b""
+            residuals.append(float(report_value(done.stdout.decode(), "residual")))
+        assert math.isfinite(residuals[1])
+        assert residuals[1] == pytest.approx(1e200 * residuals[0], rel=1e-8)
+
     @pytest.mark.parametrize("command", ["perturb", "sweep"])
     def test_overflow_error_is_all_of_stderr(self, tmp_path, command):
         # A fresh interpreter with the default warning filters, where numpy's
         # overflow warnings would reach stderr; the error line must be all of it.
+        # perturb: ||H'||_F overflows.  sweep: at x = 0.5 and 1 the largest
+        # eigenvalue of H + x H' is past the largest float.
         h = tmp_path / "H.txt"
         hp = tmp_path / "Hp.txt"
         h.write_text("4\n1 0 0 0\n0 2 0 0\n0 0 3 0\n0 0 0 4\n")
         tridiagonal = np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
         hp.write_text(format_matrix(HermitianMatrix(1.5e308 * tridiagonal)))
-        flags = ["--x", "0.01", "--level", "0"] if command == "perturb" else []
+        flags = {"perturb": ["--x", "0.01", "--level", "0"],
+                 "sweep": ["--x-min", "0.5", "--x-max", "1", "--points", "2"]}[command]
         done = _run_module(command, str(h), str(hp), *flags)
         assert done.returncode == 1 and done.stdout == b""
         lines = done.stderr.decode().splitlines()
@@ -349,14 +368,32 @@ class TestSweepCommand:
 
 class TestSpectrumCommand:
     def test_overflowing_norm_exit_code(self, tmp_path):
-        # finite entries whose norm overflows: no silent eigenvalues -1 and 1
+        # finite entries, but the eigenvalue 2e308 passes the largest float:
+        # no silent inf, and no warning on stderr
         h = tmp_path / "H.txt"
-        h.write_text("2\n1 1e200\n1e200 -1\n")
+        h.write_text("2\n1e308 1e308\n1e308 1e308\n")
         done = _run_module("spectrum", str(h))
         assert done.returncode == 1 and done.stdout == b""
         assert done.stderr.decode().splitlines() == [
-            "error: ValueError: matrix norm overflows: entries too large to diagonalize"
+            "error: ValueError: eigenvalues overflow: the spectrum passes the largest float"
         ]
+
+    @pytest.mark.parametrize(
+        "text, k",
+        [("2\n1 1e200\n1e200 -1\n", 665), ("2\n0 1e-200\n1e-200 0\n", -664)],
+        ids=["1e200", "1e-200"],
+    )
+    def test_norm_whose_squares_overflow_or_underflow_is_solved(self, tmp_path, text, k):
+        # Eigenvalues within 1e-12 relative of eigvalsh of the matrix scaled
+        # by the exact 2^-k, scaled back, and nothing on stderr.
+        h = tmp_path / "H.txt"
+        h.write_text(text)
+        done = _run_module("spectrum", str(h))
+        assert done.returncode == 0 and done.stderr == b""
+        out = done.stdout.decode()
+        levels = [float(report_value(out, f"eigenvalue_{m}")) for m in range(2)]
+        expected = np.ldexp(np.linalg.eigvalsh(parse_matrix(text).array * 2.0**-k), k)
+        np.testing.assert_allclose(levels, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("token", ["1_0", "\u0661\u0662"])
     def test_non_plain_number_rejected(self, tmp_path, token):

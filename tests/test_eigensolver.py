@@ -135,19 +135,21 @@ class TestJacobi:
             jacobi_eigendecompose(HermitianMatrix([[0, 1], [1, 0]]), max_sweeps=0)
         assert exc.value.sweeps == 0
 
-    @pytest.mark.parametrize("solve", [jacobi_eigendecompose], ids=["vectors"])
-    def test_overflowing_norm_rejected(self, solve):
-        # finite entries, but ||A||_F overflows: an infinite tolerance would
-        # return the diagonal (-1, 1) instead of about (-1e200, 1e200)
-        with pytest.raises(ValueError, match="matrix norm overflows"):
-            solve(HermitianMatrix([[1.0, 1e200], [1e200, -1.0]]))
+    def test_norm_whose_squares_overflow_is_solved(self):
+        # ||A||_F overflows unscaled: an infinite tolerance would return the
+        # diagonal (-1, 1) instead of about (-1e200, 1e200)
+        _assert_solved_at_scale(np.array([[1.0, 1e200], [1e200, -1.0]]), 665)
 
-    @pytest.mark.parametrize("solve", [jacobi_eigendecompose], ids=["vectors"])
-    def test_underflowing_norm_rejected(self, solve):
-        # ||A||_F squares into 0: a zero tolerance and off-diagonal norm would
-        # return the diagonal (0, 0) instead of (-1e-200, 1e-200)
-        with pytest.raises(ValueError, match="matrix norm underflows"):
-            solve(HermitianMatrix([[0.0, 1e-200], [1e-200, 0.0]]))
+    def test_norm_whose_squares_underflow_is_solved(self):
+        # ||A||_F squares into 0 unscaled: a zero tolerance and off-diagonal
+        # norm would return the diagonal (0, 0) instead of (-1e-200, 1e-200)
+        _assert_solved_at_scale(np.array([[0.0, 1e-200], [1e-200, 0.0]]), -664)
+
+    def test_overflowing_eigenvalue_rejected(self):
+        # The eigenvalues are 0 and 2e308: the larger one is past the
+        # largest float, so no spectrum can be returned (and no warning either).
+        with pytest.raises(ValueError, match="^eigenvalues overflow: "):
+            jacobi_eigendecompose(HermitianMatrix(np.full((2, 2), 1e308)))
 
     def test_norm_just_above_underflow_is_solved(self, monkeypatch):
         # ||A||_F passes the underflow check, but unscaled the off-diagonal
@@ -164,13 +166,17 @@ class TestJacobi:
         eigensolver._eigensystems(_stack([random_hermitian(97, 2).array, tiny]))
         assert calls[0][1] == 1
 
-    def test_underflowing_stack_member_rejected_before_any_rotation(self, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_start_basis", _no_start)
+    def test_underflowing_stack_member_rejected_before_any_rotation(self):
+        # A member whose squares underflow (entries near 2^-600) is solved,
+        # not refused: each member is solved at its own largest entry's
+        # scale, so it gives the dense member's bytes, its eigenvalues
+        # scaled by the same power of two, and the stack is not written.
         dense = random_hermitian(96, 6).array
-        stack = _stack([dense, 1e-160 * dense])
+        stack = _stack([dense, 2.0**-600 * dense])
         before = stack.copy()
-        with pytest.raises(ValueError, match="matrix norm underflows"):
-            eigensolver._eigensystems(stack)
+        values, vectors = eigensolver._eigensystems(stack)
+        assert values[1].tobytes() == np.ldexp(values[0], -600).tobytes()
+        assert _member_vectors(stack, 1).tobytes() == vectors.tobytes()
         assert np.array_equal(stack, before)
 
     def test_zero_matrix(self):
@@ -227,6 +233,18 @@ class TestJacobi:
             assert len(set(step.tolist())) == step.size  # disjoint within the step
             seen += zip(p.tolist(), q.tolist())
         assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def _assert_solved_at_scale(entries, k):
+    """The solve of ``entries`` against ``eigvalsh`` of the entries scaled by
+    the exact 2^-k: eigenvalues within 1e-12 relative, scaled back, and the
+    eigenvectors of the scaled matrix bit for bit."""
+    dec = jacobi_eigendecompose(HermitianMatrix(entries))
+    scaled = np.ldexp(entries, -k)
+    expected = np.ldexp(np.linalg.eigvalsh(scaled), k)
+    np.testing.assert_allclose(dec.eigenvalues, expected, rtol=1e-12, atol=0)
+    unit = jacobi_eigendecompose(HermitianMatrix(scaled))
+    assert dec.eigenvectors.tobytes() == unit.eigenvectors.tobytes()
 
 
 def _stack(matrices):
@@ -290,8 +308,7 @@ class TestStackedJacobi:
         assert values[1].tobytes() == solo.eigenvalues.tobytes()
         assert _member_vectors(stack, 1).tobytes() == solo.eigenvectors.tobytes()
 
-    @pytest.mark.parametrize("solve", [jacobi_eigendecompose], ids=["vectors"])
-    def test_members_with_different_sweep_counts(self, monkeypatch, solve):
+    def test_members_with_different_sweep_counts(self, monkeypatch):
         # A diagonal member, a nearly diagonal one and dense ones of very
         # different norms: members drop out after different sweeps, so the
         # others are gathered, and each keeps its own tolerance.
@@ -310,7 +327,7 @@ class TestStackedJacobi:
         vectors = [_member_vectors(stack, b) for b in range(len(matrices))]
         calls.clear()
         for b, matrix in enumerate(matrices):
-            solo = solve(HermitianMatrix(matrix))
+            solo = jacobi_eigendecompose(HermitianMatrix(matrix))
             assert values[b].tobytes() == solo.eigenvalues.tobytes()
             assert vectors[b].tobytes() == solo.eigenvectors.tobytes()
         assert calls == [[count] for count in sweeps]
@@ -331,12 +348,18 @@ class TestStackedJacobi:
         assert values.tolist() == [[1.0, 2.0], [-3.0, 3.0]]
         assert calls == []
 
-    def test_overflowing_member_rejected_before_any_rotation(self, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_start_basis", _no_start)
+    def test_overflowing_member_rejected_before_any_rotation(self):
+        # A member whose squares overflow (entries near 2^600) is solved
+        # like any other; only a member whose eigenvalues pass the largest
+        # float is refused, and the stack is not written either way.
         dense = random_hermitian(95, 6).array
-        stack = _stack([dense, 1e154 * dense])
+        stack = _stack([dense, 2.0**600 * dense])
+        values, vectors = eigensolver._eigensystems(stack)
+        assert values[1].tobytes() == np.ldexp(values[0], 600).tobytes()
+        assert _member_vectors(stack, 1).tobytes() == vectors.tobytes()
+        stack = _stack([dense, np.full((6, 6), 1e308)])  # an eigenvalue of 6e308
         before = stack.copy()
-        with pytest.raises(ValueError, match="matrix norm overflows"):
+        with pytest.raises(ValueError, match="^eigenvalues overflow: "):
             eigensolver._eigensystems(stack)
         assert np.array_equal(stack, before)
 
@@ -355,6 +378,47 @@ class TestStackedJacobi:
         with pytest.raises(NoConvergence) as small:
             jacobi_eigendecompose(HermitianMatrix(2.0**-40 * dense), max_sweeps=2)
         assert small.value.off_norm == 2.0**-40 * solo.value.off_norm
+
+
+def _power_of_two_range(a, eigenvalues):
+    """The k in [-1000, 1000] for which every nonzero real and imaginary
+    part of 2^k a is a normal float and every 2^k eigenvalue is finite."""
+    parts = np.abs(np.concatenate([a.real.ravel(), a.imag.ravel()]))
+    smallest = np.frexp(parts[parts > 0].min())[1]  # parts >= 2^(smallest - 1)
+    largest = np.frexp(np.abs(eigenvalues).max())[1]  # |eigenvalues| < 2^largest
+    return np.arange(max(-1000, -1021 - smallest), min(1000, 1024 - largest) + 1)
+
+
+class TestPowerOfTwoScaling:
+    """A solve scales each member by the power of two of its largest part,
+    so 2^k A gives A's eigenvectors and 2^k times its eigenvalues, bit for
+    bit, wherever the entries stay normal and the eigenvalues finite."""
+
+    @pytest.mark.parametrize("n", [2, 5, 24])
+    def test_every_power_of_two(self, n):
+        a = random_hermitian(40 + n, n).array
+        base = jacobi_eigendecompose(HermitianMatrix(a))
+        ks = _power_of_two_range(a, base.eigenvalues)
+        assert ks[0] < -990 and ks[-1] > 990
+        # Every k's eigenvalues from stacks (each member solves as on its
+        # own); eigenvectors from single solves at every 16th k and the ends.
+        for chunk in np.array_split(ks, 8):
+            values, _ = eigensolver._eigensystems(a * np.ldexp(1.0, chunk)[:, None, None])
+            assert values.tobytes() == np.ldexp(base.eigenvalues, chunk[:, None]).tobytes()
+        for k in [*ks[::16], ks[-1]]:
+            dec = jacobi_eigendecompose(HermitianMatrix(a * 2.0**k))
+            assert dec.eigenvalues.tobytes() == np.ldexp(base.eigenvalues, k).tobytes()
+            assert dec.eigenvectors.tobytes() == base.eigenvectors.tobytes()
+
+    def test_stack_of_mixed_scales_gives_solo_bytes(self):
+        matrices = [random_hermitian(97, 8).array, 2.0**-600 * random_hermitian(98, 8).array,
+                    random_hermitian(99, 8).array, 2.0**600 * random_hermitian(100, 8).array]
+        stack = _stack(matrices)
+        values, _ = eigensolver._eigensystems(stack)
+        for b, matrix in enumerate(matrices):
+            solo = jacobi_eigendecompose(HermitianMatrix(matrix))
+            assert values[b].tobytes() == solo.eigenvalues.tobytes()
+            assert _member_vectors(stack, b).tobytes() == solo.eigenvectors.tobytes()
 
 
 def _layout(kind):

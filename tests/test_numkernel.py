@@ -12,6 +12,7 @@ from qperturb.models import BoxModelSpec, box_hamiltonian, random_hermitian
 from qperturb.numkernel import (
     HERMITICITY_RTOL,
     HermitianMatrix,
+    _norm,
     add_scaled,
     matrix_element,
 )
@@ -214,34 +215,50 @@ class TestHermitianMatrix:
             m.array[0, 0] = 5.0
 
     @pytest.mark.parametrize(
-        "build",
+        "build, k",
         [
-            lambda: random_hermitian(3, 16),
-            lambda: box_hamiltonian(BoxModelSpec(12, math.pi, "linear", 1.0)),
-            lambda: HermitianMatrix(np.zeros((4, 4))),
+            (lambda: random_hermitian(3, 16), 0),
+            (lambda: box_hamiltonian(BoxModelSpec(12, math.pi, "linear", 1.0)), 0),
+            (lambda: HermitianMatrix(np.zeros((4, 4))), 0),
             *(
-                lambda e=e: HermitianMatrix(random_hermitian(4, 6).array * 2.0**e)
+                (lambda e=e: HermitianMatrix(random_hermitian(4, 6).array * 2.0**e), e)
                 for e in (500, -500, 600, -600)
             ),
-            lambda: add_scaled(random_hermitian(5, 8), random_hermitian(6, 8), 0.3),
+            (lambda: add_scaled(random_hermitian(5, 8), random_hermitian(6, 8), 0.3), 0),
         ],
         ids=["dense", "box", "zero", "2^500", "2^-500", "2^600", "2^-600", "add_scaled"],
     )
-    def test_frobenius_norm_computed_once(self, build, monkeypatch):
+    def test_frobenius_norm_computed_once(self, build, k, monkeypatch):
         m = build()
         calls = []
         norm = np.linalg.norm
-        with np.errstate(over="ignore"):  # at 2^600 the squares overflow to inf
-            expected = float(norm(m.array))
-        overflows = expected == math.inf
-        if overflows:  # the norm of the entries scaled by 2^-600, exactly, scaled back
-            expected = 2.0**600 * float(norm(m.array * 2.0**-600))
-        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a) or norm(*a, **k))
+        # The entries scaled by the exact 2^-k square with no overflow and
+        # no underflow that counts; scaled back, their norm is exact.  At
+        # 2^+-600 (the squares overflow, or all underflow) and for zeros the
+        # norm is taken a second time, on the scaled entries.
+        expected = math.ldexp(float(norm(m.array * 2.0**-k)), k)
+        rescaled = abs(k) == 600 or not m.array.any()
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append(a) or norm(*a, **kw))
         first, second = m.frobenius_norm, m.frobenius_norm
-        assert len(calls) == (2 if overflows else 1)  # the scaled norm only where needed
+        assert len(calls) == (2 if rescaled else 1)  # the scaled norm only where needed
         assert type(first) is float
         assert first == expected
         assert second is first
+
+    @pytest.mark.parametrize("n", [2, 5, 24])
+    def test_norm_commutes_with_powers_of_two(self, n):
+        # For every k in [-1000, 1000] where each nonzero part of 2^k a is
+        # a normal float and the norm is finite, bit for bit: the squares
+        # of the smallest parts underflow over part of that range, and the
+        # largest overflow over another.
+        a = random_hermitian(40 + n, n).array
+        norm = _norm(a)
+        parts = np.abs(np.concatenate([a.real.ravel(), a.imag.ravel()]))
+        low = -1021 - np.frexp(parts[parts > 0].min())[1]
+        high = 1024 - np.frexp(norm)[1]
+        assert low < -990 and high > 990
+        for k in range(max(-1000, low), min(1000, high) + 1):
+            assert _norm(a * 2.0**k) == np.ldexp(norm, k)
 
     @pytest.mark.parametrize(
         "entry, expected",

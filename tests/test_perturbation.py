@@ -437,10 +437,17 @@ class TestPerturbedState:
             perturbed_state(b, np.array([-10.0, 0.0]), 0.1)
 
     def test_overflowing_norm_rejected(self):
-        # psi1 is finite, but its norm overflows; dividing by it would give zeros
+        # A psi1 whose squares overflow has a finite norm, and normalizes as
+        # its copy scaled by the exact 2^-1000 does.  One with an entry past
+        # the largest float (x a overflows) has none: dividing by it would
+        # give zeros and NaN.
         b = StateVector.basis_state(4, 0)
+        corrections = np.array([0.0, -1.5e308, 0.0, 0.0])
+        psi1, normalized = perturbed_state(b, corrections, 0.01)
+        scaled = psi1 * 2.0**-1000
+        assert normalized.tobytes() == (scaled / np.linalg.norm(scaled)).tobytes()
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
-            perturbed_state(b, np.array([0.0, -1.5e308, 0.0, 0.0]), 0.01)
+            perturbed_state(b, corrections, 10.0)
 
 
 class TestDimensionChecks:
@@ -511,8 +518,16 @@ class TestResidualNorm:
             residual_norm(H_2x2, HP_2x2, 0.1, 0.0, np.zeros(2))
 
     def test_overflowing_norm_rejected(self):
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
-            residual_norm(H_2x2, HP_2x2, 0.1, 0.0, np.array([1.0, 1.5e306]))
+        # The ratio does not change when psi1 is scaled, so a psi1 whose
+        # squares overflow, or whose norm does, has its residual: with E1 = 0,
+        # (H + 0.1 H') psi1 = (0.1 psi1_1, 0.1 psi1_0 + 2 psi1_1).  Only a
+        # psi1 with an entry that is not finite is refused.
+        for psi1, expected in [([1.0, 1.5e306], math.sqrt(4.01)),
+                               ([1.5e308, 1.5e308], math.sqrt(4.42 / 2.0))]:
+            residual = residual_norm(H_2x2, HP_2x2, 0.1, 0.0, np.array(psi1))
+            assert residual == pytest.approx(expected, rel=1e-15)
+        with pytest.raises(ValueError, match="not finite"):
+            residual_norm(H_2x2, HP_2x2, 0.1, 0.0, np.array([1.0, np.inf]))
 
 
 class TestFirstOrderResult:

@@ -563,17 +563,19 @@ class TestLevelSweep:
 
     @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
     def test_overflowing_perturbation_rejected_before_oracle(self, monkeypatch, superposition):
-        h = HermitianMatrix(np.diag([1.0, 2.0, 3.0, 4.0]))
-        # passes HermitianMatrix's checks, but H + 2 H' overflows, and so does
-        # the Frobenius norm of H + 0.1 H'
+        # H' passes HermitianMatrix's checks, but 2 H' overflows; and at
+        # x = 0.1 of the default grid, so does H + x H' once H has an entry
+        # near the largest float, although neither term does.
         hp = HermitianMatrix(1.5e308 * (np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)))
         solves = _counting_solves(monkeypatch)
-        for xs, message in [
-            ((0.1, 2.0), "matrix entries must be finite"),
-            (DEFAULT_X_GRID, "matrix norm overflows"),
+        for h, xs in [
+            (HermitianMatrix(np.diag([1.0, 2.0, 3.0, 4.0])), (0.1, 2.0)),
+            (HermitianMatrix(np.diag([1.0, 2.0, 3.0, 1.7e308])), DEFAULT_X_GRID),
         ]:
             verify._eigenbasis_pass.cache_clear()
-            with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="matrix entries must be finite"
+            ):
                 if superposition:
                     superposition_sweep(h, hp, StateVector.basis_state(4, 0), xs)
                 else:
@@ -595,14 +597,27 @@ class TestLevelSweep:
     @pytest.mark.parametrize("superposition", [False, True], ids=["levels", "superposition"])
     def test_overflowing_oracle_norm_rejected(self, superposition):
         h = HermitianMatrix(np.diag([1.0, 2.0, 3.0, 4.0]))
-        # the stack is finite, but the x = 0.1 member's Frobenius norm overflows
-        hp = HermitianMatrix(1e155 * (np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)))
-        verify._eigenbasis_pass.cache_clear()
-        with pytest.raises(ValueError, match="matrix norm overflows"):
+        tridiagonal = np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
+        state = StateVector.basis_state(4, 0)
+
+        def sweep(hp, xs=DEFAULT_X_GRID):
+            verify._eigenbasis_pass.cache_clear()
             if superposition:
-                superposition_sweep(h, hp, StateVector.basis_state(4, 0))
-            else:
-                level_sweep(h, hp)
+                return superposition_sweep(h, hp, state, xs)
+            return level_sweep(h, hp, xs, [0])
+
+        # The x = 0.1 member's squares overflow, but its spectrum is finite:
+        # the exact column is eigvalsh of the member scaled by the exact
+        # 2^-520, scaled back.
+        records = sweep(HermitianMatrix(1e155 * tridiagonal))
+        for record in records:
+            member = h.array + record.x * 1e155 * tridiagonal
+            expected = np.ldexp(np.linalg.eigvalsh(member * 2.0**-520), 520)[0]
+            assert record.exact == pytest.approx(expected, rel=1e-12)
+        # At x = 1 the largest eigenvalue is 1.5e308 (1 + 2 cos(pi / 5)),
+        # past the largest float.
+        with pytest.raises(ValueError, match="^eigenvalues overflow: "):
+            sweep(HermitianMatrix(1.5e308 * tridiagonal), (1.0,))
 
     @pytest.mark.parametrize("name", ["dense-24", "box-12"])
     def test_perturbative_column_is_first_order_bitwise(self, name):

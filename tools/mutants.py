@@ -165,10 +165,16 @@ MUTANTS = [
         ("tests/test_eigensolver.py",),
     ),
     Mutant(
-        "no scaled norm fallback", "src/qperturb/numkernel.py",
-        "                if norm == np.inf:",
-        "                if False:",
-        ("tests/test_numkernel.py", "tests/test_perturbation.py", "tests/test_cli.py"),
+        "no unit scaling", "src/qperturb/numkernel.py",
+        "e = np.frexp(np.maximum(*peaks))[1]",
+        "e = 0 * np.frexp(np.maximum(*peaks))[1]",
+        ("tests/test_eigensolver.py", "tests/test_numkernel.py"),
+    ),
+    Mutant(
+        "eigenvalue overflow unchecked", EIGENSOLVER,
+        "        if not np.isfinite(eigenvalues).all():",
+        "        if False:",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "identity start basis", EIGENSOLVER,

@@ -4,7 +4,9 @@ Jacobi sweeps and the best-of-k time; exit 1 when any solve takes a
 finishing sweep.
 
 Solves: dense ``random_hermitian(1, N)`` at N = 2, 8, 32 and 128 (one
-matrix each); the N = 24 oracle stack of a level sweep, H =
+matrix each), and the N = 32 one scaled by 2^600 and by 2^-600, whose
+counts must be the unscaled one's (a solve runs at its largest entry's
+scale); the N = 24 oracle stack of a level sweep, H =
 ``random_hermitian(1, 24)`` and every ``H + x H'`` of the default grid with
 H' = ``random_hermitian(2, 24, 0.05)``; and two solves whose shifts Newton's
 method does not all polish, so that inverse iteration takes its QR between
@@ -12,6 +14,10 @@ steps: six 4-fold levels at N = 24, ``U diag(E) U^H`` with U the Q factor of
 a seeded complex Gaussian matrix, and
 ``random_hermitian(33, 12) + 3e-3 random_hermitian(34, 12, 0.05)``, where
 every Newton step of one eigenvalue overshoots its bracket and bisects.
+Last, four 64-fold levels at N = 256, built the same way: its start basis
+leaves an off-diagonal norm about a fifth of the finishing tolerance, the
+closest of these rows, so a drift in the start shows here first as a
+finishing sweep.
 Passes are calls of the Sturm counts, Newton steps calls of the pivot sums,
 solves calls of the Thomas recurrences and QR the batched factorizations;
 each call serves every member of its batch.  Sweeps are the most that any
@@ -72,6 +78,15 @@ def counted(solve):
     return counts
 
 
+def prescribed(levels, seed):
+    """The ``(1, N, N)`` stack of ``U diag(levels) U^H``, U the Q factor of a
+    complex Gaussian matrix drawn with ``seed``."""
+    n = len(levels)
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return HermitianMatrix((u * levels) @ u.conj().T).array[None]
+
+
 def best_time(solve, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -86,15 +101,15 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=10, help="timed solves per case (k)")
     args = parser.parse_args()
     solves = {f"dense N = {n}": random_hermitian(1, n).array[None] for n in (2, 8, 32, 128)}
+    for k in (600, -600):
+        solves[f"dense N = 32 x 2^{k}"] = solves["dense N = 32"] * 2.0**k
     h, hp = random_hermitian(1, 24), random_hermitian(2, 24, 0.05)
     members = [h.array, *(add_scaled(h, hp, x).array for x in DEFAULT_X_GRID)]
     solves[f"oracle N = 24, B = {len(members)}"] = np.stack(members)
-    rng = np.random.default_rng(3)
-    u = np.linalg.qr(rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24)))[0]
-    levels = np.repeat(np.arange(6.0) - 2.5, 4)
-    solves["clusters N = 24"] = HermitianMatrix((u * levels) @ u.conj().T).array[None]
+    solves["clusters N = 24"] = prescribed(np.repeat(np.arange(6.0) - 2.5, 4), 3)
     h, hp = random_hermitian(33, 12), random_hermitian(34, 12, 0.05)
     solves["Newton fails N = 12"] = add_scaled(h, hp, 3e-3).array[None]
+    solves["clusters N = 256"] = prescribed(np.repeat(np.arange(4.0) - 1.5, 64), 4)
     columns = [*COUNTED, "qr", "sweeps"]
     print(f"{'solve':<22} " + " ".join(f"{c:>6}" for c in columns)
           + f" {'best of ' + str(args.repeats):>11}")
