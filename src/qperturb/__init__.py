@@ -1,10 +1,10 @@
 """First-order perturbation of dense Hermitian matrices.
 
 Build H and H', diagonalize H with the built-in eigensolver (a Householder /
-multisection start basis that Jacobi rotations finish and certify), expand
-a state over the eigenbasis, and get first-order energies and the corrected
-eigenstate; every result can be checked against exact diagonalization of
-H + x H' with quantitative convergence-order fits.
+multisection start basis, restarted from itself until its off-diagonal norm
+certifies it), expand a state over the eigenbasis, and get first-order
+energies and the corrected eigenstate; every result can be checked against
+exact diagonalization of H + x H' with quantitative convergence-order fits.
 """
 
 from .errors import (

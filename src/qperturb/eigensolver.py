@@ -1,5 +1,6 @@
 """Full spectral decomposition of Hermitian matrices: a Householder /
-multisection start, finished and certified by parallel-order Jacobi rotations.
+multisection start basis, restarted from itself until its off-diagonal
+norm certifies it.
 
 No external eigensolver is used.  A solve first scales A by the power of two
 ``s = 2^-e`` that puts its largest real or imaginary part in [0.5, 1)
@@ -24,16 +25,15 @@ Clusters refine to machine precision.  Every member takes the same two steps
 and a QR re-orthonormalization after them; a member with a shift that Newton
 did not polish also takes a QR between the steps.  The returned eigenvalues
 come from the Rayleigh quotients on the diagonal of
-``W = Phi0^H (sA) Phi0``, scaled back by ``2^e``.  Jacobi then finishes W
-from Phi0 and is the convergence test: its sweeps of 2x2 complex rotations
-in the round-robin ordering of Brent & Luk (1985), each step rotating up to
-N/2 disjoint index pairs at once, run until the off-diagonal Frobenius norm
-is at most ``OFFDIAG_RTOL * ||sA||_F``.  From a good start that holds with
-no sweep at all; a poor one (clusters, pivot trouble) is rotated until it holds, so it
-is never returned as is.  The finish certifies only the off-diagonal of W,
-so Phi0 must be unitary to roundoff, and is by construction: reflectors kept
-unitary (a negligible sub-column counts as reduced), a diagonal phase and QR
-factors.
+``W = Phi0^H (sA) Phi0``, scaled back by ``2^e``.  The certificate is W's
+off-diagonal Frobenius norm: a solve ends only once it is at most
+``OFFDIAG_RTOL * ||sA||_F``.  From a good start that holds at once; a poor
+one (clusters, pivot trouble) is restarted from W itself, with S the start
+basis of W, ``Phi <- Phi S`` and ``W <- S^H W S``, until it holds, so it is
+never returned as is.  The certificate covers only the off-diagonal of W,
+so Phi must be unitary to roundoff, and is by construction: reflectors kept
+unitary (a negligible sub-column counts as reduced), a diagonal phase, QR
+factors and products of such bases.
 
 Eigenvalues are returned ascending, eigenvector columns permuted in
 lockstep, and each column's phase is fixed so results are deterministic and
@@ -60,7 +60,8 @@ from .numkernel import HermitianMatrix, _unit_scaled, checked_index
 
 # Convergence threshold for the off-diagonal Frobenius norm, relative to ||A||_F.
 OFFDIAG_RTOL = 1e-12
-DEFAULT_MAX_SWEEPS = 100
+# Restarts allowed before NoConvergence: a stalled input fails after a few solves.
+DEFAULT_MAX_SWEEPS = 4
 # Sturm-count points per interval in a multisection pass (4 bits per pass);
 # the first pass puts _POINTS * N points in each member's one interval.
 _POINTS = 15
@@ -159,101 +160,39 @@ def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return frobenius, norms()
 
 
-def _round_robin_steps(n: int) -> np.ndarray:
-    """One sweep of the round-robin ordering of Brent & Luk (1985): a
-    ``(steps, 2, N // 2)`` array whose row ``i`` holds step ``i``'s disjoint
-    index pairs as ``[p, q]``, with ``p < q``.
-
-    Index 0 stays put while the others rotate one place per step, so the
-    N - 1 steps (N with a dummy index for odd N, its pairs left out) visit
-    every pair exactly once.
-    """
-    m = n + n % 2
-    steps = m - 1 if n > 1 else 0
-    players = np.zeros((steps, m), dtype=np.intp)
-    players[:, 1:] = (np.arange(m - 1) - np.arange(steps)[:, None]) % (m - 1) + 1
-    ends = players[:, : m // 2], players[:, : m // 2 - 1 : -1]
-    p, q = np.minimum(*ends), np.maximum(*ends)
-    real = q < n
-    return np.stack([p[real].reshape(steps, n // 2), q[real].reshape(steps, n // 2)], axis=1)
-
-
-def _sweep(a: np.ndarray, vecs: np.ndarray, steps: np.ndarray) -> None:
-    """One round-robin sweep in place on a C-contiguous ``(B, N, N)`` stack
-    ``a``, its rotations also applied to the columns of ``vecs`` (shaped
-    like ``a``).  ``steps[i]`` is step i's ``[p, q]``, a ``(2, N // 2)``
-    array of its index pairs (see :func:`_round_robin_steps`).
-
-    A step rotates columns p and q of A and Phi (``A <- AJ``,
-    ``Phi <- Phi J``), then rows p and q of A (``A <- J^H A``), and then
-    sets the pivots A[p,q], A[q,p] and the imaginary parts of A[p,p],
-    A[q,q] to 0, the rotations' exact post-conditions.
-    """
-    count, n, _ = a.shape
-    diagonal_imag = a.reshape(count, n * n).imag[:, :: n + 1]  # a view: a is C-contiguous
-    for pairs in steps:
-        p, q = pairs
-        app, aqq, apq = a[:, p, p].real, a[:, q, q].real, a[:, p, q]
-        r = np.abs(apq)
-        zero = r == 0.0  # already annihilated: identity rotation
-        r[zero] = 1.0
-        phase = apq / r
-        phase[zero] = 1.0
-        tau = (aqq - app) / (2.0 * r)
-        tau[zero] = np.inf  # so that t = 0
-        t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-        c = 1.0 / np.hypot(1.0, t)
-        # [c, s] as complex numbers, so the products below need no casts;
-        # their imaginary parts are +0.
-        cs = np.array([c, t * c], dtype=np.complex128)
-        # Unitaries on the (p,q) planes: [[c, s], [-s*conj(phase), c*conj(phase)]].
-        # sc_conj = [s*conj(phase), c*conj(phase)], sc = [s*phase, c*phase].
-        sc_conj, sc = cs[::-1] * np.conj(phase), cs[::-1] * phase
-        for m in (a, vecs):  # A <- AJ and Phi <- Phi J: columns p and q
-            new, tmp = cs[:, :, None] * m[:, :, p], sc_conj[:, :, None] * m[:, :, q]
-            m[:, :, p] = new[0] - tmp[0]
-            m[:, :, q] = new[1] + tmp[1]
-        # A <- J^H A: rows p and q.
-        new, tmp = cs[..., None] * a[:, p], sc[..., None] * a[:, q]
-        a[:, p] = new[0] - tmp[0]
-        a[:, q] = new[1] + tmp[1]
-        a[:, pairs, pairs[::-1]] = 0.0
-        diagonal_imag[:, pairs] = 0.0
-
-
 def _diagonalize(
     work: np.ndarray, vecs: np.ndarray, tol: np.ndarray, exponents: np.ndarray, max_sweeps: int
 ) -> np.ndarray:
-    """Run round-robin Jacobi sweeps in place on a C-contiguous
-    ``(B, N, N)`` stack of B matrices, their rotations also applied to the
-    columns of ``vecs`` (shaped like ``work``), until each member's
-    off-diagonal norm is at most its tolerance ``tol``; return the number
-    of sweeps of each member.  Member b is its matrix scaled by
-    ``2^-exponents[b]``, which only :class:`NoConvergence` reads.
+    """Certify a ``(B, N, N)`` stack W of B nearly diagonal matrices:
+    restart each member in place, and its columns of ``vecs`` (shaped like
+    ``work``), until its off-diagonal norm is at most its tolerance
+    ``tol``; return the number of restarts of each member.  Member b is
+    its matrix scaled by ``2^-exponents[b]``, which only
+    :class:`NoConvergence` reads.
 
-    Each sweep runs (see :func:`_sweep`) on copies ``work[active]`` and
-    ``vecs[active]`` of the members still above their tolerance and writes
-    them back, so each numpy call of a step serves all active members at
-    once.  A member is rotated only in the sweeps it would run alone, so
-    every member ends bit-identical to a solve of that matrix on its own.
-    Raises :class:`NoConvergence` for the first member still above its
-    tolerance after ``max_sweeps`` sweeps, its off-diagonal norm unscaled.
+    A restart gathers the members still above their tolerance, takes the
+    start basis S of each W scaled as :func:`_tridiagonalize` needs
+    (``numkernel._unit_scaled``), and sets ``Phi <- Phi S`` and
+    ``W <- (S^H W S + h.c.) / 2`` from the unscaled W (:func:`_started`).
+    Every step is batched per member, so each member ends bit-identical to
+    a solve of that matrix on its own.  Raises :class:`NoConvergence` for
+    the first member still above its tolerance after ``max_sweeps``
+    restarts, its off-diagonal norm unscaled, and ``ValueError`` if S is
+    not finite.
     """
-    steps, sweeps = None, np.zeros(len(work), dtype=int)
+    restarts = np.zeros(len(work), dtype=int)
     while True:
         off_norms = _norms(work)[1]
         active = np.flatnonzero(off_norms > tol)
         if active.size == 0:
-            return sweeps
+            return restarts
         first = active[0]
-        if sweeps[first] >= max_sweeps:
-            raise NoConvergence(int(sweeps[first]), float(np.ldexp(off_norms, exponents)[first]))
-        if steps is None:  # once per solve, and only for a solve that sweeps
-            steps = _round_robin_steps(work.shape[1])
-        a, phi = work[active], vecs[active]  # C-ordered copies
-        _sweep(a, phi, steps)
-        work[active], vecs[active] = a, phi
-        sweeps[active] += 1
+        if restarts[first] >= max_sweeps:
+            raise NoConvergence(int(restarts[first]), float(np.ldexp(off_norms, exponents)[first]))
+        w = work[active]
+        start, work[active] = _started(w, _unit_scaled(w, axes=(1, 2))[0])
+        vecs[active] = vecs[active] @ start
+        restarts[active] += 1
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -577,7 +516,7 @@ def _inverse_iteration(
 def _start_basis(a: np.ndarray) -> np.ndarray:
     """Near-exact orthonormal eigenvectors of every member of a ``(B, N, N)``
     stack of Hermitian matrices scaled as for :func:`_tridiagonalize`, columns in
-    ascending eigenvalue order, for the finishing Jacobi sweeps to start
+    ascending eigenvalue order, for a solve to start and restart
     from; each member bit-identical to a start of its own.
 
     A Householder reduction gives
@@ -602,6 +541,18 @@ def _start_basis(a: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _started(w: np.ndarray, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start basis S of ``scaled``, a ``(B, N, N)`` stack w scaled
+    for :func:`_start_basis`, and ``(S^H w S + h.c.) / 2``, exactly
+    Hermitian as a restart's start basis assumes.  ``ValueError`` if S is
+    not finite."""
+    start = _start_basis(scaled)
+    if not np.isfinite(start).all():
+        raise ValueError("start basis is not finite")
+    w = start.conj().swapaxes(1, 2) @ w @ start
+    return start, (w + w.conj().swapaxes(1, 2)) / 2.0
+
+
 def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     """Ascending eigenvalues ``(B, N)`` of every member of a ``(B, N, N)``
     stack of Hermitian matrices, and phase-fixed eigenvector columns
@@ -620,8 +571,9 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     identity as eigenvectors.  The others, gathered (the whole scaled stack
     is dropped there), get one batched start basis Phi0 (see the module
     docstring) and ``W = (Phi0^H (sA) Phi0 + h.c.) / 2``, nearly diagonal;
-    one :func:`_diagonalize` call finishes and certifies them all in W and
-    Phi0 in place, and their eigenvalues are ``np.ldexp(diag(W), e)``.
+    one :func:`_diagonalize` call certifies them all, restarting any that
+    need it in W and Phi0 in place, and their eigenvalues are
+    ``np.ldexp(diag(W), e)``.
     Every step serves all members at once and reads only each member's own
     entries, so each member ends bit-identical to a solve of its own, and a
     member scaled by 2^k, entries kept normal, gives the same eigenvectors
@@ -636,11 +588,7 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     vecs = np.eye(a.shape[1], dtype=np.complex128)
     if need.size:
         scaled, e = scaled[need], e[need, 0]  # the whole scaled stack is dropped here
-        start = _start_basis(scaled)
-        if not np.isfinite(start).all():
-            raise ValueError("start basis is not finite")
-        w = start.conj().swapaxes(1, 2) @ scaled @ start
-        w = (w + w.conj().swapaxes(1, 2)) / 2.0
+        start, w = _started(scaled, scaled)
         _diagonalize(w, start, OFFDIAG_RTOL * frobenius[need], e[:, 0], max_sweeps)
         with np.errstate(over="ignore"):
             eigenvalues[need] = np.ldexp(np.diagonal(w, axis1=1, axis2=2).real, e)
@@ -659,11 +607,11 @@ def jacobi_eigendecompose(
 
     In the returned eigenbasis, A's off-diagonal Frobenius norm is at most
     ``OFFDIAG_RTOL * ||A||_F``; :class:`NoConvergence` is raised if that
-    takes more than ``max_sweeps`` finishing sweeps.  No finite A is
+    takes more than ``max_sweeps`` restarts from W.  No finite A is
     refused for the size of its entries or of its norm: ``ValueError`` is
     raised only if an eigenvalue passes the largest float, as for
     ``[[1e308, 1e308], [1e308, 1e308]]`` (``eigenvalues overflow: …``), or,
-    before any rotation, if the start basis is not finite.  Deterministic:
+    if a start basis is not finite.  Deterministic:
     identical input gives bit-identical output, the same as a member of an
     :func:`_eigensystems` stack.  A
     matrix that already meets the tolerance, such as a diagonal one, comes

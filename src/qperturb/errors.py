@@ -16,14 +16,15 @@ class ZeroVector(QPerturbError):
 
 
 class NoConvergence(QPerturbError):
-    """The eigensolver did not meet its off-diagonal tolerance: ``off_norm``
-    is the off-diagonal norm left after ``sweeps`` sweeps."""
+    """The eigensolver's basis did not meet its off-diagonal tolerance:
+    ``off_norm`` is the off-diagonal norm of W left after ``sweeps``
+    restarts from W."""
 
     def __init__(self, sweeps: int, off_norm: float):
         self.sweeps = sweeps
         self.off_norm = off_norm
         super().__init__(
-            f"off-diagonal norm still above tolerance after {sweeps} sweeps"
+            f"off-diagonal norm still above tolerance after {sweeps} restarts"
             f" (remaining {off_norm:.3e})"
         )
 

@@ -78,8 +78,9 @@ def exact_levels(
 
     A writable copy of ``jacobi_eigendecompose(add_scaled(H, H', x))``'s
     eigenvalues: a solve builds its eigenvectors in the start basis anyway,
-    and the finishing rotations never read them.  Bit for bit the row for x
-    of the sweeps' oracle, which solves the same member inside its stack.
+    and neither the off-diagonal certificate nor a restart reads them.  Bit
+    for bit the row for x of the sweeps' oracle, which solves the same
+    member inside its stack.
     Not cached: only the sweeps' pass is.
     """
     return jacobi_eigendecompose(add_scaled(hamiltonian, perturbation, x)).eigenvalues.copy()
@@ -188,7 +189,7 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
     The oracle and H's decomposition are one solve: the ``(B + 1, N, N)``
     stack ``[H, H + x_1 H', ..., H + x_B H']`` goes through one
     ``eigensolver._eigensystems`` call: the members above the tolerance get
-    one batched start basis and one finishing Jacobi call, and one that
+    one batched start basis and one certifying restart loop, and one that
     meets it (the box model's diagonal H) comes back as it is.  The members
     are one broadcast ``s = H + grid * H'``, symmetrized as one
     ``s / 2 + s^H / 2``: the arithmetic of :func:`add_scaled` and of

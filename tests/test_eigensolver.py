@@ -11,7 +11,6 @@ from qperturb import eigensolver, verify
 from qperturb.eigensolver import (
     SpectralDecomposition,
     _fix_phases,
-    _round_robin_steps,
     jacobi_eigendecompose,
 )
 from qperturb.errors import DimensionMismatch, NoConvergence
@@ -24,20 +23,6 @@ def two_by_two_eigenvalues(a, b, d):
     mean = (a + d) / 2.0
     disc = math.sqrt(((a - d) / 2.0) ** 2 + abs(b) ** 2)
     return mean - disc, mean + disc
-
-
-def _loop_round_robin_steps(n):
-    """Reference schedule: index 0 stays, the others rotate one place per step."""
-    m = n + n % 2
-    players = list(range(m))
-    steps = []
-    for _ in range(m - 1):
-        pairs = [tuple(sorted((players[i], players[m - 1 - i]))) for i in range(m // 2)]
-        real = [pair for pair in pairs if pair[1] < n]
-        if real:
-            steps.append(([p for p, _ in real], [q for _, q in real]))
-        players[1:] = players[-1:] + players[1:-1]
-    return steps
 
 
 class TestJacobi:
@@ -130,7 +115,8 @@ class TestJacobi:
         np.testing.assert_array_equal(dec.eigenvectors, np.eye(2, dtype=complex))
 
     def test_no_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        # from the identity, the start is above the tolerance, and no restart is allowed
+        _poor_start(monkeypatch)
         with pytest.raises(NoConvergence) as exc:
             jacobi_eigendecompose(HermitianMatrix([[0, 1], [1, 0]]), max_sweeps=0)
         assert exc.value.sweeps == 0
@@ -160,8 +146,8 @@ class TestJacobi:
         scale = 2.0**520  # exact; keeps the gates' own squares normal
         scaled = SpectralDecomposition(scale * dec.eigenvalues, dec.eigenvectors)
         _assert_gates(HermitianMatrix(scale * tiny), scaled)
-        # swept from the identity, it takes one sweep
-        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        # from the identity, one restart finishes it
+        _poor_start(monkeypatch)
         calls = _counting_finish(monkeypatch)
         eigensolver._eigensystems(_stack([random_hermitian(97, 2).array, tiny]))
         assert calls[0][1] == 1
@@ -218,22 +204,6 @@ class TestJacobi:
         np.testing.assert_allclose(lam, np.linalg.eigvalsh(matrix.array), rtol=0, atol=1e-12)
         assert np.linalg.norm(matrix.array @ v - v * lam) <= 1e-10 * np.linalg.norm(entries)
 
-    @pytest.mark.parametrize("n", [*range(1, 10), 32, 33])
-    def test_round_robin_schedule(self, n):
-        steps = _round_robin_steps(n)
-        assert steps.shape == (n - 1 + n % 2 if n > 1 else 0, 2, n // 2)
-        ps, qs = steps[:, 0], steps[:, 1]
-        # the same steps, pairs in the same order, as one rotation per step in a loop
-        reference = _loop_round_robin_steps(n)
-        assert [(p.tolist(), q.tolist()) for p, q in zip(ps, qs)] == reference
-        seen = []
-        for p, q in zip(ps, qs):
-            assert np.all(p < q)
-            step = np.concatenate([p, q])
-            assert len(set(step.tolist())) == step.size  # disjoint within the step
-            seen += zip(p.tolist(), q.tolist())
-        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
-
 
 def _assert_solved_at_scale(entries, k):
     """The solve of ``entries`` against ``eigvalsh`` of the entries scaled by
@@ -259,8 +229,25 @@ def _member_vectors(stack, b):
 
 
 def _identity_start(a):
-    """In place of the start basis: identities, so the finish sweeps from them."""
+    """In place of the start basis: identities."""
     return np.broadcast_to(np.eye(a.shape[1], dtype=np.complex128), a.shape).copy()
+
+
+def _poor_start(monkeypatch, start=_identity_start, restart=None):
+    """Give every solve ``start(a)`` in place of its start basis, and its
+    restarts ``restart(a)``, the start basis itself by default: a patch
+    of every call would spoil the restarts that must repair the start."""
+    diagonalize, restart = eigensolver._diagonalize, restart or eigensolver._start_basis
+
+    def restarting(*args):
+        eigensolver._start_basis = restart
+        try:
+            return diagonalize(*args)
+        finally:
+            eigensolver._start_basis = start
+
+    monkeypatch.setattr(eigensolver, "_start_basis", start)
+    monkeypatch.setattr(eigensolver, "_diagonalize", restarting)
 
 
 def _no_start(a):
@@ -268,7 +255,7 @@ def _no_start(a):
 
 
 def _counting_finish(monkeypatch):
-    """Record, for every ``_diagonalize`` call, the sweep count of each
+    """Record, for every ``_diagonalize`` call, the restart count of each
     member it finishes (the members above their tolerance)."""
     diagonalize = eigensolver._diagonalize
     calls = []
@@ -283,36 +270,40 @@ def _counting_finish(monkeypatch):
 
 
 class TestStackedJacobi:
-    """The finish on a (B, N, N) stack against one solve per member, with
-    the start patched to the identity so that the members sweep from it."""
+    """The restarts on a (B, N, N) stack against one solve per member, with
+    the start patched to the identity so that the members restart from it."""
 
-    # Sweep counts of the single-matrix solve at N = 1, 2, 3, 16, 33 before it
-    # learned stacks; the single-matrix path must keep them.
-    SOLO_SWEEPS = {1: 0, 2: 1, 3: 3, 16: 6, 33: 7}
-
-    @pytest.mark.parametrize("n", sorted(SOLO_SWEEPS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 33])
     @pytest.mark.parametrize("solve", [jacobi_eigendecompose], ids=["vectors"])
     def test_single_matrix_unchanged(self, monkeypatch, n, solve):
-        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        _poor_start(monkeypatch)
         calls = _counting_finish(monkeypatch)
         matrix = random_hermitian(500 + n, n)
         solo = solve(matrix)
-        finished = [[self.SOLO_SWEEPS[n]]] if n > 1 else []  # 1x1 already meets the tolerance
+        finished = [[1]] if n > 1 else []  # 1x1 already meets the tolerance
         assert calls == finished
         # the same matrix as the middle member of a stack ends bit-identical
         calls.clear()
         stack = _stack([random_hermitian(600 + n, n).array, matrix.array,
                         np.diag(np.arange(n, 0, -1.0))])
         values, _ = eigensolver._eigensystems(stack)
-        assert [sweeps[1:] for sweeps in calls] == finished  # after the dense member 0
+        assert [restarts[1:] for restarts in calls] == finished  # after the dense member 0
         assert values[1].tobytes() == solo.eigenvalues.tobytes()
         assert _member_vectors(stack, 1).tobytes() == solo.eigenvectors.tobytes()
 
     def test_members_with_different_sweep_counts(self, monkeypatch):
         # A diagonal member, a nearly diagonal one and dense ones of very
-        # different norms: members drop out after different sweeps, so the
-        # others are gathered, and each keeps its own tolerance.
-        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        # different norms, some started from the identity: those restart
+        # and the others do not, so the restart gathers them, and each
+        # member keeps its own tolerance.
+        start = eigensolver._start_basis
+
+        def identity_where_positive(a):
+            """The start basis, but identities for the members whose entry
+            (1, 0) has a positive real part."""
+            return np.where(a[:, 1:2, :1].real > 0, _identity_start(a), start(a))
+
+        _poor_start(monkeypatch, identity_where_positive)
         calls = _counting_finish(monkeypatch)
         n = 12
         near = np.diag(np.arange(n, dtype=float)) + 1e-3 * random_hermitian(71, n).array
@@ -321,24 +312,24 @@ class TestStackedJacobi:
         stack = _stack(matrices)
         values, _ = eigensolver._eigensystems(stack)
         # one call for every member but the diagonal one
-        (sweeps,) = calls
-        assert len(sweeps) == len(matrices) - 1
-        assert len(set(sweeps)) >= 3
+        (restarts,) = calls
+        assert len(restarts) == len(matrices) - 1
+        assert sorted(set(restarts)) == [0, 1]
         vectors = [_member_vectors(stack, b) for b in range(len(matrices))]
         calls.clear()
         for b, matrix in enumerate(matrices):
             solo = jacobi_eigendecompose(HermitianMatrix(matrix))
             assert values[b].tobytes() == solo.eigenvalues.tobytes()
             assert vectors[b].tobytes() == solo.eigenvectors.tobytes()
-        assert calls == [[count] for count in sweeps]
+        assert calls == [[count] for count in restarts]
 
     def test_diagonal_member_takes_no_sweep(self, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        _poor_start(monkeypatch)
         calls = _counting_finish(monkeypatch)
         diagonal = np.diag([2.0, -1.0, 0.5])
         values, vectors = eigensolver._eigensystems(_stack([diagonal, random_hermitian(80, 3).array]))
-        # only the dense member reaches the finish, and it sweeps
-        assert len(calls) == 1 and len(calls[0]) == 1 and calls[0][0] > 0
+        # only the dense member reaches the finish, and it restarts
+        assert calls == [[1]]
         assert values[0].tolist() == [-1.0, 0.5, 2.0]
         assert np.array_equal(vectors, np.eye(3)[:, [1, 2, 0]])
 
@@ -364,7 +355,9 @@ class TestStackedJacobi:
         assert np.array_equal(stack, before)
 
     def test_member_that_cannot_converge(self, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_start_basis", _identity_start)
+        # Started and restarted from the identity, W never changes: the
+        # solve stalls, and fails after max_sweeps restarts.
+        _poor_start(monkeypatch, restart=_identity_start)
         dense = random_hermitian(90, 8).array
         with pytest.raises(NoConvergence) as solo:
             jacobi_eigendecompose(HermitianMatrix(dense), max_sweeps=2)
@@ -378,6 +371,11 @@ class TestStackedJacobi:
         with pytest.raises(NoConvergence) as small:
             jacobi_eigendecompose(HermitianMatrix(2.0**-40 * dense), max_sweeps=2)
         assert small.value.off_norm == 2.0**-40 * solo.value.off_norm
+        # by default, a stalled solve fails after a few restarts
+        with pytest.raises(NoConvergence) as default:
+            jacobi_eigendecompose(HermitianMatrix(dense))
+        assert default.value.sweeps == eigensolver.DEFAULT_MAX_SWEEPS == 4
+        assert default.value.off_norm == solo.value.off_norm
 
 
 def _power_of_two_range(a, eigenvalues):
@@ -434,7 +432,7 @@ def _layout(kind):
 
 class TestSweepLayout:
     """Each member's norms read its own C-ordered entries whatever the
-    stack's layout, and the finish accumulates its rotations on the right."""
+    stack's layout, and a restart accumulates its basis on the right."""
 
     @pytest.mark.parametrize("kind", ["fortran", "transposed", "strided-stack"])
     def test_norms_match_per_member_reference(self, kind):
@@ -447,21 +445,22 @@ class TestSweepLayout:
             assert frobenius[b] == np.linalg.norm(member)
             assert off[b] == np.linalg.norm(member - np.diag(np.diag(member)))
 
-    def test_vectors_accumulate_on_the_right(self, monkeypatch):
-        # Swept from the identity and from a random unitary U, the result
-        # diagonalizes the matrix only if each rotation J is accumulated as
-        # Phi <- Phi J: J^T, J^H or J Phi would not.
+    def test_vectors_accumulate_on_the_right(self):
+        # Restarted from the identity and from a random unitary U, the
+        # result diagonalizes the matrix only if each restart's basis S is
+        # accumulated as Phi <- Phi S: S^T, S^H or S Phi would not.
         n = 12
         matrix = random_hermitian(120, n).array
         rng = np.random.default_rng(121)
         u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        calls = _counting_finish(monkeypatch)
         for start in (np.eye(n, dtype=np.complex128), u):
-            monkeypatch.setattr(eigensolver, "_start_basis", lambda a, start=start: start[None].copy())
-            dec = jacobi_eigendecompose(HermitianMatrix(matrix))
+            with pytest.MonkeyPatch.context() as patch:
+                _poor_start(patch, lambda a, start=start: start[None].copy())
+                calls = _counting_finish(patch)
+                dec = jacobi_eigendecompose(HermitianMatrix(matrix))
             residual = matrix @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
             assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(matrix)
-        assert len(calls) == 2 and all(sweeps[0] > 0 for sweeps in calls)
+            assert calls == [[1]]
 
 
 def _prescribed(levels, seed=0):
@@ -515,8 +514,8 @@ def _assert_gates(matrix, dec):
 
 
 class TestStartBasis:
-    """The cold solve starts from a Householder/multisection basis and Jacobi
-    only finishes it."""
+    """The cold solve starts from a Householder/multisection basis that
+    already meets the tolerance: no restart runs."""
 
     @pytest.mark.parametrize("name", HARD_SPECTRA)
     def test_gates_and_repeatability(self, monkeypatch, name):
@@ -553,17 +552,17 @@ class TestStartBasis:
 
     @pytest.mark.parametrize("n", [5, 24])
     def test_poor_start_is_finished_by_sweeps(self, monkeypatch, n):
-        # A random unitary in place of the start: the finish must rotate until
+        # A random unitary in place of the start: the solve must restart until
         # the same criterion holds, never return the poor start as it is.
         def random_unitary(a):
             rng = np.random.default_rng(n)
             return np.linalg.qr(rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))[0]
 
-        monkeypatch.setattr(eigensolver, "_start_basis", random_unitary)
+        _poor_start(monkeypatch, random_unitary)
         calls = _counting_finish(monkeypatch)
         matrix = random_hermitian(800 + n, n)
         _assert_gates(matrix, jacobi_eigendecompose(matrix))
-        assert calls[0][0] >= 1
+        assert calls == [[1]]
 
     def test_diagonal_input_skips_the_start(self, monkeypatch):
         monkeypatch.setattr(eigensolver, "_start_basis", _no_start)
@@ -582,7 +581,7 @@ class TestStartBasis:
         calls = _counting_finish(monkeypatch)
         stack = _stack([dense, extreme, 1e100 * dense, 1e-100 * dense])
         values, _ = eigensolver._eigensystems(stack)
-        assert [len(sweeps) for sweeps in calls] == [3]  # the dense members only
+        assert [len(restarts) for restarts in calls] == [3]  # the dense members only
         assert values[1].tobytes() == solo.eigenvalues.tobytes()
         assert _member_vectors(stack, 1).tobytes() == solo.eigenvectors.tobytes()
 
@@ -590,6 +589,67 @@ class TestStartBasis:
         monkeypatch.setattr(eigensolver, "_start_basis", lambda a: np.full(a.shape, np.nan + 0j))
         with pytest.raises(ValueError, match="start basis is not finite"):
             jacobi_eigendecompose(random_hermitian(5, 4))
+
+    def test_non_finite_restart_rejected(self, monkeypatch):
+        _poor_start(monkeypatch, restart=lambda a: np.full(a.shape, np.nan + 0j))
+        with pytest.raises(ValueError, match="start basis is not finite"):
+            jacobi_eigendecompose(random_hermitian(5, 4))
+
+
+def _spoiled(eps):
+    """The start basis times ``exp(i eps K)``, K = ``random_hermitian(9, N)``:
+    a start whose off-diagonal norm grows with eps."""
+    start = eigensolver._start_basis
+
+    def spoiled(a):
+        levels, vectors = np.linalg.eigh(random_hermitian(9, a.shape[1]).array)
+        return start(a) @ ((vectors * np.exp(1j * eps * levels)) @ vectors.conj().T)
+
+    return spoiled
+
+
+RESTART_INPUTS = {
+    **HARD_SPECTRA,
+    "four-level-128": lambda: _prescribed(np.repeat(np.arange(4.0) - 1.5, 32), seed=4),
+}
+
+
+class TestRestart:
+    """A start above the tolerance is repaired by restarting from W."""
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-3, 1e-1])
+    @pytest.mark.parametrize("name", RESTART_INPUTS)
+    def test_spoiled_start_is_repaired(self, monkeypatch, name, eps):
+        # At most two restarts, the gates met, and a stack member
+        # bit-identical to the solo solve.
+        matrix = RESTART_INPUTS[name]()
+        _poor_start(monkeypatch, _spoiled(eps))
+        calls = _counting_finish(monkeypatch)
+        dec = jacobi_eigendecompose(matrix)
+        _assert_gates(matrix, dec)
+        assert all(count <= 2 for counts in calls for count in counts)
+        stack = _stack([random_hermitian(950 + matrix.dim, matrix.dim).array, matrix.array])
+        values, _ = eigensolver._eigensystems(stack)
+        assert values[1].tobytes() == dec.eigenvalues.tobytes()
+        assert _member_vectors(stack, 1).tobytes() == dec.eigenvectors.tobytes()
+
+    def test_restart_leaves_w_exactly_hermitian(self, monkeypatch):
+        # The start basis assumes a Hermitian input, and the eigenvalues
+        # are read from W's diagonal: each restart leaves W exactly
+        # Hermitian, its diagonal exactly real.
+        _poor_start(monkeypatch)
+        diagonalize, finished = eigensolver._diagonalize, []
+
+        def recording(work, *args):
+            restarts = diagonalize(work, *args)
+            finished.append((restarts.tolist(), work.copy()))
+            return restarts
+
+        monkeypatch.setattr(eigensolver, "_diagonalize", recording)
+        jacobi_eigendecompose(random_hermitian(130, 12))
+        ((restarts, w),) = finished
+        assert restarts == [1]
+        assert np.array_equal(w, w.conj().swapaxes(1, 2))
 
 
 def _batch_members(n):
@@ -633,9 +693,9 @@ class TestBatchedSolve:
         calls.clear()
         stack = np.stack([m.array for m in members])
         values, _ = eigensolver._eigensystems(stack)
-        # one finishing call for every member but the diagonal one, each with its own count
+        # one certifying call for every member but the diagonal one, each with its own count
         assert len(solo_calls) == len(members) - 1
-        assert calls == [[sweeps for (sweeps,) in solo_calls]]
+        assert calls == [[restarts for (restarts,) in solo_calls]]
         vectors = [_member_vectors(stack, b) for b in range(len(members))]
         for b, dec in enumerate(solo):
             # bit for bit: tobytes tells -0.0 from 0.0
@@ -831,7 +891,7 @@ class TestMultisection:
     def test_close_pair_property(self, n, k, at, seed):
         # One pair 10^-k apart among levels spread over [-1, 1]: the pair
         # separates and takes Newton steps, or stays a cluster, and either
-        # path meets the gates with no finishing sweep.
+        # path meets the gates with no restart.
         levels = np.sort(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
         levels = np.append(levels, levels[at % n] + 10.0**-k)
         matrix = _prescribed(levels, seed)

@@ -143,8 +143,8 @@ class TestWarmStartedOracle:
 
         monkeypatch.setattr(eigensolver, "_diagonalize", counting)
         level_sweep(h, hp)
-        # H and one member per strength, solved and finished by one call each,
-        # from a start basis good enough that no sweep runs
+        # H and one member per strength, solved and checked by one call each,
+        # from a start basis good enough that no member restarts
         assert solves == [len(DEFAULT_X_GRID) + 1]
         assert finishes == [[0] * (len(DEFAULT_X_GRID) + 1)]
 

@@ -179,7 +179,19 @@ MUTANTS = [
     Mutant(
         "identity start basis", EIGENSOLVER,
         "start = _start_basis(scaled)",
-        "start = np.broadcast_to(np.eye(n, dtype=np.complex128), scaled.shape).copy()",
+        "start = np.broadcast_to(np.eye(scaled.shape[1], dtype=np.complex128), scaled.shape).copy()",
+        ("tests/test_eigensolver.py",),
+    ),
+    Mutant(
+        "restart composes S Phi", EIGENSOLVER,
+        "vecs[active] @ start",
+        "start @ vecs[active]",
+        ("tests/test_eigensolver.py",),
+    ),
+    Mutant(
+        "W not symmetrized", EIGENSOLVER,
+        "return start, (w + w.conj().swapaxes(1, 2)) / 2.0",
+        "return start, w",
         ("tests/test_eigensolver.py",),
     ),
 ]

@@ -1,7 +1,6 @@
 """Print what the start basis costs per solve: multisection passes, Newton
-evaluations, inverse-iteration Thomas solves, QR factorizations, finishing
-Jacobi sweeps and the best-of-k time; exit 1 when any solve takes a
-finishing sweep.
+evaluations, inverse-iteration Thomas solves, QR factorizations, restarts
+from W and the best-of-k time; exit 1 when any solve takes a restart.
 
 Solves: dense ``random_hermitian(1, N)`` at N = 2, 8, 32 and 128 (one
 matrix each), and the N = 32 one scaled by 2^600 and by 2^-600, whose
@@ -15,17 +14,17 @@ a seeded complex Gaussian matrix, and
 ``random_hermitian(33, 12) + 3e-3 random_hermitian(34, 12, 0.05)``, where
 every Newton step of one eigenvalue overshoots its bracket and bisects.
 Last, four 64-fold levels at N = 256, built the same way: its start basis
-leaves an off-diagonal norm about a fifth of the finishing tolerance, the
+leaves an off-diagonal norm about a fifth of the tolerance, the
 closest of these rows, so a drift in the start shows here first as a
-finishing sweep.
+restart.
 Passes are calls of the Sturm counts, Newton steps calls of the pivot sums,
 solves calls of the Thomas recurrences and QR the batched factorizations;
-each call serves every member of its batch.  Sweeps are the most that any
-member of the solve took.  Counts come from one wrapped solve; times from
+each call serves every member of its batch.  Restarts are the most that
+any member of the solve took; each one counts its own passes, steps,
+solves and QR too.  Counts come from one wrapped solve; times from
 ``k`` unwrapped ones.
 
-A good start needs no finishing sweep, so one is a failure of the start
-basis.  Run from anywhere:
+A good start needs no restart, so one is a failure of the start basis.  Run from anywhere:
 ``python tools/start_counts.py [--repeats k]`` (k = 10 by default).
 """
 
@@ -49,8 +48,8 @@ COUNTED = {"passes": "_sturm_counts", "newton": "_pivot_sums", "solves": "_thoma
 
 def counted(solve):
     """Passes, Newton steps, solves, QR factorizations and the largest
-    member's sweeps of one call of ``solve``."""
-    counts = dict.fromkeys([*COUNTED, "qr", "sweeps"], 0)
+    member's restarts of one call of ``solve``."""
+    counts = dict.fromkeys([*COUNTED, "qr", "restarts"], 0)
     originals = {name: getattr(eigensolver, name) for name in (*COUNTED.values(), "_diagonalize")}
     qr = np.linalg.qr
 
@@ -62,9 +61,9 @@ def counted(solve):
         return wrapper
 
     def counting_finish(*args):
-        sweeps = originals["_diagonalize"](*args)
-        counts["sweeps"] = max(counts["sweeps"], int(sweeps.max(initial=0)))
-        return sweeps
+        restarts = originals["_diagonalize"](*args)
+        counts["restarts"] = max(counts["restarts"], int(restarts.max(initial=0)))
+        return restarts
 
     for key, name in COUNTED.items():
         setattr(eigensolver, name, counting(key, originals[name]))
@@ -110,19 +109,19 @@ def main() -> int:
     h, hp = random_hermitian(33, 12), random_hermitian(34, 12, 0.05)
     solves["Newton fails N = 12"] = add_scaled(h, hp, 3e-3).array[None]
     solves["clusters N = 256"] = prescribed(np.repeat(np.arange(4.0) - 1.5, 64), 4)
-    columns = [*COUNTED, "qr", "sweeps"]
-    print(f"{'solve':<22} " + " ".join(f"{c:>6}" for c in columns)
+    columns = [*COUNTED, "qr", "restarts"]
+    print(f"{'solve':<22} " + " ".join(f"{c:>8}" for c in columns)
           + f" {'best of ' + str(args.repeats):>11}")
-    swept = []
+    restarted = []
     for name, stack in solves.items():
         solve = functools.partial(eigensolver._eigensystems, stack)
         counts = counted(solve)
         ms = best_time(solve, args.repeats) * 1e3
-        print(f"{name:<22} " + " ".join(f"{counts[c]:>6}" for c in columns) + f" {ms:>8.3f} ms")
-        if counts["sweeps"]:
-            swept.append(name)
-    if swept:
-        print(f"finishing sweeps in: {', '.join(swept)}", file=sys.stderr)
+        print(f"{name:<22} " + " ".join(f"{counts[c]:>8}" for c in columns) + f" {ms:>8.3f} ms")
+        if counts["restarts"]:
+            restarted.append(name)
+    if restarted:
+        print(f"restarts in: {', '.join(restarted)}", file=sys.stderr)
         return 1
     return 0
 
