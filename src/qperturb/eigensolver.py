@@ -1,6 +1,6 @@
-"""Full spectral decomposition of Hermitian matrices: a Householder /
-multisection start basis, restarted from itself until its off-diagonal
-norm certifies it.
+"""Full spectral decomposition of Hermitian matrices: one loop of
+Householder / multisection starts, each from the last one's W, until W's
+off-diagonal norm certifies it.
 
 No external eigensolver is used.  A solve first scales A by the power of two
 ``s = 2^-e`` that puts its largest real or imaginary part in [0.5, 1)
@@ -11,29 +11,31 @@ the solve gives the same eigenvectors, and its eigenvalues scaled by the
 same power of two, at any scale, and only a spectrum past the largest float
 raises ``ValueError``.  A matrix that already meets the tolerance below (a
 diagonal one) stops here, unscaled: its diagonal and the identity come back
-bit for bit.  Any other gets a near-exact eigenbasis Phi0 of the scaled
-matrix: a complex Householder reduction to a tridiagonal T (Golub & Van Loan, *Matrix
-Computations*, section 8.3), a diagonal phase that makes T real symmetric,
-every eigenvalue of T from one vectorized Sturm-count multisection (Lo,
-Philippe & Sameh, 1987), eigenvectors from inverse iteration over all shifts
-at once (Golub & Van Loan, section 8.4), and the back-transform.  Each
-eigenvalue is only as good as two inverse-iteration steps need.  A bracket
-well apart from its neighbours leaves the multisection and its midpoint is
-polished by safeguarded Newton steps on ``det(T - x I)``; a dense solve
-takes two passes (the first of 15 N points) and three Newton steps.
-Clusters refine to machine precision.  Every member takes the same two steps
-and a QR re-orthonormalization after them; a member with a shift that Newton
-did not polish also takes a QR between the steps.  The returned eigenvalues
-come from the Rayleigh quotients on the diagonal of
-``W = Phi0^H (sA) Phi0``, scaled back by ``2^e``.  The certificate is W's
-off-diagonal Frobenius norm: a solve ends only once it is at most
-``OFFDIAG_RTOL * ||sA||_F``.  From a good start that holds at once; a poor
-one (clusters, pivot trouble) is restarted from W itself, with S the start
-basis of W, ``Phi <- Phi S`` and ``W <- S^H W S``, until it holds, so it is
-never returned as is.  The certificate covers only the off-diagonal of W,
-so Phi must be unitary to roundoff, and is by construction: reflectors kept
-unitary (a negligible sub-column counts as reduced), a diagonal phase, QR
-factors and products of such bases.
+bit for bit.  Any other is started from ``W = sA``.  A start takes a
+near-exact eigenbasis S of W: a complex Householder reduction of W, scaled
+again by its own power of two, to a tridiagonal T (Golub & Van Loan,
+*Matrix Computations*, section 8.3), a diagonal phase that makes T real
+symmetric, every eigenvalue of T from one vectorized Sturm-count
+multisection (Lo, Philippe & Sameh, 1987), eigenvectors from inverse
+iteration over all shifts at once (Golub & Van Loan, section 8.4), and the
+back-transform.  Each eigenvalue is only as good as two inverse-iteration
+steps need.  A bracket well apart from its neighbours leaves the
+multisection and its midpoint is polished by safeguarded Newton steps on
+``det(T - x I)``; a dense solve takes two passes (the first of 15 N points)
+and three Newton steps.  Clusters refine to machine precision.  Every
+member takes the same two steps and a QR re-orthonormalization after them;
+a member with a shift that Newton did not polish also takes a QR between
+the steps.  The start sets ``W <- (S^H W S + h.c.) / 2`` and the
+eigenvectors ``Phi <- Phi S`` (S itself at the first start).  The
+certificate is W's off-diagonal Frobenius norm: a solve ends only once it
+is at most ``OFFDIAG_RTOL * ||sA||_F``.  From a good first start that holds
+at once; a poor one (clusters, pivot trouble) is started again from W, until
+it holds, so it is never returned as is.  The returned eigenvalues are the
+Rayleigh quotients on W's diagonal, scaled back by ``2^e``.  The
+certificate covers only the off-diagonal of W, so Phi must be unitary to
+roundoff, and is by construction: reflectors kept unitary (a negligible
+sub-column counts as reduced), a diagonal phase, QR factors and products of
+such bases.
 
 Eigenvalues are returned ascending, eigenvector columns permuted in
 lockstep, and each column's phase is fixed so results are deterministic and
@@ -160,41 +162,6 @@ def _norms(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return frobenius, norms()
 
 
-def _diagonalize(
-    work: np.ndarray, vecs: np.ndarray, tol: np.ndarray, exponents: np.ndarray, max_sweeps: int
-) -> np.ndarray:
-    """Certify a ``(B, N, N)`` stack W of B nearly diagonal matrices:
-    restart each member in place, and its columns of ``vecs`` (shaped like
-    ``work``), until its off-diagonal norm is at most its tolerance
-    ``tol``; return the number of restarts of each member.  Member b is
-    its matrix scaled by ``2^-exponents[b]``, which only
-    :class:`NoConvergence` reads.
-
-    A restart gathers the members still above their tolerance, takes the
-    start basis S of each W scaled as :func:`_tridiagonalize` needs
-    (``numkernel._unit_scaled``), and sets ``Phi <- Phi S`` and
-    ``W <- (S^H W S + h.c.) / 2`` from the unscaled W (:func:`_started`).
-    Every step is batched per member, so each member ends bit-identical to
-    a solve of that matrix on its own.  Raises :class:`NoConvergence` for
-    the first member still above its tolerance after ``max_sweeps``
-    restarts, its off-diagonal norm unscaled, and ``ValueError`` if S is
-    not finite.
-    """
-    restarts = np.zeros(len(work), dtype=int)
-    while True:
-        off_norms = _norms(work)[1]
-        active = np.flatnonzero(off_norms > tol)
-        if active.size == 0:
-            return restarts
-        first = active[0]
-        if restarts[first] >= max_sweeps:
-            raise NoConvergence(int(restarts[first]), float(np.ldexp(off_norms, exponents)[first]))
-        w = work[active]
-        start, work[active] = _started(w, _unit_scaled(w, axes=(1, 2))[0])
-        vecs[active] = vecs[active] @ start
-        restarts[active] += 1
-
-
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Householder reduction of every member of a ``(B, N, N)`` stack of
     Hermitian matrices to tridiagonal form (Golub & Van Loan, *Matrix
@@ -203,21 +170,24 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns the real diagonals ``d`` ``(B, N)``, the complex subdiagonals
     ``e`` ``(B, N - 1)`` and the unit reflector vectors ``u`` ``(B, N, N)``:
     row k of a member holds its ``u_k`` in entries ``k+1:`` and zeros
-    elsewhere, so that ``A = Q T Q^H`` with ``Q = P_0 P_1 ... P_{N-3}``, where
-    ``P_k = I - 2 u_k u_k^H``.  Every member's largest real or imaginary
-    part must be in [0.5, 1), so that ``0.5 <= ||A||_F < sqrt(2) N``: no
-    squared norm overflows and none that counts is subnormal.
+    elsewhere, so that ``sA = Q T Q^H`` with ``Q = P_0 P_1 ... P_{N-3}``,
+    where ``P_k = I - 2 u_k u_k^H``.  Any finite stack is reduced: the
+    working copy is sA, each member A scaled by the power of two ``s``
+    (``numkernel._unit_scaled``) that puts its largest real or imaginary
+    part in [0.5, 1), so that ``0.5 <= ||sA||_F < sqrt(2) N``: no squared
+    norm overflows and none that counts is subnormal.  Q, and so every
+    eigenvector, is the same for A and sA.
 
-    A sub-column ``x = A[k+1:, k]`` with ``||x|| <= eps * ||A||_F`` counts
-    as reduced: it is set to 0 and its reflector is 0, which moves A by at
-    most eps relative.  Every other x has ``||x||^2`` far above the
+    A sub-column ``x = sA[k+1:, k]`` with ``||x|| <= eps * ||sA||_F``
+    counts as reduced: it is set to 0 and its reflector is 0, which moves A
+    by at most eps relative.  Every other x has ``||x||^2`` far above the
     subnormals, so the squares that make up ``||x||`` and ``||u_k||`` lose
     nothing that counts and ``P_k`` is unitary to roundoff.  A zero
     reflector still runs its (null) update, and a step is batched matmuls,
     elementwise arithmetic and each member's own scalars, so each member
     ends bit-identical to a reduction of its own.
     """
-    a = a.copy()
+    a = _unit_scaled(a, axes=(1, 2))[0]
     count, n, _ = a.shape
     pairs = a.reshape(count, 1, -1).view(np.float64)  # (re, im) pairs of each member
     small = (np.finfo(np.float64).eps * np.sqrt(pairs @ pairs.swapaxes(1, 2))).ravel().tolist()
@@ -314,7 +284,7 @@ def _pivot_sums(d: np.ndarray, b2: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
 def _multisection(d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every eigenvalue, ascending, of each real symmetric tridiagonal
     matrix with diagonal ``d[m]`` and off-diagonal ``b[m] >= 0`` (``d`` is
-    ``(B, N)``), each from a matrix scaled as for :func:`_tridiagonalize`
+    ``(B, N)``), each from a matrix that :func:`_tridiagonalize` scaled
     (a Frobenius norm below ``sqrt(2) N``), as shifts for
     :func:`_inverse_iteration`; and, per member, whether Newton's method
     polished every one of its shifts.
@@ -515,9 +485,9 @@ def _inverse_iteration(
 
 def _start_basis(a: np.ndarray) -> np.ndarray:
     """Near-exact orthonormal eigenvectors of every member of a ``(B, N, N)``
-    stack of Hermitian matrices scaled as for :func:`_tridiagonalize`, columns in
-    ascending eigenvalue order, for a solve to start and restart
-    from; each member bit-identical to a start of its own.
+    stack of finite Hermitian matrices, of any scale, columns in ascending
+    eigenvalue order: the basis S of each start of a solve; each member
+    bit-identical to a start of its own.
 
     A Householder reduction gives
     ``A = Q T Q^H`` with T Hermitian tridiagonal; a diagonal unitary D makes
@@ -541,18 +511,6 @@ def _start_basis(a: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _started(w: np.ndarray, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The start basis S of ``scaled``, a ``(B, N, N)`` stack w scaled
-    for :func:`_start_basis`, and ``(S^H w S + h.c.) / 2``, exactly
-    Hermitian as a restart's start basis assumes.  ``ValueError`` if S is
-    not finite."""
-    start = _start_basis(scaled)
-    if not np.isfinite(start).all():
-        raise ValueError("start basis is not finite")
-    w = start.conj().swapaxes(1, 2) @ w @ start
-    return start, (w + w.conj().swapaxes(1, 2)) / 2.0
-
-
 def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     """Ascending eigenvalues ``(B, N)`` of every member of a ``(B, N, N)``
     stack of Hermitian matrices, and phase-fixed eigenvector columns
@@ -562,18 +520,22 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     member's vectors are those of the stack rolled so that it comes first.
 
     The stack is read where it lies, in any layout, and never written.
-    Each member A is scaled once, into one array, by the power of two
-    ``s = 2^-e`` of its largest real or imaginary part
+    Each member A is scaled once, into one C-ordered array W, by the power
+    of two ``s = 2^-e`` of its largest real or imaginary part
     (``numkernel._unit_scaled``), exact barring subnormals; one
-    :func:`_norms` call on that array gives each member's tolerance
-    ``OFFDIAG_RTOL * ||sA||_F`` and its off-diagonal norm.  A member whose
-    sA already meets it comes back as it is, its own diagonal with the
-    identity as eigenvectors.  The others, gathered (the whole scaled stack
-    is dropped there), get one batched start basis Phi0 (see the module
-    docstring) and ``W = (Phi0^H (sA) Phi0 + h.c.) / 2``, nearly diagonal;
-    one :func:`_diagonalize` call certifies them all, restarting any that
-    need it in W and Phi0 in place, and their eigenvalues are
-    ``np.ldexp(diag(W), e)``.
+    :func:`_norms` call on W gives each member's tolerance
+    ``OFFDIAG_RTOL * ||sA||_F`` and its off-diagonal norm.  Then one loop
+    of starts: each pass gathers the members above their tolerance (all of
+    W, with no gathered copy, when every member is), takes their start
+    basis S (see the module docstring), sets ``W <- (S^H W S + h.c.) / 2``,
+    exactly Hermitian as the next start assumes, and member 0's
+    eigenvectors to S at its first start and to ``Phi S`` at each later
+    one, and re-reads the off-diagonal norms.  The first start is not a restart:
+    :class:`NoConvergence` is raised for the first member still above its
+    tolerance after ``max(max_sweeps, 0)`` restarts, its off-diagonal norm
+    unscaled, and ``ValueError`` if S is not finite.  A member that never
+    needed a start comes back as it is, its own diagonal with the identity
+    as eigenvectors; the others' eigenvalues are ``np.ldexp(diag(W), e)``.
     Every step serves all members at once and reads only each member's own
     entries, so each member ends bit-identical to a solve of its own, and a
     member scaled by 2^k, entries kept normal, gives the same eigenvectors
@@ -581,21 +543,29 @@ def _eigensystems(stack: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     :func:`jacobi_eigendecompose`, for the first member that has one.
     """
     a = np.asarray(stack, dtype=np.complex128)  # read only, never written
-    scaled, e = _unit_scaled(a, axes=(1, 2))
-    frobenius, off = _norms(scaled)
-    need = np.flatnonzero(off > OFFDIAG_RTOL * frobenius)
-    eigenvalues = np.diagonal(a, axis1=1, axis2=2).real.copy()
+    w, e = _unit_scaled(a, axes=(1, 2))
+    frobenius, off = _norms(w)
+    tol, starts = OFFDIAG_RTOL * frobenius, np.zeros(len(a), dtype=int)
     vecs = np.eye(a.shape[1], dtype=np.complex128)
-    if need.size:
-        scaled, e = scaled[need], e[need, 0]  # the whole scaled stack is dropped here
-        start, w = _started(scaled, scaled)
-        _diagonalize(w, start, OFFDIAG_RTOL * frobenius[need], e[:, 0], max_sweeps)
-        with np.errstate(over="ignore"):
-            eigenvalues[need] = np.ldexp(np.diagonal(w, axis1=1, axis2=2).real, e)
-        if not np.isfinite(eigenvalues).all():
-            raise ValueError("eigenvalues overflow: the spectrum passes the largest float")
-        if need[0] == 0:
-            vecs = start[0]
+    while (active := np.flatnonzero(off > tol)).size:
+        first = active[0]
+        if starts[first] > max(max_sweeps, 0):
+            raise NoConvergence(int(starts[first]) - 1, float(np.ldexp(off[first], e[first, 0, 0])))
+        part = w if active.size == len(w) else w[active]
+        start = _start_basis(part)
+        if not np.isfinite(start).all():
+            raise ValueError("start basis is not finite")
+        part = start.conj().swapaxes(1, 2) @ part @ start
+        w[active] = (part + part.conj().swapaxes(1, 2)) / 2.0
+        if first == 0:
+            vecs = vecs @ start[0] if starts[0] else start[0]
+        starts[active] += 1
+        off = _norms(w)[1]
+    with np.errstate(over="ignore"):
+        scaled_back = np.ldexp(np.diagonal(w, axis1=1, axis2=2).real, e[:, 0])
+    eigenvalues = np.where(starts[:, None] > 0, scaled_back, np.diagonal(a, axis1=1, axis2=2).real)
+    if not np.isfinite(eigenvalues).all():
+        raise ValueError("eigenvalues overflow: the spectrum passes the largest float")
     order = np.argsort(eigenvalues[0], kind="stable")
     return np.sort(eigenvalues, axis=1, kind="stable"), _fix_phases(vecs[:, order])
 

@@ -55,12 +55,13 @@ def _unit_scaled(a: np.ndarray, axes=None) -> tuple[np.ndarray, np.ndarray]:
     """``(a 2^-e, e)`` for a complex array: e is the exponent that puts the
     largest real or imaginary magnitude over ``axes`` (all of them by
     default) in [0.5, 1), and 0 where that magnitude is 0.  e keeps the
-    reduced axes with size 1, so that it broadcasts against ``a``.  Each part
-    is scaled by ``np.ldexp``, exact barring subnormals; a factor ``2**-e``
+    reduced axes with size 1, so that it broadcasts against ``a``, and the
+    scaled array is C-ordered whatever the layout of ``a``.  Each part is
+    scaled by ``np.ldexp``, exact barring subnormals; a factor ``2**-e``
     would overflow for a subnormal peak."""
     peaks = [np.abs(part).max(axes, keepdims=True, initial=0.0) for part in (a.real, a.imag)]
     e = np.frexp(np.maximum(*peaks))[1]
-    scaled = np.empty_like(a)
+    scaled = np.empty(a.shape, dtype=a.dtype)
     scaled.real, scaled.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
     return scaled, e
 

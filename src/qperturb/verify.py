@@ -21,7 +21,7 @@ from .eigensolver import SpectralDecomposition, jacobi_eigendecompose
 from .errors import AttemptsExhausted, DimensionMismatch, InsufficientData
 from .models import random_hermitian
 from .numkernel import HermitianMatrix, add_scaled, checked_index
-from .perturbation import StateVector, expected_energy, level_shifts, total_energy
+from .perturbation import StateVector, expected_energy, level_shifts
 
 # Two decades of strengths, inside the perturbative regime for O(1)-gap spectra.
 DEFAULT_X_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -188,13 +188,12 @@ def _eigenbasis_pass(hamiltonian: HermitianMatrix, perturbation: HermitianMatrix
 
     The oracle and H's decomposition are one solve: the ``(B + 1, N, N)``
     stack ``[H, H + x_1 H', ..., H + x_B H']`` goes through one
-    ``eigensolver._eigensystems`` call: the members above the tolerance get
-    one batched start basis and one certifying restart loop, and one that
-    meets it (the box model's diagonal H) comes back as it is.  The members
-    are one broadcast ``s = H + grid * H'``, symmetrized as one
-    ``s / 2 + s^H / 2``: the arithmetic of :func:`add_scaled` and of
-    :class:`HermitianMatrix`, so each is bit-identical to
-    ``add_scaled(H, H', x).array``.  They are Hermitian by construction, so
+    ``eigensolver._eigensystems`` call: the members above the tolerance go
+    through one loop of batched starts, and one that meets it (the box
+    model's diagonal H) comes back as it is.  The members are one broadcast
+    ``s = H + grid * H'``, symmetrized as one ``s / 2 + s^H / 2``: the
+    arithmetic of :func:`add_scaled` and of :class:`HermitianMatrix`, so
+    each is bit-identical to ``add_scaled(H, H', x).array``.  They are Hermitian by construction, so
     only their finiteness is checked, once, with the same ``ValueError``.
     Every member is bit-identical to a solve of its own, so member 0 is
     ``jacobi_eigendecompose(H)`` and each spectrum row is
@@ -265,8 +264,9 @@ def superposition_sweep(
 ) -> list[SweepRecord]:
     """Sweep comparing the weighted total E1 to the |b_n|^2-weighted exact spectrum.
 
-    E1 = E + x E' is :func:`total_energy`'s, so it equals
-    :func:`first_order`'s total bit for bit.
+    E' is taken once and E1 = E + x E' per strength, both by
+    :func:`total_energy`'s arithmetic, so E1 equals :func:`first_order`'s
+    total bit for bit.
 
     Weight |b_n|^2 goes to the n-th lowest exact eigenvalue (rank pairing),
     so a crossing inside the grid moves it to another level: on the
@@ -284,10 +284,10 @@ def superposition_sweep(
     grid, decomp, shifts, _, exact = _sweep(hamiltonian, perturbation, xs)
     energy = expected_energy(state, decomp)
     weights = np.abs(state.coefficients) ** 2
-    first = [total_energy(energy, shifts, state, x)[1] for x in grid]
+    eprime = float(weights @ shifts)
     return [
-        SweepRecord(x, SUPERPOSITION_LEVEL, e1, float(weights @ spectrum))
-        for x, e1, spectrum in zip(grid, first, exact)
+        SweepRecord(x, SUPERPOSITION_LEVEL, energy + x * eprime, float(weights @ spectrum))
+        for x, spectrum in zip(grid, exact)
     ]
 
 

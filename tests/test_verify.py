@@ -133,20 +133,18 @@ class TestWarmStartedOracle:
         h, hp = ORACLE_PAIRS["dense-24"]()
         verify._eigenbasis_pass.cache_clear()
         solves = _counting_solves(monkeypatch)
-        diagonalize = eigensolver._diagonalize
-        finishes = []
+        start_basis, starts = eigensolver._start_basis, []
 
-        def counting(*args):
-            done = diagonalize(*args)
-            finishes.append(done.tolist())
-            return done
+        def counting(a):
+            starts.append(len(a))
+            return start_basis(a)
 
-        monkeypatch.setattr(eigensolver, "_diagonalize", counting)
+        monkeypatch.setattr(eigensolver, "_start_basis", counting)
         level_sweep(h, hp)
-        # H and one member per strength, solved and checked by one call each,
-        # from a start basis good enough that no member restarts
+        # H and one member per strength, solved by one call and started
+        # together, from a start basis good enough that no member restarts
         assert solves == [len(DEFAULT_X_GRID) + 1]
-        assert finishes == [[0] * (len(DEFAULT_X_GRID) + 1)]
+        assert starts == [len(DEFAULT_X_GRID) + 1]
 
     @pytest.mark.parametrize("name", ORACLE_PAIRS)
     @pytest.mark.parametrize(
@@ -629,6 +627,57 @@ class TestLevelSweep:
             swept = np.array([r.perturbative for r in records[k * h.dim : (k + 1) * h.dim]])
             levels = np.sort(first_order(decomp, hp, state, x).perturbed_levels)
             assert swept.tobytes() == levels.tobytes()
+
+
+def _second_order_linear(n, width, strength):
+    """The box's second-order energies in the uniform field V = c x, levels
+    n = 1, 2, ... in the units of ``box_hamiltonian``:
+    ``E2_n = c^2 L^4 (n^2 pi^2 - 15) / (24 n^4 pi^4)``, the Dalgarno-Lewis
+    result (Dalgarno & Lewis, *Proc. R. Soc. Lond. A* 233, 70, 1955)."""
+    n = np.asarray(n, dtype=float)
+    return strength**2 * width**4 * (n**2 * math.pi**2 - 15) / (24 * n**4 * math.pi**4)
+
+
+def _second_order_sum(spec, count):
+    """The second-order sum ``E2_n = sum_{m != n} |V_mn|^2 / (E_n - E_m)``
+    over every level of the box model ``spec``, for its first ``count``
+    levels: the truncation error falls as the number of levels to the -7."""
+    levels = np.diag(box_hamiltonian(spec).array).real
+    coupling = box_potential_matrix(spec).array[:count]
+    gaps = levels[:count, None] - levels
+    gaps[np.arange(count), np.arange(count)] = np.inf
+    return (np.abs(coupling) ** 2 / gaps).sum(axis=1)
+
+
+class TestClosedFormOracle:
+    """The oracle against mathematics rather than another eigensolver: on
+    the box model at N = 64, exact - (E_n + x E'_n + x^2 E2_n) falls like
+    the first order left out for levels 0 to 3."""
+
+    def test_second_order_sum_matches_the_closed_form(self):
+        spec = BoxModelSpec(1100, math.pi, "linear", 1.0)
+        closed = _second_order_linear(range(1, 5), math.pi, 1.0)
+        np.testing.assert_allclose(_second_order_sum(spec, 4), closed, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize(
+        "potential, slope",
+        # V - c L / 2 is odd about the well's centre, so the linear E3 is 0
+        [("linear", 3.8), ("quadratic", 2.8)],
+    )
+    def test_residual_after_second_order(self, potential, slope):
+        spec = BoxModelSpec(64, math.pi, potential, 1.0)
+        if potential == "linear":
+            second = _second_order_linear(range(1, 5), math.pi, 1.0)
+        else:
+            second = _second_order_sum(BoxModelSpec(1100, math.pi, potential, 1.0), 4)
+        records = level_sweep(box_hamiltonian(spec), box_potential_matrix(spec), levels=range(4))
+        for level in range(4):
+            recs = records_for_level(records, level)
+            xs = [r.x for r in recs]
+            residuals = [abs(r.exact - (r.perturbative + r.x**2 * second[level])) for r in recs]
+            assert fit_order(xs, residuals).slope >= slope
+            if potential == "linear":
+                assert residuals[xs.index(1e-3)] <= 1e-13
 
 
 class TestSuperpositionSweep:

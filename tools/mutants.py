@@ -160,7 +160,7 @@ MUTANTS = [
     ),
     Mutant(
         "first member's start discarded", EIGENSOLVER,
-        "        if need[0] == 0:",
+        "        if first == 0:",
         "        if False:",
         ("tests/test_eigensolver.py",),
     ),
@@ -172,26 +172,32 @@ MUTANTS = [
     ),
     Mutant(
         "eigenvalue overflow unchecked", EIGENSOLVER,
-        "        if not np.isfinite(eigenvalues).all():",
-        "        if False:",
+        "    if not np.isfinite(eigenvalues).all():",
+        "    if False:",
         ("tests/test_cli.py",),
     ),
     Mutant(
         "identity start basis", EIGENSOLVER,
-        "start = _start_basis(scaled)",
-        "start = np.broadcast_to(np.eye(scaled.shape[1], dtype=np.complex128), scaled.shape).copy()",
+        "start = _start_basis(part)",
+        "start = np.broadcast_to(np.eye(part.shape[1], dtype=np.complex128), part.shape).copy()",
         ("tests/test_eigensolver.py",),
     ),
     Mutant(
         "restart composes S Phi", EIGENSOLVER,
-        "vecs[active] @ start",
-        "start @ vecs[active]",
+        "vecs @ start[0]",
+        "start[0] @ vecs",
         ("tests/test_eigensolver.py",),
     ),
     Mutant(
         "W not symmetrized", EIGENSOLVER,
-        "return start, (w + w.conj().swapaxes(1, 2)) / 2.0",
-        "return start, w",
+        "w[active] = (part + part.conj().swapaxes(1, 2)) / 2.0",
+        "w[active] = part",
+        ("tests/test_eigensolver.py",),
+    ),
+    Mutant(
+        "first start counted as a restart", EIGENSOLVER,
+        "if starts[first] > max(max_sweeps, 0):",
+        "if starts[first] >= max(max_sweeps, 0):",
         ("tests/test_eigensolver.py",),
     ),
 ]

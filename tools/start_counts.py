@@ -20,8 +20,8 @@ restart.
 Passes are calls of the Sturm counts, Newton steps calls of the pivot sums,
 solves calls of the Thomas recurrences and QR the batched factorizations;
 each call serves every member of its batch.  Restarts are the most that
-any member of the solve took; each one counts its own passes, steps,
-solves and QR too.  Counts come from one wrapped solve; times from
+any member of the solve took: each start-basis call of a solve after its
+first; each one counts its own passes, steps, solves and QR too.  Counts come from one wrapped solve; times from
 ``k`` unwrapped ones.
 
 A good start needs no restart, so one is a failure of the start basis.  Run from anywhere:
@@ -48,9 +48,10 @@ COUNTED = {"passes": "_sturm_counts", "newton": "_pivot_sums", "solves": "_thoma
 
 def counted(solve):
     """Passes, Newton steps, solves, QR factorizations and the largest
-    member's restarts of one call of ``solve``."""
-    counts = dict.fromkeys([*COUNTED, "qr", "restarts"], 0)
-    originals = {name: getattr(eigensolver, name) for name in (*COUNTED.values(), "_diagonalize")}
+    member's restarts of one call of ``solve``: every start-basis call after
+    the first is a restart of the members still above their tolerance."""
+    counts = dict.fromkeys([*COUNTED, "qr", "starts"], 0)
+    originals = {name: getattr(eigensolver, name) for name in (*COUNTED.values(), "_start_basis")}
     qr = np.linalg.qr
 
     def counting(key, function):
@@ -60,20 +61,16 @@ def counted(solve):
 
         return wrapper
 
-    def counting_finish(*args):
-        restarts = originals["_diagonalize"](*args)
-        counts["restarts"] = max(counts["restarts"], int(restarts.max(initial=0)))
-        return restarts
-
-    for key, name in COUNTED.items():
+    for key, name in (*COUNTED.items(), ("starts", "_start_basis")):
         setattr(eigensolver, name, counting(key, originals[name]))
-    eigensolver._diagonalize, np.linalg.qr = counting_finish, counting("qr", qr)
+    np.linalg.qr = counting("qr", qr)
     try:
         solve()
     finally:
         for name, function in originals.items():
             setattr(eigensolver, name, function)
         np.linalg.qr = qr
+    counts["restarts"] = max(counts.pop("starts") - 1, 0)
     return counts
 
 
