@@ -81,8 +81,9 @@ class SpectralDecomposition:
 
     ``eigenvectors[:, m]`` is the m-th eigenvector, phase-fixed so that its
     largest-magnitude entry is real and strictly positive (see
-    :func:`_fix_phases` for ties).  Both arrays are stored C-ordered and
-    read-only; :attr:`adjoint` is computed once, on first use.
+    :func:`_fix_phases` for ties).  Both arrays must be finite (else
+    ``ValueError``) and are stored C-ordered and read-only; :attr:`adjoint`
+    is computed once, on first use.
     """
 
     eigenvalues: np.ndarray
@@ -95,6 +96,8 @@ class SpectralDecomposition:
             raise DimensionMismatch(
                 f"inconsistent decomposition shapes {vals.shape} / {vecs.shape}"
             )
+        if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+            raise ValueError("decomposition entries must be finite")
         vals.setflags(write=False)
         vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)

@@ -1,8 +1,9 @@
 """Hermitian matrices and their bra-ket matrix elements.
 
 Vectors are plain 1-D ``complex128`` numpy arrays.  Matrices enter through
-:class:`HermitianMatrix`, which validates and symmetrizes raw entries once,
-so everything downstream can rely on exact self-adjointness.  Matrix
+:class:`HermitianMatrix`, a frozen dataclass like every other value type of
+the package, which validates and symmetrizes raw entries once, so
+everything downstream can rely on exact self-adjointness.  Matrix
 elements are conjugate-linear in the bra (physics convention):
 ``<u|A|v> = sum_ij conj(u_i) A[i,j] v_j``.
 
@@ -13,7 +14,9 @@ the power of two of the largest real or imaginary part.
 
 from __future__ import annotations
 
+import functools
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +38,6 @@ def checked_index(value, what: str, size: int | None = None) -> int:
     if size is not None and not 0 <= index < size:
         raise DimensionMismatch(f"{what} {index} out of range for dim {size}")
     return index
-
-
-def _as_square(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
 
 
 def _as_vector(v) -> np.ndarray:
@@ -84,22 +80,29 @@ def _norm(a: np.ndarray) -> float:
     return norm
 
 
+@dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """Dense complex self-adjoint matrix on an N-dimensional basis.
 
-    Raw entries must be finite (else ``ValueError``) and Hermitian within
-    tolerance: ``max |A[i,j] - conj(A[j,i])| <= HERMITICITY_RTOL * max|A[i,j]|``,
+    Built from its raw entries, ``HermitianMatrix(entries)``, which must
+    form a non-empty square array (else :class:`DimensionMismatch`), be
+    finite (else ``ValueError``) and be Hermitian within tolerance:
+    ``max |A[i,j] - conj(A[j,i])| <= HERMITICITY_RTOL * max|A[i,j]|``,
     else :class:`NonHermitianInput`.  They are then symmetrized as
-    ``(A + A^dagger)/2``, which is idempotent and makes the stored array
-    self-adjoint to the last bit (diagonal exactly real).  The array is
-    frozen after construction, so instances are safe to share, and its
-    Frobenius norm is computed once, on first use.
+    ``(A + A^dagger)/2``, which is idempotent and makes the stored
+    :attr:`array` self-adjoint to the last bit (diagonal exactly real).
+    The instance is frozen and its array read-only, so instances are safe
+    to share; they compare and hash by identity (``eq=False``), as the
+    sweep pass's cache keys on them.  The Frobenius norm is computed once,
+    on first use.
     """
 
-    __slots__ = ("_array", "_frobenius_norm")
+    array: np.ndarray
 
-    def __init__(self, entries):
-        a = _as_square(entries)
+    def __post_init__(self):
+        a = np.asarray(self.array, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         violation = float(np.abs(a - a.conj().T).max())
@@ -108,26 +111,18 @@ class HermitianMatrix:
         # halves first: (a + a^dagger) could overflow for entries near float max
         sym = a / 2.0 + a.conj().T / 2.0
         sym.setflags(write=False)
-        self._array = sym
-        self._frobenius_norm = None
+        object.__setattr__(self, "array", sym)
 
     @property
     def dim(self) -> int:
-        return self._array.shape[0]
+        return self.array.shape[0]
 
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only view of the stored complex matrix."""
-        return self._array
-
-    @property
+    @functools.cached_property
     def frobenius_norm(self) -> float:
         """``||A||_F`` by :func:`_norm`: a finite norm reads as itself however
         large or small its squares, one past the largest float as ``inf``,
         with no warning."""
-        if self._frobenius_norm is None:
-            self._frobenius_norm = _norm(self._array)
-        return self._frobenius_norm
+        return _norm(self.array)
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"

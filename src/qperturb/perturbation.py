@@ -85,14 +85,16 @@ class StateVector:
         divides a complex array by a real scalar through the scalar's
         reciprocal, which can leave a basis direction such as
         ``[0.98828125, 0]`` one ulp short of the unit vector.)  So a single
-        nonzero entry normalizes to exactly the basis state.
+        nonzero entry normalizes to exactly the basis state.  All-zero
+        coefficients raise :class:`ZeroVector`; an empty or non-1-D input
+        raises the :class:`DimensionMismatch` of the constructor.
         """
         b = np.asarray(coefficients, dtype=np.complex128)
         if not np.isfinite(b).all():
             raise ValueError("state coefficients must be finite")
         b = _unit_scaled(b)[0]
         norm = float(np.linalg.norm(b))
-        if norm == 0.0:
+        if norm == 0.0 and b.size:  # no entries: the constructor's shape rule rejects them
             raise ZeroVector("cannot normalize the zero vector")
         b.real, b.imag = b.real / norm, b.imag / norm
         return cls(b)
@@ -146,7 +148,10 @@ def level_shifts(perturbation: HermitianMatrix, decomp: SpectralDecomposition) -
 def total_energy(
     energy: float, shifts, state: StateVector, x: float
 ) -> tuple[float, float]:
-    """Weighted totals: ``E' = sum_n |b_n|^2 shift_n`` and ``E1 = E + x E'``."""
+    """Weighted totals: ``E' = sum_n |b_n|^2 shift_n`` and ``E1 = E + x E'``.
+    ``x`` must be finite (else ``ValueError``)."""
+    if not math.isfinite(x):
+        raise ValueError("perturbation strength must be finite")
     s = np.asarray(shifts, dtype=np.float64)
     if s.shape != (state.dim,):
         raise DimensionMismatch(f"shift count {s.shape} vs state dim {state.dim}")

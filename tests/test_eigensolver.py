@@ -1010,6 +1010,15 @@ class TestSpectralDecomposition:
         with pytest.raises(DimensionMismatch):
             SpectralDecomposition(np.zeros(2), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize(
+        "values, vectors",
+        [([math.nan], [[1.0]]), ([0.0, math.inf], np.eye(2)), ([0.0], [[complex(1.0, math.nan)]])],
+        ids=["nan-value", "inf-value", "nan-vector"],
+    )
+    def test_nonfinite_rejected(self, values, vectors):
+        with pytest.raises(ValueError, match="decomposition entries must be finite"):
+            SpectralDecomposition(np.array(values), np.array(vectors))
+
     def test_adjoint_cached_and_read_only(self):
         dec = jacobi_eigendecompose(random_hermitian(6, 7))
         adjoint = dec.adjoint

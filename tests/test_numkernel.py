@@ -213,6 +213,14 @@ class TestHermitianMatrix:
         m = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
+        # the instance is frozen: neither the array nor the cached norm rebinds
+        norm = m.frobenius_norm
+        with pytest.raises(AttributeError):
+            m.array = np.zeros((2, 2))
+        with pytest.raises(AttributeError):
+            m.frobenius_norm = 0.0
+        assert m.frobenius_norm is norm
+        assert m.array.flags.writeable is False and np.array_equal(m.array, np.eye(2))
 
     @pytest.mark.parametrize(
         "build, k",

@@ -117,6 +117,14 @@ class TestStateVector:
         with pytest.raises(ZeroVector):
             StateVector.from_unnormalized([0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "empty, shape", [([], r"\(0,\)"), (np.zeros((0, 3)), r"\(0, 3\)")], ids=["0", "0x3"]
+    )
+    def test_from_unnormalized_empty_is_a_shape_error(self, empty, shape):
+        # the constructor's shape rule, not "cannot normalize the zero vector"
+        with pytest.raises(DimensionMismatch, match=f"expected a 1-D coefficient vector, got {shape}"):
+            StateVector.from_unnormalized(empty)
+
     def test_from_unnormalized_extreme_magnitudes(self):
         # the plain norm squares 1e-200 to 0 and 1e200 to inf
         for tiny_or_huge in (1e-200, 1e200):
@@ -228,6 +236,12 @@ class TestTotalEnergy:
         eprime, e1 = total_energy(1.0, np.array([0.4, -0.2]), b, 0.1)
         assert eprime == pytest.approx(0.1, abs=1e-15)
         assert e1 == pytest.approx(1.01, abs=1e-15)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_strength_rejected(self, x):
+        # E1 = E + x E' would read inf or nan with no error
+        with pytest.raises(ValueError, match="perturbation strength must be finite"):
+            total_energy(0.0, [1.0], StateVector.basis_state(1, 0), x)
 
 
 class TestCorrectionCoefficients:

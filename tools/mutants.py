@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 EIGENSOLVER, VERIFY = "src/qperturb/eigensolver.py", "src/qperturb/verify.py"
+NUMKERNEL, PERTURBATION = "src/qperturb/numkernel.py", "src/qperturb/perturbation.py"
 MUTANTS = [
     Mutant(
         "first-order levels unsorted", VERIFY,
@@ -81,13 +82,13 @@ MUTANTS = [
         ("tests/test_verify.py",),
     ),
     Mutant(
-        "normalization tolerance 1e-6", "src/qperturb/perturbation.py",
+        "normalization tolerance 1e-6", PERTURBATION,
         "NORMALIZATION_ATOL = 1e-10",
         "NORMALIZATION_ATOL = 1e-6",
         ("tests/test_perturbation.py",),
     ),
     Mutant(
-        "no ||H'||_F check", "src/qperturb/perturbation.py",
+        "no ||H'||_F check", PERTURBATION,
         "    if not math.isfinite(hp_scale):",
         "    if False:",
         ("tests/test_perturbation.py", "tests/test_cli.py"),
@@ -165,7 +166,7 @@ MUTANTS = [
         ("tests/test_eigensolver.py",),
     ),
     Mutant(
-        "no unit scaling", "src/qperturb/numkernel.py",
+        "no unit scaling", NUMKERNEL,
         "e = np.frexp(np.maximum(*peaks))[1]",
         "e = 0 * np.frexp(np.maximum(*peaks))[1]",
         ("tests/test_eigensolver.py", "tests/test_numkernel.py"),
@@ -198,6 +199,36 @@ MUTANTS = [
         "first start counted as a restart", EIGENSOLVER,
         "if starts[first] > max(max_sweeps, 0):",
         "if starts[first] >= max(max_sweeps, 0):",
+        ("tests/test_eigensolver.py",),
+    ),
+    Mutant(
+        "HermitianMatrix compared by value", NUMKERNEL,
+        "@dataclass(frozen=True, eq=False)",
+        "@dataclass(frozen=True)",
+        ("tests/test_verify.py",),
+    ),
+    Mutant(
+        "norm recomputed on each read", NUMKERNEL,
+        "    @functools.cached_property\n    def frobenius_norm",
+        "    @property\n    def frobenius_norm",
+        ("tests/test_numkernel.py",),
+    ),
+    Mutant(
+        "total_energy takes any x", PERTURBATION,
+        "    if not math.isfinite(x):",
+        "    if False:",
+        ("tests/test_perturbation.py",),
+    ),
+    Mutant(
+        "empty coefficients are a zero vector", PERTURBATION,
+        "if norm == 0.0 and b.size:",
+        "if norm == 0.0:",
+        ("tests/test_perturbation.py",),
+    ),
+    Mutant(
+        "non-finite decomposition accepted", EIGENSOLVER,
+        "        if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):",
+        "        if False:",
         ("tests/test_eigensolver.py",),
     ),
 ]

@@ -24,12 +24,21 @@ Families:
 - ``sweep-records``: every level and superposition sweep record of those
   pairs;
 - ``cli-box``: the stdout of the six commands of the benchmark's
-  ``cli-box`` workload (seed 1), run in process, and the model files.
+  ``cli-box`` workload (seed 1), run in process, and the model files;
+- ``cli-dense``: the stdout of ``spectrum``, ``perturb --x 0.01 --level 0``
+  and ``sweep`` on CI's dense pairs, ``model random --seed 1 --dim N`` and
+  ``model random --seed 2 --dim N --scale 0.05`` at N = 24 and 128, run in
+  process like ``cli-box``, with the model files, every exit code and
+  everything written to stderr.  It is the only family that covers dense
+  ``first_order`` output (corrections, state and residual).
 
 A matrix's outputs are ``jacobi_eigendecompose``'s eigenvalues and
 eigenvectors, or the error it raised as text.
 """
 
+import contextlib
+import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -40,6 +49,40 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = [*range(1, 13), 16, 24, 32, 33, 64, 128]
 SCALINGS = [40, -40, -440, -470, 500, 600, -600]
 ORACLE_SIZES = [2, 5, 12, 24, 64]
+CLI_DENSE_SIZES = [24, 128]
+
+
+def cli_dense():
+    """The ``cli-dense`` family: each command's stdout, the model files, the
+    exit codes and stderr, from ``cli.main`` run in a temporary directory."""
+    from qperturb import cli
+
+    out, codes, errors = {}, [], io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="value-corpus-") as workdir:
+        os.chdir(workdir)
+        try:
+            for n in CLI_DENSE_SIZES:
+                h, hp = f"H{n}.txt", f"Hp{n}.txt"
+                commands = [
+                    ["model", "random", "--seed", "1", "--dim", str(n), "--out-h", h],
+                    ["model", "random", "--seed", "2", "--dim", str(n), "--scale", "0.05", "--out-h", hp],
+                    ["spectrum", h],
+                    ["perturb", h, hp, "--x", "0.01", "--level", "0"],
+                    ["sweep", h, hp],
+                ]
+                for command in commands:
+                    stdout = io.StringIO()
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(errors):
+                        codes.append(cli.main(command))
+                    out[" ".join(command)] = np.array(stdout.getvalue())
+                for name in (h, hp):
+                    out[name] = np.array(Path(name).read_text())
+        finally:
+            os.chdir(cwd)
+    out["exit codes"] = np.array(codes)
+    out["stderr"] = np.array(errors.getvalue())
+    return out
 
 
 def corpus():
@@ -110,6 +153,7 @@ def corpus():
         "oracle-stacks": stacks,
         "sweep-records": sweeps,
         "cli-box": cli,
+        "cli-dense": cli_dense(),
     }
 
 
